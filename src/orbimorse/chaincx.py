@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAComplex, ShapeMismatch
+from .errors import (
+    CancellationFailure,
+    InvarianceFailure,
+    NotAComplex,
+    ShapeMismatch,
+)
 
 
 def _frac(x) -> Fraction:
@@ -71,9 +76,7 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0:
-            return RationalMatrix.zeros(self.rows, other.cols)
-        if self.cols == 0:
+        if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return RationalMatrix.zeros(self.rows, other.cols)
         bt = list(zip(*other.entries))
         return RationalMatrix(
@@ -196,6 +199,21 @@ class GradedComplex:
                    basis_labels=tuple(tuple(l) for l in labels),
                    boundary=tuple(boundaries))
 
+    @classmethod
+    def from_entries(cls, labels, entries) -> "GradedComplex":
+        """Complex with bases labels[k] from (k, row_label, col_label, coeff)
+        entries, coeff times row_label in the boundary of col_label; repeated
+        cells are summed.  The only place a boundary matrix is allocated."""
+        labels = [tuple(level) for level in labels]
+        pos = [{lab: i for i, lab in enumerate(level)} for level in labels]
+        grids = [[[Fraction(0)] * len(labels[k]) for _ in labels[k - 1]]
+                 for k in range(1, len(labels))]
+        for k, row, col, coeff in entries:
+            grids[k - 1][pos[k - 1][row]][pos[k][col]] += coeff
+        return cls.build(labels, [
+            RationalMatrix(g) if g else RationalMatrix.zeros(0, len(labels[k]))
+            for k, g in enumerate(grids, 1)])
+
     def dim(self, k: int) -> int:
         if 0 <= k <= self.max_degree:
             return len(self.basis_labels[k])
@@ -232,20 +250,65 @@ class GradedComplex:
         return GradedComplex.build(labels, bnds)
 
 
-def verify_complex(c: GradedComplex):
-    """Check boundary-squared is zero.
-
-    Returns (True, None) or (False, (degree, row_label, col_label, value))
-    where degree is the top degree of the offending composition.
-    """
+def square_entries(c: GradedComplex):
+    """Nonzero entries (degree, row_label, col_label, value) of the boundary
+    squared, where degree is the top degree of the composition."""
     for k in range(2, c.max_degree + 1):
         sq = c.boundary_at(k - 1) * c.boundary_at(k)
         for i, row in enumerate(sq.entries):
             for j, v in enumerate(row):
                 if v != 0:
-                    return False, (k, c.basis_labels[k - 2][i],
-                                   c.basis_labels[k][j], v)
-    return True, None
+                    yield k, c.basis_labels[k - 2][i], c.basis_labels[k][j], v
+
+
+def verify_complex(c: GradedComplex):
+    """(True, None) when boundary squared is zero, else (False, its first
+    entry from square_entries)."""
+    witness = next(square_entries(c), None)
+    return witness is None, witness
+
+
+def orbit_sum_complex(orbits, faces) -> GradedComplex:
+    """Complex on the orbit sums of the orientable orbits of a signed action.
+
+    orbits[k] lists the degree-k orbits as (members, orientable) pairs;
+    members maps each cell to its sign relative to the first member, the
+    representative, which labels the orbit sum.  faces(cell) yields (face,
+    coeff).  Over Q the orbit sums span the invariant chains C^G, and
+    H(C^G) = H(C)^G.  The boundary of an orbit sum must vanish on
+    non-orientable orbits (CancellationFailure), and sign times its
+    coefficient must be constant on each face orbit (InvarianceFailure).
+    """
+    rep_of, info = {}, {}
+    for k, level in enumerate(orbits):
+        for members, orientable in level:
+            rep = next(iter(members))
+            info[rep] = (k, members, orientable)
+            rep_of.update(dict.fromkeys(members, rep))
+    labels = [[next(iter(members)) for members, orientable in level if orientable]
+              for level in orbits]
+    entries = []
+    for k in range(1, len(orbits)):
+        for rep in labels[k]:
+            coeff: dict = {}
+            for cell, sign in info[rep][1].items():
+                for face, c in faces(cell):
+                    coeff[face] = coeff.get(face, 0) + sign * c
+            for frep in dict.fromkeys(rep_of[q] for q in coeff):
+                fk, members, orientable = info[frep]
+                vals = {coeff.get(q, 0) * sign for q, sign in members.items()}
+                if not orientable and vals != {0}:
+                    q = next(q for q in members if coeff.get(q, 0))
+                    raise CancellationFailure(
+                        f"boundary of the orbit sum of {rep!r} has "
+                        f"coefficient {coeff[q]} at non-orientable point {q!r}")
+                if len(vals) != 1:
+                    raise InvarianceFailure(
+                        f"boundary of the orbit sum of {rep!r} is not "
+                        f"constant on the orbit of {frep!r}: {sorted(vals)}")
+                if orientable and fk == k - 1 and vals != {0}:
+                    entries.append((k, frep, rep, vals.pop()))
+    return GradedComplex.from_entries(labels, entries)
 
 
 def betti(c: GradedComplex) -> tuple[int, ...]:

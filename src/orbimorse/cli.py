@@ -117,9 +117,6 @@ def _as_fraction(v, ctx):
             raise ParseError(f"{ctx}: {v!r} is not a rational") from None
     raise ParseError(f"{ctx}: expected a rational, got {v!r}")
 
-def _frac_out(fr: Fraction) -> str:
-    return str(fr)
-
 def _group_cap() -> int:
     raw = os.environ.get("ORBIMORSE_GROUP_CAP")
     if raw is None:
@@ -194,7 +191,8 @@ def build_global(payload) -> EquivariantMorseSystem:
     ctx = "global_quotient system"
     ambient = _as_int(_req(payload, "ambient_dim", ctx), f"{ctx}: ambient_dim")
     degree = _as_int(_req(payload, "degree", ctx), f"{ctx}: degree")
-    gens = _as_list(_req(payload, "generators", ctx), f"{ctx}: generators")
+    gens = [tuple(_as_list(g, f"{ctx}: generator")) for g in
+            _as_list(_req(payload, "generators", ctx), f"{ctx}: generators")]
 
     crit, labels = [], set()
     for c in _as_list(_req(payload, "crit_points", ctx), f"{ctx}: crit_points"):
@@ -233,7 +231,7 @@ def build_global(payload) -> EquivariantMorseSystem:
     flow_images = per_generator("flow_images")
     try:
         return EquivariantMorseSystem.from_generator_data(
-            generators=[tuple(g) for g in gens], degree=degree,
+            generators=gens, degree=degree,
             cap=_group_cap(), crit_points=crit, crit_images=crit_images,
             crit_signs=crit_signs, flows=flows, flow_images=flow_images,
             ambient_dim=ambient)
@@ -249,11 +247,15 @@ def build_intrinsic(payload) -> OrbifoldMorseSystem:
         if label in labels:
             raise ParseError(f"{ctx}: duplicate point {label!r}")
         labels.add(label)
+        orientable = p.get("orientable", True)
+        if not isinstance(orientable, bool):
+            raise ParseError(
+                f"point {label!r}: orientable must be true or false, got {orientable!r}")
         points.append(IntrinsicPoint(
             label=label,
             index=_as_int(_req(p, "index", f"point {label!r}"), "index"),
             iso_order=_as_int(_req(p, "iso_order", f"point {label!r}"), "iso_order"),
-            orientable=bool(p.get("orientable", True))))
+            orientable=orientable))
     flows = []
     for f in _as_list(_req(payload, "flows", ctx), f"{ctx}: flows"):
         label = _as_str(_req(f, "label", "flow"), "flow label")
@@ -280,15 +282,23 @@ def intrinsic_payload(s: OrbifoldMorseSystem) -> dict:
                   for f in s.flows],
     }
 
-def build_simplicial(payload):
-    """Returns (GSimplicialComplex, subcomplex or None)."""
-    ctx = "simplicial system"
+def _vertex_lists(payload, ctx, known=()):
+    """Vertices and maximal simplices, labels all integers or all strings."""
     vertices = _as_list(_req(payload, "vertices", ctx), f"{ctx}: vertices")
     maximal = [tuple(_as_list(s, f"{ctx}: simplex"))
                for s in _as_list(_req(payload, "maximal", ctx), f"{ctx}: maximal")]
+    kinds = {type(x) for x in [*known, *vertices, *(x for s in maximal for x in s)]}
+    if len(kinds) > 1 or not kinds <= {int, str}:
+        raise ParseError(f"{ctx}: vertex labels must be all integers or all strings")
+    return vertices, maximal
+
+def build_simplicial(payload):
+    """Returns (GSimplicialComplex, subcomplex or None)."""
+    ctx = "simplicial system"
+    vertices, maximal = _vertex_lists(payload, ctx)
     K = SimplicialComplex(vertices, maximal)
     gens = [tuple(_as_list(g, f"{ctx}: generator"))
-            for g in payload.get("generators", [])]
+            for g in _as_list(payload.get("generators", []), f"{ctx}: generators")]
     try:
         group = generate_group(gens, degree=len(K.vertices), cap=_group_cap())
     except MalformedPermutation as e:
@@ -297,11 +307,8 @@ def build_simplicial(payload):
     gk = GSimplicialComplex(K, group, action)
     sub = None
     if payload.get("subcomplex") is not None:
-        sp = payload["subcomplex"]
         sub = SimplicialComplex(
-            _as_list(_req(sp, "vertices", "subcomplex"), "subcomplex vertices"),
-            [tuple(_as_list(s, "subcomplex simplex"))
-             for s in _as_list(_req(sp, "maximal", "subcomplex"), "subcomplex maximal")])
+            *_vertex_lists(payload["subcomplex"], "subcomplex", vertices))
     return gk, sub
 
 

@@ -43,9 +43,15 @@ def invert(g: Perm) -> Perm:
     return tuple(out)
 
 
+def is_perm(p: Sequence[int], degree: int) -> bool:
+    """True when p is a 0-based image array of integers of the given degree."""
+    return (len(p) == degree and all(type(x) is int for x in p)
+            and sorted(p) == list(range(degree)))
+
+
 def check_perm(p: Sequence[int], degree: int) -> Perm:
     t = tuple(p)
-    if len(t) != degree or sorted(t) != list(range(degree)):
+    if not is_perm(t, degree):
         raise MalformedPermutation(
             f"not a 0-based image array of degree {degree}: {list(p)!r}")
     return t

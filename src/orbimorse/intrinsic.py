@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chaincx import ChainMap, GradedComplex, RationalMatrix, verify_chain_map
+from .chaincx import (ChainMap, GradedComplex, RationalMatrix, square_entries,
+                      verify_chain_map)
 from .errors import (
     DivisibilityViolation,
     IndexOutOfRange,
@@ -99,23 +100,15 @@ class OrbifoldMorseSystem:
 def _boundary(s: OrbifoldMorseSystem, convention: str) -> GradedComplex:
     labels = [[p.label for p in s.generators(k)]
               for k in range(s.ambient_dim + 1)]
-    pos = {lab: i for level in labels for i, lab in enumerate(level)}
-    boundaries = []
-    for k in range(1, s.ambient_dim + 1):
-        rows, cols = labels[k - 1], labels[k]
-        m = [[Fraction(0)] * len(cols) for _ in rows]
-        for f in s.flows:
-            if s.point(f.src).index != k:
-                continue
-            weight_point = s.point(f.dst if convention == "plus" else f.src)
-            term = Fraction(f.sign * weight_point.iso_order, f.iso_order)
-            if term.denominator != 1:
-                raise DivisibilityViolation(
-                    f"flow {f.label!r}: weight {term} is not an integer")
-            m[pos[f.dst]][pos[f.src]] += term
-        boundaries.append(RationalMatrix(m) if rows and cols
-                          else RationalMatrix.zeros(len(rows), len(cols)))
-    return GradedComplex.build(labels, boundaries)
+    entries = []
+    for f in s.flows:
+        weight_point = s.point(f.dst if convention == "plus" else f.src)
+        term = Fraction(f.sign * weight_point.iso_order, f.iso_order)
+        if term.denominator != 1:
+            raise DivisibilityViolation(
+                f"flow {f.label!r}: weight {term} is not an integer")
+        entries.append((s.point(f.src).index, f.dst, f.src, term))
+    return GradedComplex.from_entries(labels, entries)
 
 
 def boundary_plus(s: OrbifoldMorseSystem) -> GradedComplex:
@@ -153,18 +146,10 @@ class DSquaredReport:
 
 def verify_d_squared(s: OrbifoldMorseSystem) -> DSquaredReport:
     """Square the boundary under both conventions; collect nonzero entries."""
-    witnesses = []
-    for convention in ("plus", "minus"):
-        c = _boundary(s, convention)
-        for k in range(2, c.max_degree + 1):
-            sq = c.boundary_at(k - 1) * c.boundary_at(k)
-            for i, row in enumerate(sq.entries):
-                for j, v in enumerate(row):
-                    if v != 0:
-                        witnesses.append((convention,
-                                          c.basis_labels[k][j],
-                                          c.basis_labels[k - 2][i], v))
-    return DSquaredReport(ok=not witnesses, witnesses=tuple(witnesses))
+    witnesses = tuple((convention, top, bottom, v)
+                      for convention in ("plus", "minus")
+                      for _, bottom, top, v in square_entries(_boundary(s, convention)))
+    return DSquaredReport(ok=not witnesses, witnesses=witnesses)
 
 
 def reverse(s: OrbifoldMorseSystem, n: int | None = None) -> OrbifoldMorseSystem:

@@ -28,14 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .chaincx import GradedComplex, RationalMatrix, verify_complex
+from .chaincx import GradedComplex, orbit_sum_complex, verify_complex
 from .errors import (
     ActionNotWellDefined,
-    CancellationFailure,
     ClosureExceedsCap,
     GaugeFailure,
     IndexMismatch,
-    InvarianceFailure,
     MalformedSystem,
     SignNotOrbitConstant,
     SystemNotValid,
@@ -48,6 +46,7 @@ from .groups import (
     check_perm,
     compose,
     generate_group,
+    is_perm,
     orbits,
     stabilizer,
 )
@@ -168,11 +167,12 @@ class EquivariantMorseSystem:
         for gi, g in enumerate(gens):
             imgs = list(crit_images[gi])
             sgns = list(crit_signs[gi])
-            if sorted(imgs) != list(range(c)) or any(s not in (1, -1) for s in sgns):
+            if (not is_perm(imgs, c) or len(sgns) != c
+                    or any(s not in (1, -1) for s in sgns)):
                 raise MalformedSystem(
                     f"generator {gi}: bad critical images or signs")
             fimgs = list(flow_images[gi])
-            if sorted(fimgs) != list(range(nf)):
+            if not is_perm(fimgs, nf):
                 raise MalformedSystem(f"generator {gi}: bad flow images")
             perm = list(g)
             for j in range(c):
@@ -231,26 +231,22 @@ class EquivariantMorseSystem:
 
     def manifold_complex(self) -> GradedComplex:
         """Chain complex of the ambient manifold's Morse data (no quotient)."""
+        n = self.ambient_dim
         labels = [[p.label for p in self.crit if p.index == k]
-                  for k in range(self.ambient_dim + 1)]
-        pos = {lab: i for level in labels for i, lab in enumerate(level)}
-        boundaries = []
-        for k in range(1, self.ambient_dim + 1):
-            rows, cols = labels[k - 1], labels[k]
-            m = [[Fraction(0)] * len(cols) for _ in rows]
-            for f in self.flows:
-                if self._crit_by_label[f.src].index == k \
-                        and self._crit_by_label[f.dst].index == k - 1:
-                    m[pos[f.dst]][pos[f.src]] += f.sign
-            boundaries.append(RationalMatrix(m) if rows and cols
-                              else RationalMatrix.zeros(len(rows), len(cols)))
-        return GradedComplex.build(labels, boundaries)
+                  for k in range(n + 1)]
+        index = {p.label: p.index for p in self.crit}
+        return GradedComplex.from_entries(labels, (
+            (index[f.src], f.dst, f.src, f.sign) for f in self.flows
+            if 1 <= index[f.src] <= n and index[f.dst] == index[f.src] - 1))
 
 
 # -- validation -----------------------------------------------------------
 
 def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
-    """Check every law, reporting each violation with a witness; never raises."""
+    """Check every law, reporting each violation with a witness; never raises.
+    The report is cached on the system."""
+    if "report" in s._cache:
+        return s._cache["report"]
     v: list[Violation] = []
     G = s.group
 
@@ -330,18 +326,14 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
         self_indexing = (len(values_present) == len(s.crit)
                          and all(p.value == p.index for p in s.crit))
 
-    return ValidationReport(violations=tuple(v), self_indexing=self_indexing)
-
-
-def _validated(s: EquivariantMorseSystem) -> ValidationReport:
-    if "report" not in s._cache:
-        s._cache["report"] = validate_system(s)
-    return s._cache["report"]
+    report = ValidationReport(violations=tuple(v), self_indexing=self_indexing)
+    s._cache["report"] = report
+    return report
 
 
 def _require_valid(s: EquivariantMorseSystem, check_valid: bool) -> None:
     if check_valid:
-        report = _validated(s)
+        report = validate_system(s)
         if not report.ok:
             raise SystemNotValid(report)
 
@@ -501,52 +493,21 @@ def invariant_boundary(s: EquivariantMorseSystem, *,
                        check_valid: bool = True) -> GradedComplex:
     """Boundary on the orbit sums of orientable orbits, in the canonical gauge.
 
-    The boundary of sum(members of an orientable orbit) must vanish at every
-    non-orientable point (CancellationFailure otherwise) and must be constant
-    on every orbit (InvarianceFailure otherwise); both failures signal
-    inconsistent input data.
+    The canonical gauge makes the signed action trivial on orientable
+    orbits, so every sign is +1 and the faces of a point are its flows with
+    canonical signs.  CancellationFailure and InvarianceFailure from
+    orbit_sum_complex signal inconsistent input data.
     """
     _require_valid(s, check_valid)
     gauge = _normalize(s)
-    cls = classify(s)
-    orientable = [o for o in cls if o.orientable]
-    labels = [[o.rep for o in orientable if o.index == k]
-              for k in range(s.ambient_dim + 1)]
-    pos = {lab: i for level in labels for i, lab in enumerate(level)}
-    by_member = {}
-    for o in cls:
-        for m in o.members:
-            by_member[m] = o
-
-    boundaries = []
-    for k in range(1, s.ambient_dim + 1):
-        rows, cols = labels[k - 1], labels[k]
-        m = [[Fraction(0)] * len(cols) for _ in rows]
-        for o in orientable:
-            if o.index != k:
-                continue
-            coeff: dict = {}
-            for f in s.flows:
-                if f.src in o.members:
-                    coeff[f.dst] = coeff.get(f.dst, 0) + gauge.eps[f.label]
-            for q, val in coeff.items():
-                qo = by_member[q]
-                if not qo.orientable and val != 0:
-                    raise CancellationFailure(
-                        f"boundary of the orbit sum of {o.rep!r} has "
-                        f"coefficient {val} at non-orientable point {q!r}")
-            for qo in cls:
-                vals = {coeff.get(q, 0) for q in qo.members}
-                if len(vals) != 1:
-                    raise InvarianceFailure(
-                        f"boundary of the orbit sum of {o.rep!r} is not "
-                        f"constant on the orbit of {qo.rep!r}: {sorted(vals)}")
-                if qo.orientable and qo.index == k - 1:
-                    m[pos[qo.rep]][pos[o.rep]] = Fraction(vals.pop())
-        boundaries.append(RationalMatrix(m) if rows and cols
-                          else RationalMatrix.zeros(len(rows), len(cols)))
-
-    out = GradedComplex.build(labels, boundaries)
+    orbit_levels = [[(dict.fromkeys(o.members, 1), o.orientable)
+                     for o in classify(s) if o.index == k]
+                    for k in range(s.ambient_dim + 1)]
+    out_flows: dict = {}
+    for f in s.flows:
+        if 0 <= s.crit_point(f.dst).index <= s.ambient_dim:
+            out_flows.setdefault(f.src, []).append((f.dst, gauge.eps[f.label]))
+    out = orbit_sum_complex(orbit_levels, lambda p: out_flows.get(p, ()))
     if check_valid:
         ok, witness = verify_complex(out)
         assert ok, f"invariant boundary fails to square to zero at {witness}"

@@ -10,16 +10,20 @@ vertex-wise.  That predicate alone does not guarantee a simplicial quotient
 (distinct orbits can land on one vertex set, or a simplex can collapse), so
 quotient() also rejects those collisions, and regularize() subdivides until
 the quotient goes through; two subdivisions always suffice.
+
+Invariant homology needs no regularity: it is the homology of the orbit sums
+of simplices (chaincx.orbit_sum_complex, shared with the Morse side), where
+an orbit flipped by its stabilizer cancels like a non-orientable critical
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Optional
 
-from .chaincx import GradedComplex, RationalMatrix, betti as complex_betti
+from .chaincx import GradedComplex, betti as complex_betti, orbit_sum_complex
 from .errors import (
     ActionNotSimplicial,
     NotASubcomplex,
@@ -40,19 +44,26 @@ def _close_downward(maximal):
     return simplices
 
 
+def _faces(s, skip):
+    """Codimension-one faces of an oriented simplex outside skip, with signs."""
+    faces = ((s[:i] + s[i + 1:], (-1) ** i) for i in range(len(s)))
+    return [(face, sign) for face, sign in faces if face not in skip]
+
+
 class SimplicialComplex:
     """Finite abstract simplicial complex, downward closed by construction."""
 
     def __init__(self, vertices, maximal_simplices):
         self.vertices = tuple(sorted(set(vertices)))
         closed = _close_downward(maximal_simplices)
+        declared = set(self.vertices)
         for s in closed:
             for vtx in s:
-                if vtx not in set(self.vertices):
+                if vtx not in declared:
                     raise NotASubcomplex(
                         f"simplex {s!r} uses undeclared vertex {vtx!r}")
-        for vtx in self.vertices:
-            closed.add((vtx,))
+        closed.update((vtx,) for vtx in self.vertices)
+        self._closed = frozenset(closed)
         self.by_dim: dict[int, tuple] = {}
         top = max((len(s) - 1 for s in closed), default=0)
         for k in range(top + 1):
@@ -70,8 +81,7 @@ class SimplicialComplex:
             yield from self.by_dim[k]
 
     def has(self, s) -> bool:
-        t = tuple(sorted(s))
-        return t in set(self.by_dim.get(len(t) - 1, ()))
+        return tuple(sorted(s)) in self._closed
 
     def contains(self, other: "SimplicialComplex") -> bool:
         return all(self.has(s) for s in other.all_simplices())
@@ -86,19 +96,9 @@ class SimplicialComplex:
         in_sub = set(sub.all_simplices()) if sub is not None else set()
         labels = [[s for s in self.simplices(k) if s not in in_sub]
                   for k in range(self.dim + 1)]
-        pos = [{s: i for i, s in enumerate(level)} for level in labels]
-        boundaries = []
-        for k in range(1, self.dim + 1):
-            rows, cols = labels[k - 1], labels[k]
-            m = [[Fraction(0)] * len(cols) for _ in rows]
-            for j, s in enumerate(cols):
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    if face in pos[k - 1]:
-                        m[pos[k - 1][face]][j] += (-1) ** i
-            boundaries.append(RationalMatrix(m) if rows and cols
-                              else RationalMatrix.zeros(len(rows), len(cols)))
-        return GradedComplex.build(labels, boundaries)
+        return GradedComplex.from_entries(labels, (
+            (k, face, s, sign) for k in range(1, self.dim + 1)
+            for s in labels[k] for face, sign in _faces(s, in_sub)))
 
 
 def homology(K: SimplicialComplex,
@@ -169,6 +169,19 @@ def is_regular(gk: GSimplicialComplex) -> bool:
     return True
 
 
+def _require_invariant_sub(gk, sub) -> None:
+    """Reject a relative part that is not an invariant subcomplex."""
+    if sub is None:
+        return
+    if not gk.complex.contains(sub):
+        raise NotASubcomplex("relative part is not a subcomplex")
+    for g in gk.group:
+        for s in sub.all_simplices():
+            if not sub.has(gk.simplex_image(g, s)):
+                raise NotASubcomplex(
+                    f"relative part is not invariant: g={list(g)} moves {s!r} out")
+
+
 @dataclass
 class QuotientComplex:
     """Quotient simplicial complex with a representative per simplex orbit."""
@@ -188,8 +201,7 @@ def quotient(gk: GSimplicialComplex,
     """
     if not is_regular(gk):
         raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
-    if sub is not None and not gk.complex.contains(sub):
-        raise NotASubcomplex("relative part is not a subcomplex")
+    _require_invariant_sub(gk, sub)
 
     vertex_label = {}
     for orb in orbits(gk.vertex_action):
@@ -212,20 +224,14 @@ def quotient(gk: GSimplicialComplex,
         maximal.append(down)
     qc = SimplicialComplex(vertices=sorted({vertex_label[v] for v in gk.complex.vertices}),
                            maximal_simplices=maximal)
-    provenance = {down: rep for down, rep in seen.items()}
 
     qsub = None
     if sub is not None:
-        for g in gk.group:
-            for s in sub.all_simplices():
-                if not sub.has(gk.simplex_image(g, s)):
-                    raise NotASubcomplex(
-                        f"relative part is not invariant: g={list(g)} moves {s!r} out")
         qsub = SimplicialComplex(
             vertices=sorted({vertex_label[v] for v in sub.vertices}),
             maximal_simplices=[tuple(sorted({vertex_label[v] for v in s}))
                                for s in sub.all_simplices()])
-    return QuotientComplex(complex=qc, provenance=provenance, sub=qsub)
+    return QuotientComplex(complex=qc, provenance=dict(seen), sub=qsub)
 
 
 def regularize(gk: GSimplicialComplex, sub: Optional[SimplicialComplex] = None,
@@ -250,66 +256,37 @@ def regularize(gk: GSimplicialComplex, sub: Optional[SimplicialComplex] = None,
 
 
 def _perm_sign(values) -> int:
-    inv = 0
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    inversions = sum(a > b for a, b in combinations(values, 2))
+    return -1 if inversions % 2 else 1
 
 
 def invariant_homology(gk: GSimplicialComplex,
                        sub: Optional[SimplicialComplex] = None) -> tuple[int, ...]:
     """Dimensions of the invariant part of (relative) homology.
 
-    Averages the induced chain maps over the group; the average is an exact
-    idempotent chain map, so the invariant dimension in each degree is the
-    rank of its image on homology, computed from a kernel basis without ever
-    choosing a homology basis.
+    Over Q, H(C)^G = H(C^G), and C^G has a basis of orbit sums: g carries
+    the oriented simplex s to sign * g.s, sign being that of the permutation
+    sorting the vertex images.  An orbit whose stabilizer flips its simplices
+    sums to zero, as the paper's critical points whose isotropy reverses the
+    orientation of their unstable manifold are discarded.
     """
-    if sub is not None:
-        for g in gk.group:
-            for s in sub.all_simplices():
-                if not sub.has(gk.simplex_image(g, s)):
-                    raise NotASubcomplex(
-                        f"relative part is not invariant: g={list(g)} moves {s!r} out")
-    C = gk.complex.chain_complex(sub)
-    n = C.max_degree
-    order = gk.group.order
-
-    averaged = []
-    for k in range(n + 1):
-        basis = C.basis_labels[k]
-        pos = {s: i for i, s in enumerate(basis)}
-        rows = [[Fraction(0)] * len(basis) for _ in basis]
-        for g in gk.group:
-            for j, s in enumerate(basis):
+    _require_invariant_sub(gk, sub)
+    in_sub = set(sub.all_simplices()) if sub is not None else set()
+    levels = []
+    for k in range(gk.complex.dim + 1):
+        seen, level = set(), []
+        for s in gk.complex.simplices(k):
+            if s in seen or s in in_sub:
+                continue
+            members, orientable = {}, True
+            for g in gk.group:
                 raw = [gk.vertex_action.image(g, vtx) for vtx in s]
-                img = tuple(sorted(raw))
-                rows[pos[img]][j] += Fraction(_perm_sign(raw), order)
-        averaged.append(RationalMatrix(rows) if basis
-                        else RationalMatrix.zeros(0, 0))
-
-    for k in range(1, n + 1):
-        lhs = C.boundary_at(k) * averaged[k]
-        rhs = averaged[k - 1] * C.boundary_at(k)
-        assert lhs == rhs, f"averaged map fails to commute at degree {k}"
-
-    out = []
-    for k in range(n + 1):
-        cycles = C.boundary_at(k).nullspace()
-        bmat = C.boundary_at(k + 1)
-        pz = [RationalMatrix.from_columns([z], C.dim(k)) for z in cycles]
-        cols = [averaged[k] * z for z in pz]
-        aug_cols = [c.column(0) for c in cols] + \
-                   [bmat.column(j) for j in range(bmat.cols)]
-        if aug_cols:
-            aug = RationalMatrix.from_columns(aug_cols, C.dim(k))
-            out.append(aug.rank() - bmat.rank())
-        else:
-            out.append(0)
-    return tuple(out)
+                sign = _perm_sign(raw)
+                orientable &= members.setdefault(tuple(sorted(raw)), sign) == sign
+            seen.update(members)
+            level.append((members, orientable))
+        levels.append(level)
+    return complex_betti(orbit_sum_complex(levels, lambda s: _faces(s, in_sub)))
 
 
 @dataclass(frozen=True)
@@ -322,10 +299,9 @@ class CompareReport:
 
 def compare(system, gk: GSimplicialComplex) -> CompareReport:
     """Betti numbers of the invariant Morse complex against the quotient space."""
-    from .chaincx import betti as _betti
     from .quotient import invariant_boundary
 
-    morse = _betti(invariant_boundary(system))
+    morse = complex_betti(invariant_boundary(system))
     _, _, rounds, q = regularize(gk)
     simp = homology(q.complex)
     width = max(len(morse), len(simp))

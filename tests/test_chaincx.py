@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from orbimorse import (
+    CancellationFailure,
     ChainMap,
     GradedComplex,
+    InvarianceFailure,
     NotAComplex,
     RationalMatrix,
     ShapeMismatch,
@@ -15,6 +17,7 @@ from orbimorse import (
     verify_chain_map,
     verify_complex,
 )
+from orbimorse.chaincx import orbit_sum_complex
 
 
 def interval_complex():
@@ -172,3 +175,23 @@ def test_chain_map_shape_checks():
         ChainMap(source=c, target=c,
                  matrices=(RationalMatrix.identity(2),
                            RationalMatrix.zeros(2, 1)))
+
+
+def test_orbit_sum_complex_signs_and_failures():
+    # a circle of two vertices and two edges, both pairs exchanged
+    faces = {"e": [("b", 1), ("a", -1)], "f": [("a", 1), ("b", -1)]}.get
+
+    def orbit_sums(vertex_signs, vertex_orientable, edge_signs):
+        return orbit_sum_complex(
+            [[(dict(zip("ab", vertex_signs)), vertex_orientable)],
+             [(dict(zip("ef", edge_signs)), True)]], faces)
+
+    rotation = orbit_sums((1, 1), True, (1, 1))
+    assert rotation.basis_labels == (("a",), ("e",))
+    assert betti(rotation) == (1, 1)
+    signed = orbit_sums((1, -1), True, (1, -1))
+    assert signed.boundary_at(1).entries == ((Fraction(-2),),)
+    with pytest.raises(InvarianceFailure, match="not"):
+        orbit_sums((1, 1), True, (1, -1))
+    with pytest.raises(CancellationFailure, match="non-orientable"):
+        orbit_sums((1, -1), False, (1, -1))

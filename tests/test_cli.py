@@ -1,5 +1,6 @@
 """CLI subcommands, instance files, exit codes, and the packaged corpus."""
 
+import importlib
 import json
 import os
 import shutil
@@ -128,6 +129,46 @@ def test_parse_failures_exit_4(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
     assert main(["corpus", "run", "nosuch"]) == EXIT_PARSE
+
+
+def test_malformed_values_exit_4(tmp_path, capsys):
+    docs = {}
+    for key, value in (("crit_images", [["x", 1, 2, 3]]),
+                       ("crit_signs", [[1]]), ("generators", [1])):
+        docs["heart_" + key] = corpus_doc("heart")
+        docs["heart_" + key]["system"][key] = value
+    orientable = {"kind": "intrinsic", "metadata": {}, "system": {
+        "ambient_dim": 2, "flows": [], "points": [
+            {"label": "p", "index": 2, "iso_order": 1},
+            {"label": "r", "index": 1, "iso_order": 2, "orientable": "false"},
+            {"label": "s", "index": 0, "iso_order": 2}]}}
+    docs["orientable"] = orientable
+    for key, value in (("generators", [["x", 0]]), ("generators", 1),
+                       ("vertices", [0, "a"])):
+        docs[f"simplicial_{len(docs)}"] = {
+            "kind": "simplicial", "metadata": {}, "system": {
+                "vertices": ["a", "b"], "maximal": [["a", "b"]], key: value}}
+    for name, doc in docs.items():
+        assert main(["homology", write_doc(tmp_path, name + ".json", doc)]) \
+            == EXIT_PARSE, name
+        assert capsys.readouterr().err.startswith("error: "), name
+
+    orientable["system"]["points"][1]["orientable"] = False
+    assert main(["homology", write_doc(tmp_path, "ok.json", orientable)]) \
+        == EXIT_OK
+    assert "betti: 1,0,1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["homology", "heart"],
+                                  ["compare", "compare_heart"]])
+def test_each_system_is_validated_once(argv, tmp_path, monkeypatch):
+    # the package attribute "quotient" is the simplicial function
+    quotient = importlib.import_module("orbimorse.quotient")
+    made, real = [], quotient.ValidationReport
+    monkeypatch.setattr(quotient, "ValidationReport",
+                        lambda **kw: made.append(kw) or real(**kw))
+    assert main([argv[0], corpus_file(tmp_path, argv[1])]) == EXIT_OK
+    assert len(made) == 1
 
 
 def test_group_cap_environment_variable(tmp_path, monkeypatch, capsys):

@@ -267,6 +267,12 @@ def test_invariance_failure_on_skewed_endpoints():
         invariant_boundary(endpoint_skew_system(), check_valid=False)
 
 
+def test_unvalidated_boundary_ignores_points_out_of_range():
+    s = trivial_system([("p", 1, None), ("q", 3, None)],
+                       [("f", "q", "p", 1), ("g", "p", "q", 1)], ambient_dim=1)
+    assert invariant_boundary(s, check_valid=False).dims() == (0, 1)
+
+
 def test_gauge_failure_on_corrupt_cocycle():
     with pytest.raises(GaugeFailure):
         invariant_boundary(cocycle_corrupt_system(), check_valid=False)

@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbimorse import (
     ActionNotSimplicial,
@@ -164,3 +165,53 @@ def test_compare_against_triangulations(heart):
     report = compare(heart, circle)
     assert not report.equal
     assert report.quotient_betti == (1, 1, 0)
+
+
+@st.composite
+def symmetric_complexes(draw):
+    """A polygon, the cone over it or its suspension, acted on by a cyclic or
+    dihedral group (for suspensions also the swap of the poles), with its
+    vertices relabelled at random, and an invariant subcomplex or None.
+
+    Suspensions skip the rotation of full order: their quotients need two
+    subdivisions, whose dense homology takes seconds."""
+    shape = draw(st.sampled_from(["polygon", "cone", "suspension"]))
+    n = draw(st.integers(3, 6 if shape == "polygon" else 4))
+    top = n - 1 if shape == "suspension" else n
+    k = draw(st.sampled_from([d for d in range(1, top + 1) if n % d == 0]))
+    rim = [(i, (i + 1) % n) for i in range(n)]
+    poles = {"polygon": [], "cone": [n], "suspension": [n, n + 1]}[shape]
+    maximal = [(p,) + e for p in poles for e in rim] or rim
+    gens = [lambda v: (v + n // k) % n if v < n else v]
+    if draw(st.booleans()):
+        # a reflection, flipping one rim edge when n is odd
+        gens.append(lambda v: -v % n if v < n else v)
+    if shape == "suspension" and draw(st.booleans()):
+        gens.append(lambda v: v if v < n else 2 * n + 1 - v)
+    subs = [None, [(i,) for i in range(0, n, n // k)]]
+    subs += {"polygon": [], "cone": [rim], "suspension": [[(n,), (n + 1,)]]}[shape]
+    sub = draw(st.sampled_from(subs))
+
+    count = n + len(poles)
+    label = draw(st.permutations(range(count)))
+    vertices = sorted(label)
+    idx = {lab: i for i, lab in enumerate(vertices)}
+    perms = [[0] * count for _ in gens]
+    for perm, gen in zip(perms, gens):
+        for v in range(count):
+            perm[idx[label[v]]] = idx[label[gen(v)]]
+    gk = gcomplex(vertices, [[label[v] for v in s] for s in maximal], perms)
+    if sub is None:
+        return gk, None
+    return gk, SimplicialComplex({label[v] for s in sub for v in s},
+                                 [[label[v] for v in s] for s in sub])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(symmetric_complexes())
+def test_invariant_homology_equals_quotient_homology(case):
+    gk, sub = case
+    _, _, _, q = regularize(gk, sub)
+    assert invariant_homology(gk) == homology(q.complex)
+    if sub is not None:
+        assert invariant_homology(gk, sub) == homology(q.complex, q.sub)
