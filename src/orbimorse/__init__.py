@@ -38,6 +38,7 @@ from .groups import (
     WeightedSet,
     compose,
     generate_group,
+    generating_set,
     identity_perm,
     invert,
     orbits,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .errors import (
@@ -77,8 +78,12 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return self.elements[0]
 
+    @cached_property
+    def _element_set(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, g) -> bool:
-        return tuple(g) in set(self.elements)
+        return tuple(g) in self._element_set
 
     def __iter__(self):
         return iter(self.elements)
@@ -129,6 +134,23 @@ def generate_group(generators: Iterable[Sequence[int]], *,
             raise ClosureExceedsCap(
                 f"group exceeds cap of {cap} elements (degree {degree})")
     return FiniteGroup(degree=degree, elements=tuple(order))
+
+
+def generating_set(group: FiniteGroup) -> tuple[Perm, ...]:
+    """A generating set of at most log2 |G| elements, in element order.
+
+    Walks the element table and keeps each element the kept ones do not yet
+    generate, re-closing after each.  Every kept element at least doubles
+    the generated subgroup, hence the bound.  The trivial group gives ().
+    """
+    gens: list[Perm] = []
+    reached = {group.identity}
+    for g in group.elements:
+        if g not in reached:
+            gens.append(g)
+            reached = set(generate_group(gens, degree=group.degree,
+                                         cap=group.order).elements)
+    return tuple(gens)
 
 
 class GroupAction:

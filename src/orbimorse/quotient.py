@@ -7,6 +7,12 @@ orientation at g.p; the cocycle law tau(gh, p) = tau(g, h.p) tau(h, p) and the
 sign-equivariance law eps(g.flow) = tau(g, src) tau(g, dst) eps(flow) tie the
 data together.
 
+Validation reads the integer image arrays and tau rows.  The cocycle law is
+checked for g in a generating set of G only, against every h; by induction
+on the word length of g this covers all of G x G once the tables form an
+action, (gh).x = g.(h.x), which is checked on the same pairs because the
+direct constructor accepts any image tables.
+
 Orbit classification: an orbit is orientable when tau(g, p) = +1 for every g
 in the stabilizer of one (hence any) member.  Orientable orbits carry the
 quotient chain generators; non-orientable orbits are discarded, and the
@@ -46,11 +52,17 @@ from .groups import (
     check_perm,
     compose,
     generate_group,
+    generating_set,
     is_perm,
     orbits,
     stabilizer,
 )
 from .intrinsic import IntrinsicFlow, IntrinsicPoint, OrbifoldMorseSystem
+
+
+def _is_sign(x) -> bool:
+    """True for the integers +1 and -1 only (a JSON true is not +1)."""
+    return type(x) is int and x in (1, -1)
 
 
 @dataclass(frozen=True)
@@ -137,12 +149,12 @@ class EquivariantMorseSystem:
                 if end not in self._crit_by_label:
                     raise MalformedSystem(
                         f"flow {f.label!r} references unknown point {end!r}")
-            if f.sign not in (1, -1):
+            if not _is_sign(f.sign):
                 raise MalformedSystem(f"flow {f.label!r} has sign {f.sign!r}")
         if set(self._tau) != set(group.elements):
             raise MalformedSystem("tau table must cover every group element")
         for g, row in self._tau.items():
-            if len(row) != len(self.crit) or any(s not in (1, -1) for s in row):
+            if len(row) != len(self.crit) or not all(map(_is_sign, row)):
                 raise MalformedSystem("tau rows must be +-1 per critical point")
 
     # -- construction from generator data --------------------------------
@@ -168,7 +180,7 @@ class EquivariantMorseSystem:
             imgs = list(crit_images[gi])
             sgns = list(crit_signs[gi])
             if (not is_perm(imgs, c) or len(sgns) != c
-                    or any(s not in (1, -1) for s in sgns)):
+                    or not all(map(_is_sign, sgns))):
                 raise MalformedSystem(
                     f"generator {gi}: bad critical images or signs")
             fimgs = list(flow_images[gi])
@@ -242,13 +254,37 @@ class EquivariantMorseSystem:
 
 # -- validation -----------------------------------------------------------
 
+def _action_witness(g, h, labels, agh, ag, ah, what):
+    i = next(i for i in range(len(labels)) if agh[i] != ag[ah[i]])
+    return Violation(
+        "action_compatibility",
+        f"g={list(g)}, h={list(h)}: gh sends {what} {labels[i]!r} to "
+        f"{labels[agh[i]]!r}, g after h sends it to {labels[ag[ah[i]]]!r}")
+
+
 def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     """Check every law, reporting each violation with a witness; never raises.
-    The report is cached on the system."""
+    The report is cached on the system.
+
+    The laws read the integer image arrays and tau rows.  Index, endpoint,
+    sign and value equivariance are checked for every g in G.  The cocycle
+    law is checked for g in a generating set S of G only, against every h:
+    action_compatibility checks (gh).x = g.(h.x) on the same pairs, on points
+    and flows, and given it the law for (s, h) with s in S gives the law for
+    every (g, h) by induction on the word length of g.  Without
+    compatibility that induction fails, so the direct constructor's image
+    tables are not trusted to be an action.  The trivial group has no
+    generators; its identity is checked instead.
+    """
     if "report" in s._cache:
         return s._cache["report"]
     v: list[Violation] = []
     G = s.group
+    pa, fa, tau = s.point_action, s.flow_action, s._tau
+    labels, flow_labels = pa.points, fa.points
+    index = [p.index for p in s.crit]
+    src = [pa.index_of[f.src] for f in s.flows]
+    dst = [pa.index_of[f.dst] for f in s.flows]
 
     for p in s.crit:
         if not (0 <= p.index <= s.ambient_dim):
@@ -257,47 +293,56 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
                                f"ambient dimension {s.ambient_dim}"))
 
     for g in G:
-        for p in s.crit:
-            q = s.point_action.image(g, p.label)
-            if s._crit_by_label[q].index != p.index:
+        ag = pa.image_array(g)
+        for i, q in enumerate(ag):
+            if index[q] != index[i]:
                 v.append(Violation(
                     "index_equivariance",
-                    f"g={list(g)} sends {p.label!r} (index {p.index}) to "
-                    f"{q!r} (index {s._crit_by_label[q].index})"))
+                    f"g={list(g)} sends {labels[i]!r} (index {index[i]}) to "
+                    f"{labels[q]!r} (index {index[q]})"))
 
-    for f in s.flows:
-        si = s._crit_by_label[f.src].index
-        di = s._crit_by_label[f.dst].index
-        if si != di + 1:
+    for f, a, b in zip(s.flows, src, dst):
+        if index[a] != index[b] + 1:
             v.append(Violation(
                 "flow_index_step",
-                f"flow {f.label!r} goes from index {si} to index {di}"))
+                f"flow {f.label!r} goes from index {index[a]} to index {index[b]}"))
 
     for g in G:
-        for f in s.flows:
-            gf = s._flow_by_label[s.flow_action.image(g, f.label)]
-            if gf.src != s.point_action.image(g, f.src) \
-                    or gf.dst != s.point_action.image(g, f.dst):
+        ag, fg = pa.image_array(g), fa.image_array(g)
+        for j, k in enumerate(fg):
+            if src[k] != ag[src[j]] or dst[k] != ag[dst[j]]:
                 v.append(Violation(
                     "endpoint_equivariance",
-                    f"g={list(g)} sends flow {f.label!r} to {gf.label!r} "
-                    f"but the endpoints do not match"))
+                    f"g={list(g)} sends flow {flow_labels[j]!r} to "
+                    f"{flow_labels[k]!r} but the endpoints do not match"))
 
-    for g in G:
+    compat: list[Violation] = []
+    cocycle: list[Violation] = []
+    for g in generating_set(G) or (G.identity,):
+        ag, fg, tg = pa.image_array(g), fa.image_array(g), tau[g]
         for h in G:
             gh = compose(g, h)
-            for p in s.crit:
-                hp = s.point_action.image(h, p.label)
-                if s.tau(gh, p.label) != s.tau(g, hp) * s.tau(h, p.label):
-                    v.append(Violation(
+            ah, th = pa.image_array(h), tau[h]
+            agh, tgh = pa.image_array(gh), tau[gh]
+            if agh != tuple(ag[x] for x in ah):
+                compat.append(_action_witness(g, h, labels, agh, ag, ah, "point"))
+            fh, fgh = fa.image_array(h), fa.image_array(gh)
+            if fgh != tuple(fg[x] for x in fh):
+                compat.append(_action_witness(g, h, flow_labels, fgh, fg, fh,
+                                              "flow"))
+            for i, x in enumerate(ah):
+                if tgh[i] != tg[x] * th[i]:
+                    cocycle.append(Violation(
                         "cocycle",
-                        f"tau(gh, {p.label!r}) != tau(g, {hp!r}) tau(h, {p.label!r}) "
-                        f"for g={list(g)}, h={list(h)}"))
+                        f"tau(gh, {labels[i]!r}) != tau(g, {labels[x]!r}) "
+                        f"tau(h, {labels[i]!r}) for g={list(g)}, h={list(h)}"))
+    v += compat + cocycle
 
     for g in G:
-        for f in s.flows:
-            gf = s._flow_by_label[s.flow_action.image(g, f.label)]
-            want = s.tau(g, f.src) * s.tau(g, f.dst) * f.sign
+        ag, fg, tg = pa.image_array(g), fa.image_array(g), tau[g]
+        for j, f in enumerate(s.flows):
+            want = tg[src[j]] * tg[dst[j]] * f.sign
+            gf = s.flows[fg[j]]
             if gf.sign != want:
                 v.append(Violation(
                     "sign_equivariance",
@@ -313,16 +358,18 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
                 f"boundary squared has entry {val} from {col!r} to {row!r}"))
 
     self_indexing: Optional[bool] = None
-    values_present = [p for p in s.crit if p.value is not None]
+    values_present = [i for i, p in enumerate(s.crit) if p.value is not None]
     if values_present:
+        value = [p.value for p in s.crit]
         for g in G:
-            for p in values_present:
-                q = s._crit_by_label[s.point_action.image(g, p.label)]
-                if q.value != p.value:
+            ag = pa.image_array(g)
+            for i in values_present:
+                q = ag[i]
+                if value[q] != value[i]:
                     v.append(Violation(
                         "value_equivariance",
-                        f"g={list(g)} sends {p.label!r} (value {p.value}) to "
-                        f"{q.label!r} (value {q.value})"))
+                        f"g={list(g)} sends {labels[i]!r} (value {value[i]}) to "
+                        f"{labels[q]!r} (value {value[q]})"))
         self_indexing = (len(values_present) == len(s.crit)
                          and all(p.value == p.index for p in s.crit))
 
@@ -353,7 +400,8 @@ def classify(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:
     for members in orbits(s.point_action):
         rep = members[0]
         stab = stabilizer(s.point_action, rep)
-        neg = [g for g in stab if s.tau(g, rep) == -1]
+        r = s.point_action.index_of[rep]
+        neg = [g for g in stab if s._tau[g][r] == -1]
         assert len(neg) in (0, stab.order // 2), \
             f"tau is not a homomorphism on the stabilizer of {rep!r}"
         out.append(CriticalOrbit(
@@ -392,24 +440,28 @@ def _normalize(s: EquivariantMorseSystem) -> _Gauge:
         return s._cache["gauge"]
     cls = classify(s)
 
-    # G-invariant orientations over each orientable orbit.
-    sigma = {p.label: 1 for p in s.crit}
+    # G-invariant orientations over each orientable orbit: each member m
+    # takes tau(g, rep) for the first g in element order with g.rep = m.
+    pa = s.point_action
+    sig = [1] * len(s.crit)
     for orb in cls:
         if not orb.orientable:
             continue
-        rep = orb.rep
-        for m in orb.members:
-            for g in s.group:
-                if s.point_action.image(g, rep) == m:
-                    sigma[m] = s.tau(g, rep)
-                    break
+        r = pa.index_of[orb.rep]
+        orient: dict = {}
         for g in s.group:
-            for p in orb.members:
-                gp = s.point_action.image(g, p)
-                if sigma[gp] * s.tau(g, p) * sigma[p] != 1:
+            orient.setdefault(pa.image_array(g)[r], s._tau[g][r])
+        members = [pa.index_of[m] for m in orb.members]
+        for m in members:
+            sig[m] = orient.get(m, 1)
+        for g in s.group:
+            ag, tg = pa.image_array(g), s._tau[g]
+            for m in members:
+                if sig[ag[m]] * tg[m] * sig[m] != 1:
                     raise GaugeFailure(
-                        f"no G-invariant orientation on orbit of {rep!r}; "
-                        f"witness g={list(g)}, p={p!r}")
+                        f"no G-invariant orientation on orbit of {orb.rep!r}; "
+                        f"witness g={list(g)}, p={pa.points[m]!r}")
+    sigma = dict(zip(pa.points, sig))
 
     eps = {f.label: sigma[f.src] * sigma[f.dst] * f.sign for f in s.flows}
 

@@ -134,9 +134,11 @@ def test_parse_failures_exit_4(tmp_path, capsys):
 def test_malformed_values_exit_4(tmp_path, capsys):
     docs = {}
     for key, value in (("crit_images", [["x", 1, 2, 3]]),
-                       ("crit_signs", [[1]]), ("generators", [1])):
-        docs["heart_" + key] = corpus_doc("heart")
-        docs["heart_" + key]["system"][key] = value
+                       ("crit_signs", [[1]]), ("generators", [1]),
+                       ("crit_signs", [[True, True, -1, True]])):
+        name = f"heart_{key}_{len(docs)}"
+        docs[name] = corpus_doc("heart")
+        docs[name]["system"][key] = value
     orientable = {"kind": "intrinsic", "metadata": {}, "system": {
         "ambient_dim": 2, "flows": [], "points": [
             {"label": "p", "index": 2, "iso_order": 1},

@@ -1,5 +1,6 @@
 """Group closure, actions, orbits, stabilizers, and the counting identity."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -19,6 +20,7 @@ from orbimorse.groups import (
     WeightedSet,
     compose,
     generate_group,
+    generating_set,
     identity_perm,
     invert,
     orbits,
@@ -153,3 +155,39 @@ def test_burnside_identity_randomized():
         total = weighted_orbit_count(act, weight)
         by_hand = sum(weight[orb[0]] for orb in orbits(act))
         assert total == by_hand
+
+
+def _cycle(n):
+    return tuple(range(1, n)) + (0,)
+
+
+def _stabilizer_of_s5():
+    s5 = generate_group([(1, 0, 2, 3, 4), _cycle(5)], degree=5)
+    return stabilizer(GroupAction.natural(s5), 4)
+
+
+@pytest.mark.parametrize("group", [
+    generate_group([_cycle(48)], degree=48),
+    generate_group([_cycle(24), tuple((-i) % 24 for i in range(24))],
+                   degree=24),
+    generate_group([(1, 0, 2, 3, 4, 5, 6), _cycle(7)], degree=7),
+    _stabilizer_of_s5(),
+], ids=["Z48", "D24", "S7", "stabilizer"])
+def test_generating_set_generates_with_few_elements(group):
+    gens = generating_set(group)
+    assert all(g in group for g in gens)
+    closed = generate_group(gens, degree=group.degree, cap=group.order)
+    assert set(closed.elements) == set(group.elements)
+    assert len(gens) <= math.log2(group.order)
+
+
+def test_generating_set_of_trivial_group_is_empty():
+    assert generating_set(generate_group([], degree=3)) == ()
+
+
+def test_membership_leaves_equality_and_hash_alone():
+    g = generate_group([(1, 2, 0)], degree=3)
+    twin = FiniteGroup(degree=3, elements=g.elements)
+    assert (1, 2, 0) in g and [2, 0, 1] in g and (1, 0, 2) not in g
+    assert g == twin and hash(g) == hash(twin)
+    assert repr(g) == repr(twin)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbimorse import (
     ActionNotWellDefined,
@@ -23,6 +24,7 @@ from orbimorse import (
     boundary_plus,
     broken_weight,
     classify,
+    compose,
     derive_intrinsic,
     discarded_orbits,
     generate_group,
@@ -60,6 +62,24 @@ def cocycle_corrupt_system():
 
 def laws(report):
     return {v.law for v in report.violations}
+
+
+# -- reference scans over all of G x G -----------------------------------------
+
+def full_cocycle_failures(s):
+    """Every (g, h, p) with tau(gh, p) != tau(g, h.p) tau(h, p)."""
+    return [(g, h, p.label) for g in s.group for h in s.group
+            for p in s.crit
+            if s.tau(compose(g, h), p.label)
+            != s.tau(g, s.point_action.image(h, p.label)) * s.tau(h, p.label)]
+
+
+def full_compatibility_failures(s):
+    """Every (g, h) with (gh).x != g.(h.x) for some point or flow x."""
+    return [(g, h) for g in s.group for h in s.group
+            for act in (s.point_action, s.flow_action)
+            if any(act.image(compose(g, h), x)
+                   != act.image(g, act.image(h, x)) for x in act.points)]
 
 
 def test_heart_validates_and_is_self_indexing(heart):
@@ -117,6 +137,147 @@ def test_endpoint_equivariance_violation():
 
 def test_cocycle_violation():
     assert "cocycle" in laws(validate_system(cocycle_corrupt_system()))
+
+
+def test_reference_scans_on_fixtures(heart, torus, dented, wedge):
+    for s in (heart, torus, dented, wedge, endpoint_skew_system()):
+        assert full_cocycle_failures(s) == []
+        assert full_compatibility_failures(s) == []
+    assert full_cocycle_failures(cocycle_corrupt_system()) != []
+
+
+def z3_non_action():
+    # both non-identity elements act by the same 3-cycle; tau is +1
+    group = generate_group([(1, 2, 0)], degree=3)
+    e, a, b = group.elements
+    pa = GroupAction(group, ["x", "y", "z"],
+                     {e: (0, 1, 2), a: (1, 2, 0), b: (1, 2, 0)})
+    fa = GroupAction(group, [], {e: (), a: (), b: ()})
+    return EquivariantMorseSystem(
+        group, [CritPoint(lab, 0) for lab in "xyz"], pa,
+        {g: (1, 1, 1) for g in group}, [], fa, ambient_dim=0)
+
+
+def test_action_compatibility_violation_on_points():
+    s = z3_non_action()
+    assert full_cocycle_failures(s) == []
+    assert full_compatibility_failures(s) != []
+    assert laws(validate_system(s)) == {"action_compatibility"}
+
+
+def test_action_compatibility_violation_on_flows():
+    # the identity swaps two parallel flows; every other law holds
+    group = generate_group([(1, 0)], degree=2)
+    e, w = group.elements
+    pa = GroupAction(group, ["p", "q"], {e: (0, 1), w: (0, 1)})
+    fa = GroupAction(group, ["f1", "f2"], {e: (1, 0), w: (1, 0)})
+    s = EquivariantMorseSystem(
+        group, [CritPoint("p", 1), CritPoint("q", 0)], pa,
+        {e: (1, 1), w: (1, 1)},
+        [Flow("f1", "p", "q", 1), Flow("f2", "p", "q", 1)], fa, ambient_dim=1)
+    report = validate_system(s)
+    assert laws(report) == {"action_compatibility"}
+    assert "flow" in report.violations[0].detail
+
+
+def test_trivial_group_checks_the_identity():
+    # the trivial group has no generators; its one element is still checked
+    group = generate_group([], degree=1)
+    e = group.identity
+    for images, tau, law in (((1, 0), (1, 1), "action_compatibility"),
+                             ((0, 1), (1, -1), "cocycle")):
+        s = EquivariantMorseSystem(
+            group, [CritPoint("p", 0), CritPoint("q", 0)],
+            GroupAction(group, ["p", "q"], {e: images}), {e: tau}, [],
+            GroupAction(group, [], {e: ()}), ambient_dim=0)
+        assert laws(validate_system(s)) == {law}
+
+
+def test_cocycle_witness_names_a_generator():
+    s = cocycle_corrupt_system()
+    details = [v.detail for v in validate_system(s).violations
+               if v.law == "cocycle"]
+    assert details and all("g=[1, 0]" in d for d in details)
+
+
+def test_symmetric_group_of_order_5040_validates():
+    # S7 fixing both poles of a sphere
+    s = EquivariantMorseSystem.from_generator_data(
+        generators=[(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)], degree=7,
+        crit_points=[("N", 2, None), ("S", 0, None)],
+        crit_images=[[0, 1], [0, 1]], crit_signs=[[1, 1], [1, 1]],
+        flows=[], flow_images=[[], []], ambient_dim=2)
+    assert s.group.order == 5040
+    assert validate_system(s).ok
+    assert betti(invariant_boundary(s)) == (1, 0, 1)
+
+
+def _parity(g):
+    seen, sign = set(), 1
+    for i in range(len(g)):
+        j, length = i, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = g[j], length + 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+SMALL_GROUPS = {
+    "Z6": generate_group([(1, 2, 3, 4, 5, 0)]),
+    "S3": generate_group([(1, 0, 2), (1, 2, 0)]),
+    "D4": generate_group([(1, 2, 3, 0), (3, 2, 1, 0)]),
+    "Z2xZ2": generate_group([(1, 0, 2, 3), (0, 1, 3, 2)]),
+}
+
+
+@st.composite
+def drawn_systems(draw):
+    """Copies of the natural action plus fixed points, tau a twisted
+    coboundary chi(g) sigma(g.p) sigma(p); then, sometimes, a few image
+    arrays replaced by arbitrary permutations and a few tau entries flipped."""
+    group = SMALL_GROUPS[draw(st.sampled_from(sorted(SMALL_GROUPS)))]
+    d = group.degree
+    copies = draw(st.integers(0, 2))
+    n = copies * d + draw(st.integers(0 if copies else 1, 2))
+    place = draw(st.permutations(range(n)))
+    images = {}
+    for g in group:
+        img = list(range(n))
+        for c in range(copies):
+            for i in range(d):
+                img[place[c * d + i]] = place[c * d + g[i]]
+        for k in range(copies * d, n):
+            img[place[k]] = place[k]
+        images[g] = tuple(img)
+    for g in draw(st.lists(st.sampled_from(group.elements), max_size=2)):
+        images[g] = tuple(draw(st.permutations(range(n))))
+    chi = draw(st.sampled_from([lambda g: 1, _parity]))
+    sigma = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    tau = {g: [chi(g) * sigma[images[g][p]] * sigma[p] for p in range(n)]
+           for g in group}
+    for g, p in draw(st.lists(st.tuples(st.sampled_from(group.elements),
+                                        st.integers(0, n - 1)), max_size=2)):
+        tau[g][p] = -tau[g][p]
+    labels = ["p%d" % i for i in range(n)]
+    return EquivariantMorseSystem(
+        group, [CritPoint(lab, 0) for lab in labels],
+        GroupAction(group, labels, images),
+        {g: tuple(row) for g, row in tau.items()}, [],
+        GroupAction(group, [], {g: () for g in group}), ambient_dim=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn_systems())
+def test_generator_checks_agree_with_full_scans(s):
+    found = laws(validate_system(s))
+    cocycle = full_cocycle_failures(s)
+    compatible = not full_compatibility_failures(s)
+    assert ("action_compatibility" not in found) == compatible
+    assert validate_system(s).ok == (compatible and not cocycle)
+    if compatible:
+        assert ("cocycle" in found) == bool(cocycle)
 
 
 def sign_skew_heart():
