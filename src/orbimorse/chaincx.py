@@ -1,15 +1,20 @@
-"""Exact rational matrices and graded chain complexes.
+"""Exact sparse matrices and graded chain complexes.
 
-All arithmetic is fractions.Fraction; no floats anywhere.  Rank and kernel
-come from Gaussian elimination with partial pivoting by smallest-magnitude
-nonzero entry (lowest row index breaks ties), which keeps every run
-deterministic and the intermediate fractions small.
+A RationalMatrix is stored by columns, each a {row: value} dict without
+zeros; values are ints, or Fractions where not integral, never floats.
+Boundaries built here are integral: sums of signs, or intrinsic weights
+iso(q)/iso(flow), which must divide.  Rank and kernel come from one
+fraction-free reduction keyed on the lowest nonzero row, as in PHAT
+(Bauer, Kerber, Reininghaus, Wagner 2017): a column scaled by the lcm of
+its denominators, whose lowest row r an earlier column p owns, becomes
+b*col - a*p (a, b = col[r], p[r] over their gcd) divided by its content.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     CancellationFailure,
@@ -19,139 +24,141 @@ from .errors import (
 )
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _column(pairs) -> dict:
+    """Summed (row, value) pairs as {row: value}: no zeros, ints if integral."""
+    acc: dict = {}
+    for i, v in pairs:
+        acc[i] = acc.get(i, 0) + v
+    return {i: v.numerator if v.denominator == 1 else v
+            for i, v in acc.items() if v}
 
 
 class RationalMatrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable sparse matrix over the rationals, stored by columns."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, entries):
-        rows = tuple(tuple(_frac(x) for x in row) for row in entries)
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
+        grid = [list(row) for row in entries]
+        if len({len(row) for row in grid}) > 1:
             raise ShapeMismatch("ragged rows")
-        self.rows = len(rows)
-        self.cols = widths.pop() if widths else 0
-        self.entries = rows
+        self.rows, self.cols = len(grid), len(grid[0]) if grid else 0
+        self.columns = tuple(_column(enumerate(col)) for col in zip(*grid))
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
+    def of_columns(cls, rows: int, columns) -> "RationalMatrix":
+        """Matrix of {row: value} columns already exact and without zeros."""
         m = cls.__new__(cls)
-        m.rows, m.cols = rows, cols
-        m.entries = tuple((Fraction(0),) * cols for _ in range(rows))
+        m.rows, m.columns = rows, tuple(columns)
+        m.cols = len(m.columns)
         return m
 
     @classmethod
+    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
+        return cls.of_columns(rows, ({} for _ in range(cols)))
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, diag) -> "RationalMatrix":
-        d = [_frac(x) for x in diag]
-        n = len(d)
-        return cls([[d[i] if i == j else Fraction(0) for j in range(n)]
-                    for i in range(n)])
+        return cls.of_columns(len(diag), (_column([ix]) for ix in enumerate(diag)))
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "RationalMatrix":
-        cols = list(columns)
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(rows)])
+        return cls.of_columns(rows, (_column(zip(range(rows), c)) for c in columns))
 
     # -- algebra ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
-                and self.entries == other.entries
-                and (self.rows, self.cols) == (other.rows, other.cols))
+                and (self.rows, self.cols) == (other.rows, other.cols)
+                and self.columns == other.columns)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(self.cells())))
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return RationalMatrix.zeros(self.rows, other.cols)
-        bt = list(zip(*other.entries))
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt]
-             for row in self.entries])
+        return RationalMatrix.of_columns(self.rows, (
+            _column((i, a * b) for k, b in bcol.items()
+                    for i, a in self.columns[k].items())
+            for bcol in other.columns))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
-        return RationalMatrix([[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.entries, other.entries)])
+        return RationalMatrix.of_columns(self.rows, (
+            _column([*a.items(), *b.items()])
+            for a, b in zip(self.columns, other.columns)))
 
     def scale(self, c) -> "RationalMatrix":
-        c = _frac(c)
-        return RationalMatrix([[c * x for x in row] for row in self.entries])
+        return RationalMatrix.of_columns(self.rows, (
+            _column((i, c * v) for i, v in col.items()) for col in self.columns))
 
     def transpose(self) -> "RationalMatrix":
-        if self.rows == 0 or self.cols == 0:
-            return RationalMatrix.zeros(self.cols, self.rows)
-        return RationalMatrix(list(zip(*self.entries)))
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                out[i][j] = v
+        return RationalMatrix.of_columns(self.cols, out)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.columns)
 
     def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.entries]
+        return [Fraction(self.columns[j].get(i, 0)) for i in range(self.rows)]
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense rows of Fractions."""
+        return tuple(zip(*map(self.column, range(self.cols)))) or ((),) * self.rows
+
+    def cells(self) -> list[tuple[int, int, Fraction]]:
+        """Nonzero (row, col, value) entries in row-major order."""
+        return sorted((i, j, Fraction(v)) for j, col in enumerate(self.columns)
+                      for i, v in col.items())
 
     # -- elimination -----------------------------------------------------
 
-    def _echelon(self):
-        """Row echelon form; returns (rows, pivot column list)."""
-        work = [list(r) for r in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            best = None
-            for i in range(r, self.rows):
-                v = work[i][c]
-                if v != 0 and (best is None or abs(v) < abs(work[best][c])):
-                    best = i
-            if best is None:
-                continue
-            work[r], work[best] = work[best], work[r]
-            pv = work[r][c]
-            for i in range(r + 1, self.rows):
-                if work[i][c] != 0:
-                    f = work[i][c] / pv
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return work, pivots
+    def _reduce(self, track: bool) -> list[dict]:
+        """Reduced integer columns, nonzero ones with distinct lowest rows;
+        with track, column j holds its coefficient of column i under -1-i."""
+        owner, reduced = {}, []
+        for j, col in enumerate(self.columns):
+            s = lcm(*(v.denominator for v in col.values()))
+            col = {i: int(v * s) for i, v in col.items()}
+            if track:
+                col[-1 - j] = s
+            while col and (low := max(col)) >= 0:
+                p = owner.setdefault(low, j)
+                if p == j:
+                    break
+                g = gcd(col[low], reduced[p][low])
+                a, b = col[low] // g, reduced[p][low] // g
+                col = {i: b * v for i, v in col.items()}
+                for i, v in reduced[p].items():
+                    col[i] = col.get(i, 0) - a * v
+                c = gcd(*col.values()) or 1
+                col = {i: v // c for i, v in col.items() if v}
+            reduced.append(col)
+        return reduced
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return sum(1 for col in self._reduce(track=False) if col)
 
     def nullity(self) -> int:
         return self.cols - self.rank()
 
     def nullspace(self) -> list[list[Fraction]]:
-        """Kernel basis, one column vector per free column."""
-        work, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                s = sum(work[r][c] * v[c] for c in range(pc + 1, self.cols))
-                v[pc] = -s / work[r][pc]
-            basis.append(v)
-        return basis
+        """Kernel basis, one vector per column spanned by the ones before it."""
+        return [[Fraction(col.get(-1 - i, 0), col[-1 - j]) for i in range(self.cols)]
+                for j, col in enumerate(self._reduce(track=True)) if max(col) < 0]
 
     # -- display ---------------------------------------------------------
 
@@ -206,13 +213,12 @@ class GradedComplex:
         cells are summed.  The only place a boundary matrix is allocated."""
         labels = [tuple(level) for level in labels]
         pos = [{lab: i for i, lab in enumerate(level)} for level in labels]
-        grids = [[[Fraction(0)] * len(labels[k]) for _ in labels[k - 1]]
-                 for k in range(1, len(labels))]
+        columns = [[[] for _ in labels[k]] for k in range(1, len(labels))]
         for k, row, col, coeff in entries:
-            grids[k - 1][pos[k - 1][row]][pos[k][col]] += coeff
+            columns[k - 1][pos[k][col]].append((pos[k - 1][row], coeff))
         return cls.build(labels, [
-            RationalMatrix(g) if g else RationalMatrix.zeros(0, len(labels[k]))
-            for k, g in enumerate(grids, 1)])
+            RationalMatrix.of_columns(len(labels[k - 1]), map(_column, cols))
+            for k, cols in enumerate(columns, 1)])
 
     def dim(self, k: int) -> int:
         if 0 <= k <= self.max_degree:
@@ -237,16 +243,14 @@ class GradedComplex:
 
     def permuted(self, perms) -> "GradedComplex":
         """Reorder each degree's generators by the given permutations."""
-        labels, bnds = [], []
-        for k in range(self.max_degree + 1):
-            p = list(perms[k])
-            labels.append([self.basis_labels[k][i] for i in p])
+        labels = [[self.basis_labels[k][i] for i in perms[k]]
+                  for k in range(self.max_degree + 1)]
+        bnds = []
         for k in range(1, self.max_degree + 1):
-            b = self.boundary_at(k)
-            pr, pc = list(perms[k - 1]), list(perms[k])
-            bnds.append(RationalMatrix(
-                [[b.entries[pr[i]][pc[j]] for j in range(b.cols)]
-                 for i in range(b.rows)]))
+            row_at = {r: i for i, r in enumerate(perms[k - 1])}
+            cols = self.boundary_at(k).columns
+            bnds.append(RationalMatrix.of_columns(self.dim(k - 1), (
+                {row_at[r]: v for r, v in cols[c].items()} for c in perms[k])))
         return GradedComplex.build(labels, bnds)
 
 
@@ -255,10 +259,8 @@ def square_entries(c: GradedComplex):
     squared, where degree is the top degree of the composition."""
     for k in range(2, c.max_degree + 1):
         sq = c.boundary_at(k - 1) * c.boundary_at(k)
-        for i, row in enumerate(sq.entries):
-            for j, v in enumerate(row):
-                if v != 0:
-                    yield k, c.basis_labels[k - 2][i], c.basis_labels[k][j], v
+        for i, j, v in sq.cells():
+            yield k, c.basis_labels[k - 2][i], c.basis_labels[k][j], v
 
 
 def verify_complex(c: GradedComplex):
@@ -362,9 +364,7 @@ def verify_chain_map(f: ChainMap):
     for k in range(1, f.source.max_degree + 1):
         lhs = f.target.boundary_at(k) * f.at(k)
         rhs = f.at(k - 1) * f.source.boundary_at(k)
-        for i in range(lhs.rows):
-            for j in range(lhs.cols):
-                d = lhs.entries[i][j] - rhs.entries[i][j]
-                if d != 0:
-                    return False, (k, i, j, d)
+        diff = (lhs + rhs.scale(-1)).cells()
+        if diff:
+            return False, (k, *diff[0])
     return True, None

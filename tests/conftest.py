@@ -69,6 +69,22 @@ def make_football(p):
         flows=[], flow_images=[[]], ambient_dim=2)
 
 
+def grid_torus(n):
+    """Simplicial payload of the n x n grid torus (two triangles per square)
+    under the negation (i, j) -> (-i, -j); generators permute the sorted
+    vertex list."""
+    def v(i, j):
+        return "t%d_%d" % (i % n, j % n)
+    tris = [t for i in range(n) for j in range(n)
+            for t in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                      [v(i, j), v(i, j + 1), v(i + 1, j + 1)])]
+    negate = {v(i, j): v(-i, -j) for i in range(n) for j in range(n)}
+    verts = sorted(negate)
+    pos = {x: a for a, x in enumerate(verts)}
+    return {"vertices": verts, "maximal": tris,
+            "generators": [[pos[negate[x]] for x in verts]]}
+
+
 @pytest.fixture
 def heart():
     return make_heart()

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dense_oracle
+from dense_oracle import DenseMatrix
 from orbimorse import (
     CancellationFailure,
     ChainMap,
@@ -17,7 +20,7 @@ from orbimorse import (
     verify_chain_map,
     verify_complex,
 )
-from orbimorse.chaincx import orbit_sum_complex
+from orbimorse.chaincx import orbit_sum_complex, square_entries
 
 
 def interval_complex():
@@ -195,3 +198,105 @@ def test_orbit_sum_complex_signs_and_failures():
         orbit_sums((1, 1), True, (1, -1))
     with pytest.raises(CancellationFailure, match="non-orientable"):
         orbit_sums((1, -1), False, (1, -1))
+
+
+# -- the sparse kernel against the dense oracle -------------------------------
+
+ENTRIES = st.one_of(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def grids(draw, rows=None, cols=None):
+    """A rows x cols list of rational rows, some rows and columns all zero."""
+    rows = draw(st.integers(0, 8)) if rows is None else rows
+    cols = draw(st.integers(0, 8)) if cols is None else cols
+    zero_rows = draw(st.sets(st.integers(0, 7), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 7), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else draw(ENTRIES)
+             for j in range(cols)] for i in range(rows)]
+
+
+def sparse(grid, rows, cols):
+    return RationalMatrix.from_columns(
+        [[grid[i][j] for i in range(rows)] for j in range(cols)], rows=rows)
+
+
+def level(name, n):
+    return tuple(f"{name}{i}" for i in range(n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sparse_kernel_matches_dense_oracle(data):
+    r, n, c = (data.draw(st.integers(0, 8)) for _ in range(3))
+    a, b = data.draw(grids(r, n)), data.draw(grids(n, c))
+    sa, sb = sparse(a, r, n), sparse(b, n, c)
+    da, db = DenseMatrix(a, n), DenseMatrix(b, c)
+    assert sa.entries == da.entries
+    if r:
+        assert RationalMatrix(a) == sa
+    assert sa.rank() == da.rank() == sa.transpose().rank()
+    assert sa.nullity() == da.nullity()
+    assert (sa * sb).entries == (da * db).entries
+    kernel = sa.nullspace()
+    assert kernel == da.nullspace()
+    for v in kernel:
+        assert all(x == 0 for (x,) in (da * DenseMatrix([[x] for x in v])).entries)
+
+
+@st.composite
+def boundary_pairs(draw):
+    """A complex with two composable boundaries.  Half of them square to
+    zero: d2 has rank at most 3 and the rows of d1 lie in its left kernel."""
+    a, b, c = (draw(st.integers(1, 6)) for _ in range(3))
+    if draw(st.booleans()):
+        d1, d2 = draw(grids(a, b)), draw(grids(b, c))
+    else:
+        r = draw(st.integers(1, 3))
+        d2 = (DenseMatrix(draw(grids(b, r)), r)
+              * DenseMatrix(draw(grids(r, c)), c)).entries
+        left = DenseMatrix(d2, c).transpose().nullspace()
+        d1 = [[sum((k * u[j] for k, u in zip(coeffs, left)), Fraction(0))
+               for j in range(b)]
+              for coeffs in (draw(st.lists(st.integers(-2, 2), min_size=len(left),
+                                           max_size=len(left)))
+                             for _ in range(a))]
+    return GradedComplex.build([level("p", a), level("q", b), level("r", c)],
+                               [sparse(d1, a, b), sparse(d2, b, c)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(boundary_pairs(), st.data())
+def test_complexes_match_dense_oracle(c, data):
+    witnesses = list(square_entries(c))
+    assert witnesses == dense_oracle.square_entries(c)
+    assert all(type(w[3]) is Fraction for w in witnesses)
+    if witnesses:
+        assert verify_complex(c) == (False, witnesses[0])
+        with pytest.raises(NotAComplex):
+            betti(c)
+    else:
+        assert betti(c) == dense_oracle.betti(c)
+    maps = [RationalMatrix.identity(c.dim(k)) if data.draw(st.booleans())
+            else sparse(data.draw(grids(c.dim(k), c.dim(k))), c.dim(k), c.dim(k))
+            for k in range(3)]
+    f = ChainMap(source=c, target=c, matrices=tuple(maps))
+    witness = dense_oracle.chain_map_witness(f)
+    assert verify_chain_map(f) == (witness is None, witness)
+
+
+def test_witnesses_are_scanned_row_by_row():
+    # d1 d2 is nonzero at (p0, r1) and (p1, r0): a column-by-column scan
+    # would report (p1, r0) first
+    c = GradedComplex.build(
+        [("p0", "p1"), ("q0", "q1"), ("r0", "r1")],
+        [RationalMatrix.identity(2), RationalMatrix([[0, 1], [1, 0]])])
+    want = [(2, "p0", "r1", Fraction(1)), (2, "p1", "r0", Fraction(1))]
+    assert list(square_entries(c)) == dense_oracle.square_entries(c) == want
+    assert verify_complex(c) == (False, want[0])
+    e = GradedComplex.build([("a", "b"), ("e", "f")], [RationalMatrix.identity(2)])
+    f = ChainMap(source=e, target=e, matrices=(
+        RationalMatrix([[1, 1], [1, 1]]), RationalMatrix.identity(2)))
+    assert dense_oracle.chain_map_witness(f) == (1, 0, 1, Fraction(-1))
+    assert verify_chain_map(f) == (False, (1, 0, 1, Fraction(-1)))

@@ -25,6 +25,8 @@ from orbimorse.cli import (
 )
 from orbimorse import betti, boundary_plus
 
+from conftest import grid_torus
+
 
 def corpus_doc(name):
     return json.loads(instance_to_text(load_corpus(name)))
@@ -105,6 +107,15 @@ def test_homology_of_relative_simplicial(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "betti_rel: 0,0" in out
     assert "betti_invariant_rel: 0,0" in out
+
+
+def test_homology_of_five_by_five_torus(tmp_path, capsys):
+    doc = {"kind": "simplicial", "metadata": {"name": "torus_5x5"},
+           "system": grid_torus(5)}
+    assert main(["homology", write_doc(tmp_path, "t.json", doc)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "rounds: 2" in out
+    assert "betti: 1,0,1" in out
 
 
 def test_parse_failures_exit_4(tmp_path, capsys):

@@ -23,6 +23,8 @@ from orbimorse import (
     regularize,
 )
 
+from conftest import grid_torus
+
 
 def gcomplex(vertices, maximal, gens):
     """Action given as index permutations of the sorted vertex list."""
@@ -48,6 +50,16 @@ def test_triangle_subdivision_counts():
     assert sd.counts() == (7, 12, 6)
     assert ("a",) in sd.vertices and ("a", "b", "c") in sd.vertices
     assert homology(sd) == homology(K) == (1, 0, 0)
+
+
+def test_thrice_subdivided_torus_homology():
+    t = grid_torus(4)
+    gk = gcomplex(t["vertices"], t["maximal"], t["generators"])
+    for _ in range(3):
+        gk = gk.subdivided()
+    assert gk.complex.counts() == (3456, 10368, 6912)
+    assert homology(gk.complex) == (1, 2, 1)
+    assert invariant_homology(gk) == (1, 0, 1)
 
 
 def test_subdivision_preserves_homology_randomized():
