@@ -14,7 +14,8 @@ the quotient goes through; two subdivisions always suffice.
 Invariant homology needs no regularity: it is the homology of the orbit sums
 of simplices (chaincx.orbit_sum_complex, shared with the Morse side), where
 an orbit flipped by its stabilizer cancels like a non-orientable critical
-point.
+point.  The image check, regularity, the quotient and invariant homology
+read one orbit scan, |G| vertex images per orbit rather than per simplex.
 """
 
 from __future__ import annotations
@@ -33,14 +34,16 @@ from .groups import FiniteGroup, GroupAction, orbits
 
 
 def _close_downward(maximal):
+    """Every face of the given simplices.  A simplex already in the set came
+    with all of its faces and is skipped, so hand them over longest first."""
     simplices = set()
     for s in maximal:
         t = tuple(sorted(set(s)))
         if len(t) != len(s):
             raise ActionNotSimplicial(f"simplex {s!r} repeats a vertex")
-        for mask in range(1, 1 << len(t)):
-            face = tuple(t[i] for i in range(len(t)) if mask >> i & 1)
-            simplices.add(face)
+        if t not in simplices:
+            for r in range(1, len(t) + 1):
+                simplices.update(combinations(t, r))
     return simplices
 
 
@@ -57,17 +60,16 @@ class SimplicialComplex:
         self.vertices = tuple(sorted(set(vertices)))
         closed = _close_downward(maximal_simplices)
         declared = set(self.vertices)
-        for s in closed:
-            for vtx in s:
-                if vtx not in declared:
-                    raise NotASubcomplex(
-                        f"simplex {s!r} uses undeclared vertex {vtx!r}")
+        stray = next(((s, v) for s in closed for v in s if v not in declared), None)
+        if stray is not None:
+            raise NotASubcomplex("simplex %r uses undeclared vertex %r" % stray)
         closed.update((vtx,) for vtx in self.vertices)
         self._closed = frozenset(closed)
-        self.by_dim: dict[int, tuple] = {}
-        top = max((len(s) - 1 for s in closed), default=0)
-        for k in range(top + 1):
-            self.by_dim[k] = tuple(sorted(s for s in closed if len(s) == k + 1))
+        by_len: dict[int, list] = {}
+        for s in closed:
+            by_len.setdefault(len(s), []).append(s)
+        self.by_dim = {k: tuple(sorted(by_len.get(k + 1, ())))
+                       for k in range(max(by_len, default=1))}
 
     @property
     def dim(self) -> int:
@@ -108,22 +110,14 @@ def homology(K: SimplicialComplex,
 
 
 def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
-    """First barycentric subdivision; vertices are the simplices of K."""
-    maximal = []
-    top = K.dim
-    covered = set()
-    for k in range(top, -1, -1):
-        for s in K.simplices(k):
-            if s in covered:
-                continue
-            # s is maximal: enumerate its full flags.
-            for order in permutations(s):
-                flag = tuple(tuple(sorted(order[:i + 1])) for i in range(len(s)))
-                maximal.append(flag)
-            for mask in range(1, 1 << len(s)):
-                covered.add(tuple(s[i] for i in range(len(s)) if mask >> i & 1))
+    """First barycentric subdivision; vertices are the simplices of K, and the
+    maximal simplices are the full flags of those of K (no facet of another)."""
+    facets = {s[:i] + s[i + 1:] for s in K.all_simplices() for i in range(len(s))}
+    flags = [tuple(tuple(sorted(order[:i + 1])) for i in range(len(s)))
+             for s in K.all_simplices() if s not in facets
+             for order in permutations(s)]
     return SimplicialComplex(vertices=list(K.all_simplices()),
-                             maximal_simplices=maximal)
+                             maximal_simplices=flags)
 
 
 class GSimplicialComplex:
@@ -137,36 +131,56 @@ class GSimplicialComplex:
         self.complex = complex_
         self.group = group
         self.vertex_action = vertex_action
-        for g in group:
-            for s in complex_.all_simplices():
-                img = tuple(sorted(vertex_action.image(g, vtx) for vtx in s))
-                if len(set(img)) != len(s) or not complex_.has(img):
-                    raise ActionNotSimplicial(
-                        f"g={list(g)} sends simplex {s!r} to {img!r}")
-
-    def simplex_image(self, g, s) -> tuple:
-        return tuple(sorted(self.vertex_action.image(g, vtx) for vtx in s))
+        for _ in _orbit_scan(self):
+            pass
 
     def subdivided(self) -> "GSimplicialComplex":
-        sd = barycentric_subdivide(self.complex)
-        idx = {vtx: i for i, vtx in enumerate(sd.vertices)}
-        images = {}
-        for g in self.group:
-            images[g] = tuple(idx[self.simplex_image(g, vtx)]
-                              for vtx in sd.vertices)
-        action = GroupAction(self.group, sd.vertices, images)
-        return GSimplicialComplex(sd, self.group, action)
+        sd, act = barycentric_subdivide(self.complex), self.vertex_action
+        position = {tuple(act.index_of[vtx] for vtx in s): i
+                    for i, s in enumerate(sd.vertices)}
+        images = {g: tuple(position[tuple(sorted([arr[i] for i in s]))]
+                           for s in position)
+                  for g, arr in zip(self.group, map(act.image_array, self.group))}
+        return GSimplicialComplex(sd, self.group,
+                                  GroupAction(self.group, sd.vertices, images))
+
+
+def _perm_sign(values) -> int:
+    return -1 if sum(a > b for a, b in combinations(values, 2)) % 2 else 1
+
+
+def _orbit_scan(gk: GSimplicialComplex):
+    """(s, members, flipped, irregular) per simplex orbit, by dimension and
+    least member s.  members maps g.s to the sign with which g carries the
+    oriented s there; flipped: Stab(s) reverses s; irregular: it moves a
+    vertex.  s stands for its orbit, as g.(h.s) = (gh).s and Stab(h.s) =
+    h Stab(s) h^-1.  Raises ActionNotSimplicial naming g, s and its image."""
+    closed, points = gk.complex._closed, gk.complex.vertices
+    index = gk.vertex_action.index_of
+    arrays = [(g, gk.vertex_action.image_array(g)) for g in gk.group]
+    seen = set()
+    for s in gk.complex.all_simplices():
+        if s in seen:
+            continue
+        idx = [index[vtx] for vtx in s]
+        members, flipped, irregular = {}, False, False
+        for g, arr in arrays:
+            raw = [arr[i] for i in idx]
+            srt = sorted(raw)
+            img = tuple([points[i] for i in srt])
+            if img not in closed:
+                raise ActionNotSimplicial(
+                    f"g={list(g)} sends simplex {s!r} to {img!r}")
+            sign = _perm_sign(raw)
+            flipped |= members.setdefault(img, sign) != sign
+            irregular |= srt == idx and raw != idx
+        seen.update(members)
+        yield s, members, flipped, irregular
 
 
 def is_regular(gk: GSimplicialComplex) -> bool:
     """True when every setwise-fixed simplex is fixed vertex-wise."""
-    for g in gk.group:
-        for s in gk.complex.all_simplices():
-            img = gk.simplex_image(g, s)
-            if img == s and any(gk.vertex_action.image(g, vtx) != vtx
-                                for vtx in s):
-                return False
-    return True
+    return not any(irregular for *_, irregular in _orbit_scan(gk))
 
 
 def _require_invariant_sub(gk, sub) -> None:
@@ -175,9 +189,12 @@ def _require_invariant_sub(gk, sub) -> None:
         return
     if not gk.complex.contains(sub):
         raise NotASubcomplex("relative part is not a subcomplex")
+    index, points = gk.vertex_action.index_of, gk.complex.vertices
     for g in gk.group:
+        arr = gk.vertex_action.image_array(g)
         for s in sub.all_simplices():
-            if not sub.has(gk.simplex_image(g, s)):
+            img = tuple([points[i] for i in sorted([arr[index[vtx]] for vtx in s])])
+            if img not in sub._closed:
                 raise NotASubcomplex(
                     f"relative part is not invariant: g={list(g)} moves {s!r} out")
 
@@ -197,41 +214,37 @@ def quotient(gk: GSimplicialComplex,
 
     Raises NotRegular when a setwise-fixed simplex moves vertex-wise, when a
     simplex collapses in the quotient (two vertices sharing an orbit), or when
-    two distinct orbits land on the same quotient vertex set.
+    two distinct orbits land on the same quotient vertex set; the first of
+    these before NotASubcomplex for a relative part, the others after it.
     """
-    if not is_regular(gk):
-        raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
-    _require_invariant_sub(gk, sub)
-
-    vertex_label = {}
-    for orb in orbits(gk.vertex_action):
-        for vtx in orb:
-            vertex_label[vtx] = orb[0]
-
-    seen: dict[tuple, tuple] = {}
-    maximal = []
-    for s in gk.complex.all_simplices():
+    vertex_label = {vtx: orb[0] for orb in orbits(gk.vertex_action) for vtx in orb}
+    seen, pending = {}, None
+    for s, _, _, irregular in _orbit_scan(gk):
+        if irregular:
+            raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
+        if pending is not None:
+            continue
         down = tuple(sorted({vertex_label[vtx] for vtx in s}))
         if len(down) != len(s):
-            raise NotRegular(
+            pending = NotRegular(
                 f"simplex {s!r} collapses onto {down!r} in the quotient")
-        orbit = min(gk.simplex_image(g, s) for g in gk.group)
-        if down in seen and seen[down] != orbit:
-            raise NotRegular(
-                f"orbits of {seen[down]!r} and {orbit!r} share the quotient "
+        elif down in seen:
+            pending = NotRegular(
+                f"orbits of {seen[down]!r} and {s!r} share the quotient "
                 f"vertex set {down!r}")
-        seen[down] = orbit
-        maximal.append(down)
+        else:
+            seen[down] = s
+    _require_invariant_sub(gk, sub)
+    if pending is not None:
+        raise pending
     qc = SimplicialComplex(vertices=sorted({vertex_label[v] for v in gk.complex.vertices}),
-                           maximal_simplices=maximal)
-
-    qsub = None
-    if sub is not None:
-        qsub = SimplicialComplex(
-            vertices=sorted({vertex_label[v] for v in sub.vertices}),
-            maximal_simplices=[tuple(sorted({vertex_label[v] for v in s}))
-                               for s in sub.all_simplices()])
-    return QuotientComplex(complex=qc, provenance=dict(seen), sub=qsub)
+                           maximal_simplices=reversed(seen))  # longest first
+    qsub = None if sub is None else SimplicialComplex(
+        vertices=sorted({vertex_label[v] for v in sub.vertices}),
+        maximal_simplices=[tuple(sorted({vertex_label[v] for v in s}))
+                           for k in sorted(sub.by_dim, reverse=True)
+                           for s in sub.by_dim[k]])
+    return QuotientComplex(complex=qc, provenance=seen, sub=qsub)
 
 
 def regularize(gk: GSimplicialComplex, sub: Optional[SimplicialComplex] = None,
@@ -255,11 +268,6 @@ def regularize(gk: GSimplicialComplex, sub: Optional[SimplicialComplex] = None,
         rounds += 1
 
 
-def _perm_sign(values) -> int:
-    inversions = sum(a > b for a, b in combinations(values, 2))
-    return -1 if inversions % 2 else 1
-
-
 def invariant_homology(gk: GSimplicialComplex,
                        sub: Optional[SimplicialComplex] = None) -> tuple[int, ...]:
     """Dimensions of the invariant part of (relative) homology.
@@ -272,20 +280,10 @@ def invariant_homology(gk: GSimplicialComplex,
     """
     _require_invariant_sub(gk, sub)
     in_sub = set(sub.all_simplices()) if sub is not None else set()
-    levels = []
-    for k in range(gk.complex.dim + 1):
-        seen, level = set(), []
-        for s in gk.complex.simplices(k):
-            if s in seen or s in in_sub:
-                continue
-            members, orientable = {}, True
-            for g in gk.group:
-                raw = [gk.vertex_action.image(g, vtx) for vtx in s]
-                sign = _perm_sign(raw)
-                orientable &= members.setdefault(tuple(sorted(raw)), sign) == sign
-            seen.update(members)
-            level.append((members, orientable))
-        levels.append(level)
+    levels = [[] for _ in range(gk.complex.dim + 1)]
+    for s, members, flipped, _ in _orbit_scan(gk):
+        if s not in in_sub:
+            levels[len(s) - 1].append((members, not flipped))
     return complex_betti(orbit_sum_complex(levels, lambda s: _faces(s, in_sub)))
 
 

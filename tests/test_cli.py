@@ -101,6 +101,32 @@ def test_homology_of_heart(tmp_path, capsys):
     assert "betti_invariant: 1,0,1" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):
+    from orbimorse.cli import _build_parser
+    path = corpus_file(tmp_path, "heart")
+    assert main(["homology", path, "--convention", "minus"]) == EXIT_OK
+    assert "convention: minus" in capsys.readouterr().out
+    assert main(["homology", path]) == EXIT_OK
+    assert "convention: plus" in capsys.readouterr().out
+    assert main(["validate", path, "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("key,value\nkind,global_quotient\n")
+    assert main(["validate", path]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("kind: global_quotient\n")
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_validate_reports_irregularity_before_a_bad_relative_part(tmp_path, capsys):
+    doc = {"kind": "simplicial", "metadata": {"name": "flipped_edge"},
+           "system": {"vertices": ["a", "b"], "maximal": [["a", "b"]],
+                      "generators": [[1, 0]],
+                      "subcomplex": {"vertices": ["a"], "maximal": [["a"]]}}}
+    assert main(["validate", write_doc(tmp_path, "e.json", doc)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "kind: simplicial\nname: flipped_edge\nregular: no\n"
+        "quotient: needs subdivision: a setwise-fixed simplex is moved "
+        "vertex-wise\n")
+
+
 def test_homology_of_relative_simplicial(tmp_path, capsys):
     path = corpus_file(tmp_path, "disc_reflect_d1")
     assert main(["homology", path]) == EXIT_OK

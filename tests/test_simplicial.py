@@ -1,6 +1,8 @@
 """Subdivision, quotients, and invariant homology of simplicial actions."""
 
 import random
+import re
+from ast import literal_eval
 from itertools import combinations
 
 import pytest
@@ -12,6 +14,7 @@ from orbimorse import (
     GroupAction,
     NotASubcomplex,
     NotRegular,
+    OrbimorseError,
     SimplicialComplex,
     barycentric_subdivide,
     compare,
@@ -22,6 +25,9 @@ from orbimorse import (
     quotient,
     regularize,
 )
+from orbimorse.chaincx import betti, orbit_sum_complex
+from orbimorse.groups import orbits
+from orbimorse.simplicial import _close_downward
 
 from conftest import grid_torus
 
@@ -180,13 +186,17 @@ def test_compare_against_triangulations(heart):
 
 
 @st.composite
-def symmetric_complexes(draw):
+def symmetric_actions(draw, bad=False):
     """A polygon, the cone over it or its suspension, acted on by a cyclic or
     dihedral group (for suspensions also the swap of the poles), with its
-    vertices relabelled at random, and an invariant subcomplex or None.
+    vertices relabelled at random, and an invariant subcomplex or None; as
+    (vertices, maximal simplices, generators, subcomplex simplices).
 
-    Suspensions skip the rotation of full order: their quotients need two
-    subdivisions, whose dense homology takes seconds."""
+    Suspensions skip the rotation of full order, whose quotients need two
+    subdivisions.  With bad, the generators are sometimes replaced by a
+    transposition of two vertices, alone or with the reflection: often not
+    simplicial, or flipping an edge; and the subcomplex may be one vertex,
+    often not invariant."""
     shape = draw(st.sampled_from(["polygon", "cone", "suspension"]))
     n = draw(st.integers(3, 6 if shape == "polygon" else 4))
     top = n - 1 if shape == "suspension" else n
@@ -202,21 +212,33 @@ def symmetric_complexes(draw):
         gens.append(lambda v: v if v < n else 2 * n + 1 - v)
     subs = [None, [(i,) for i in range(0, n, n // k)]]
     subs += {"polygon": [], "cone": [rim], "suspension": [[(n,), (n + 1,)]]}[shape]
-    sub = draw(st.sampled_from(subs))
+    sub = draw(st.sampled_from(subs + [[(0,)]] * bad))
 
     count = n + len(poles)
     label = draw(st.permutations(range(count)))
+    if bad and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2,
+                             unique=True))
+        gens = [lambda v: b if v == a else a if v == b else v] + gens[1:2]
     vertices = sorted(label)
     idx = {lab: i for i, lab in enumerate(vertices)}
     perms = [[0] * count for _ in gens]
     for perm, gen in zip(perms, gens):
         for v in range(count):
             perm[idx[label[v]]] = idx[label[gen(v)]]
-    gk = gcomplex(vertices, [[label[v] for v in s] for s in maximal], perms)
+    relabel = lambda simplices: [[label[v] for v in s] for s in simplices]
+    return (vertices, relabel(maximal), perms,
+            None if sub is None else relabel(sub))
+
+
+@st.composite
+def symmetric_complexes(draw):
+    """A G-complex from symmetric_actions() and its subcomplex or None."""
+    vertices, maximal, perms, sub = draw(symmetric_actions())
+    gk = gcomplex(vertices, maximal, perms)
     if sub is None:
         return gk, None
-    return gk, SimplicialComplex({label[v] for s in sub for v in s},
-                                 [[label[v] for v in s] for s in sub])
+    return gk, SimplicialComplex({v for s in sub for v in s}, sub)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -227,3 +249,185 @@ def test_invariant_homology_equals_quotient_homology(case):
     assert invariant_homology(gk) == homology(q.complex)
     if sub is not None:
         assert invariant_homology(gk, sub) == homology(q.complex, q.sub)
+
+
+# -- the full G x N scans the orbit scan replaced, kept as oracles ---------------
+
+def full_bad_image(K, group, act):
+    """First (g, s, image) with an image off K, g-major over G x simplices."""
+    for g in group:
+        for s in K.all_simplices():
+            img = tuple(sorted(act.image(g, vtx) for vtx in s))
+            if len(set(img)) != len(s) or not K.has(img):
+                return g, s, img
+    return None
+
+
+def full_image(gk, g, s):
+    return tuple(sorted(gk.vertex_action.image(g, vtx) for vtx in s))
+
+
+def full_is_regular(gk):
+    return not any(full_image(gk, g, s) == s
+                   and any(gk.vertex_action.image(g, vtx) != vtx for vtx in s)
+                   for g in gk.group for s in gk.complex.all_simplices())
+
+
+def full_require_invariant_sub(gk, sub):
+    if sub is None:
+        return
+    if not gk.complex.contains(sub):
+        raise NotASubcomplex("relative part is not a subcomplex")
+    for g in gk.group:
+        for s in sub.all_simplices():
+            if not sub.has(full_image(gk, g, s)):
+                raise NotASubcomplex(
+                    f"relative part is not invariant: g={list(g)} moves {s!r} out")
+
+
+def full_quotient(gk, sub):
+    """Vertex sets, provenance and relative part, orbits by min over G."""
+    if not full_is_regular(gk):
+        raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
+    full_require_invariant_sub(gk, sub)
+    label = {vtx: orb[0] for orb in orbits(gk.vertex_action) for vtx in orb}
+    seen, maximal = {}, []
+    for s in gk.complex.all_simplices():
+        down = tuple(sorted({label[vtx] for vtx in s}))
+        if len(down) != len(s):
+            raise NotRegular(
+                f"simplex {s!r} collapses onto {down!r} in the quotient")
+        orbit = min(full_image(gk, g, s) for g in gk.group)
+        if down in seen and seen[down] != orbit:
+            raise NotRegular(
+                f"orbits of {seen[down]!r} and {orbit!r} share the quotient "
+                f"vertex set {down!r}")
+        seen[down] = orbit
+        maximal.append(down)
+    qc = SimplicialComplex(sorted(set(label.values())), maximal)
+    qsub = None if sub is None else SimplicialComplex(
+        {label[v] for v in sub.vertices},
+        [tuple(sorted({label[v] for v in s})) for s in sub.all_simplices()])
+    return qc, seen, qsub
+
+
+def full_invariant_homology(gk, sub=None):
+    """Orbit sums with one permutation sign per g and simplex."""
+    full_require_invariant_sub(gk, sub)
+    in_sub = set(sub.all_simplices()) if sub is not None else set()
+    levels = []
+    for k in range(gk.complex.dim + 1):
+        seen, level = set(), []
+        for s in gk.complex.simplices(k):
+            if s in seen or s in in_sub:
+                continue
+            members, orientable = {}, True
+            for g in gk.group:
+                raw = [gk.vertex_action.image(g, vtx) for vtx in s]
+                inversions = sum(a > b for a, b in combinations(raw, 2))
+                sign = -1 if inversions % 2 else 1
+                orientable &= members.setdefault(tuple(sorted(raw)), sign) == sign
+            seen.update(members)
+            level.append((members, orientable))
+        levels.append(level)
+    return betti(orbit_sum_complex(levels, lambda s: [
+        (s[:i] + s[i + 1:], (-1) ** i) for i in range(len(s))
+        if s[:i] + s[i + 1:] not in in_sub]))
+
+
+def outcome(fn, *args):
+    """fn's result, or its exception's class and message."""
+    try:
+        return fn(*args)
+    except OrbimorseError as e:
+        return type(e), str(e)
+
+
+def scanned_quotient(gk, sub):
+    q = quotient(gk, sub)
+    return q.complex, q.provenance, q.sub
+
+
+def same_quotient(got, want):
+    if not isinstance(want[0], SimplicialComplex):
+        return got == want
+    return (got[0].by_dim == want[0].by_dim
+            and list(got[1].items()) == list(want[1].items())
+            and (got[2] is None) == (want[2] is None)
+            and (got[2] is None or got[2].by_dim == want[2].by_dim))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(symmetric_actions(bad=True))
+def test_orbit_scan_matches_full_scans(case):
+    vertices, maximal, perms, sub_simplices = case
+    K = SimplicialComplex(vertices, maximal)
+    group = generate_group(perms, degree=len(K.vertices))
+    act = GroupAction(group, K.vertices, {g: g for g in group.elements})
+    bad = full_bad_image(K, group, act)
+    if bad is not None:
+        with pytest.raises(ActionNotSimplicial) as err:
+            GSimplicialComplex(K, group, act)
+        g, s, img = (literal_eval(x) for x in re.fullmatch(
+            r"g=(\[.*\]) sends simplex (\(.*\)) to (\(.*\))", str(err.value)).groups())
+        assert K.has(s) and not K.has(img) and tuple(g) in group
+        assert img == tuple(sorted(act.image(tuple(g), vtx) for vtx in s))
+        return
+    gk = GSimplicialComplex(K, group, act)
+    sub = None if sub_simplices is None else SimplicialComplex(
+        {v for s in sub_simplices for v in s}, sub_simplices)
+    assert is_regular(gk) == full_is_regular(gk)
+    assert same_quotient(outcome(scanned_quotient, gk, sub),
+                         outcome(full_quotient, gk, sub))
+    assert invariant_homology(gk) == full_invariant_homology(gk)
+    if sub is not None:
+        assert outcome(invariant_homology, gk, sub) \
+            == outcome(full_invariant_homology, gk, sub)
+    sd = gk.subdivided()
+    assert all(sd.vertex_action.image(g, v) == full_image(gk, g, v)
+               for g in group for v in sd.complex.vertices)
+
+
+def test_witnesses_name_g_the_simplex_and_its_image():
+    with pytest.raises(ActionNotSimplicial) as err:
+        gcomplex("abc", [("a", "b"), ("b", "c")], [[1, 0, 2]])
+    assert str(err.value) == "g=[1, 0, 2] sends simplex ('b', 'c') to ('a', 'c')"
+    gk = gcomplex("abc", [("a", "b"), ("b", "c")], [[2, 1, 0]])
+    one_end = SimplicialComplex("a", [("a",)])
+    for fn in (quotient, invariant_homology):
+        with pytest.raises(NotASubcomplex) as err:
+            fn(gk, one_end)
+        assert str(err.value) == \
+            "relative part is not invariant: g=[2, 1, 0] moves ('a',) out"
+
+
+def test_irregularity_is_reported_before_a_bad_relative_part():
+    gk = gcomplex("ab", [("a", "b")], [[1, 0]])
+    with pytest.raises(NotRegular, match="vertex-wise"):
+        quotient(gk, SimplicialComplex("a", [("a",)]))
+
+
+def bitmask_closure(maximal):
+    simplices = set()
+    for s in maximal:
+        t = tuple(sorted(set(s)))
+        if len(t) != len(s):
+            raise ActionNotSimplicial(f"simplex {s!r} repeats a vertex")
+        for mask in range(1, 1 << len(t)):
+            simplices.add(tuple(t[i] for i in range(len(t)) if mask >> i & 1))
+    return simplices
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True),
+                max_size=8), st.data())
+def test_closure_matches_bitmask_reference(simplices, data):
+    """Faces listed before their cofaces, repeated simplices, and sometimes
+    a simplex that repeats a vertex."""
+    faces = [s[:data.draw(st.integers(1, len(s)))] for s in simplices]
+    ordered = faces + simplices + simplices[:2]
+    if simplices and data.draw(st.integers(0, 3)) == 0:
+        ordered.append(simplices[-1] + simplices[-1][:1])
+    for given_ in (ordered, data.draw(st.permutations(ordered))):
+        assert outcome(_close_downward, given_) \
+            == outcome(bitmask_closure, given_)
