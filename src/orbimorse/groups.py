@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     ActionNotWellDefined,
@@ -32,9 +33,23 @@ def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
 
+def gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map seq -> tuple(seq[i] for i in idx), gathering in C.
+
+    operator.itemgetter returns a bare item for one index and refuses none,
+    so those two lengths get their own small functions.
+    """
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
 def compose(g: Perm, h: Perm) -> Perm:
     """g after h: (g*h)(i) = g(h(i))."""
-    return tuple(g[x] for x in h)
+    return gather(h)(g)
 
 
 def invert(g: Perm) -> Perm:
@@ -100,6 +115,18 @@ class FiniteGroup:
                 assert compose(g, h) in elems, f"product {g}*{h} missing"
 
 
+def check_generators(generators: Iterable[Sequence[int]],
+                     degree: int | None = None) -> tuple[list[Perm], int]:
+    """The generators as checked permutations, and their common degree,
+    which is read off the first generator when not given."""
+    gens = [tuple(g) for g in generators]
+    if degree is None:
+        if not gens:
+            raise MalformedPermutation("degree required for an empty generator list")
+        degree = len(gens[0])
+    return [check_perm(g, degree) for g in gens], degree
+
+
 def generate_group(generators: Iterable[Sequence[int]], *,
                    degree: int | None = None,
                    cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -109,12 +136,8 @@ def generate_group(generators: Iterable[Sequence[int]], *,
     the element order is reproducible.  In a finite group the semigroup
     closure equals the subgroup closure, so inverses come for free.
     """
-    gens = [tuple(g) for g in generators]
-    if degree is None:
-        if not gens:
-            raise MalformedPermutation("degree required for an empty generator list")
-        degree = len(gens[0])
-    gens = [check_perm(g, degree) for g in gens]
+    gens, degree = check_generators(generators, degree)
+    right_multiply = [gather(g) for g in gens]
 
     ident = identity_perm(degree)
     seen = {ident}
@@ -123,8 +146,8 @@ def generate_group(generators: Iterable[Sequence[int]], *,
     while frontier:
         step = set()
         for x in frontier:
-            for g in gens:
-                y = compose(x, g)
+            for times_g in right_multiply:
+                y = times_g(x)
                 if y not in seen:
                     step.add(y)
         frontier = sorted(step)

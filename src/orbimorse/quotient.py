@@ -49,8 +49,9 @@ from .groups import (
     DEFAULT_CAP,
     FiniteGroup,
     GroupAction,
-    check_perm,
+    check_generators,
     compose,
+    gather,
     generate_group,
     generating_set,
     is_perm,
@@ -167,14 +168,17 @@ class EquivariantMorseSystem:
 
         The cocycle is extended by closing signed permutations: a critical
         label with a sign is a point of a doubled set, so plain permutation
-        closure realizes exactly the cocycle composition law.  Inconsistent
-        generator data fails to project onto the group and raises
-        ActionNotWellDefined.
+        closure realizes exactly the cocycle composition law.  That one
+        closure also gives G, as the ground parts of its elements.  The data
+        is consistent exactly when those are distinct; the projection is then
+        an isomorphism onto the group the generators close to, mapping
+        breadth-first levels onto levels, so G keeps generate_group's element
+        order.  Inconsistent generator data raises ActionNotWellDefined, and
+        a group beyond the cap ClosureExceedsCap.
         """
-        group = generate_group(generators, degree=degree, cap=cap)
-        d = group.degree
+        gens, d = check_generators(generators, degree)
         c, nf = len(crit_points), len(flows)
-        gens = [check_perm(g, d) for g in generators]
+        n = d + 2 * c + nf
         combined = []
         for gi, g in enumerate(gens):
             imgs = list(crit_images[gi])
@@ -195,32 +199,31 @@ class EquivariantMorseSystem:
                 perm.append(d + 2 * c + fimgs[j])
             combined.append(tuple(perm))
 
-        if combined:
-            try:
-                big = generate_group(combined, degree=d + 2 * c + nf,
-                                     cap=group.order)
-            except ClosureExceedsCap:
-                raise ActionNotWellDefined(
-                    "cocycle or action data inconsistent across group words") from None
-            if big.order != group.order:
-                raise ActionNotWellDefined(
-                    "cocycle or action data inconsistent across group words")
-            elements = big.elements
-        else:
-            elements = (tuple(range(d + 2 * c + nf)),)
+        inconsistent = "cocycle or action data inconsistent across group words"
+        try:
+            big = generate_group(combined, degree=n, cap=cap)
+        except ClosureExceedsCap:
+            generate_group(gens, degree=d, cap=cap)
+            raise ActionNotWellDefined(inconsistent) from None
+        ground = gather(range(d))
+        elements = tuple(map(ground, big.elements))
+        if len(set(elements)) != len(elements):
+            raise ActionNotWellDefined(inconsistent)
+        group = FiniteGroup(degree=d, elements=elements)
 
+        # Decoding tables: position d + 2k + (0 or 1) of an element holds
+        # the image of point k, and which slot it lands in holds the sign.
+        point_of = [0] * d + [k for k in range(c) for _ in (1, -1)] + [0] * nf
+        sign_of = [0] * d + [1, -1] * c + [0] * nf
+        flow_of = [0] * (d + 2 * c) + list(range(nf))
+        point_slots = gather(range(d, d + 2 * c, 2))
+        flow_slots = gather(range(d + 2 * c, n))
         point_images, tau_table, flow_images_full = {}, {}, {}
-        for e in elements:
-            ground = e[:d]
-            pts, sgn = [], []
-            for j in range(c):
-                enc = e[d + 2 * j] - d
-                pts.append(enc // 2)
-                sgn.append(1 if enc % 2 == 0 else -1)
-            point_images[ground] = tuple(pts)
-            tau_table[ground] = tuple(sgn)
-            flow_images_full[ground] = tuple(e[d + 2 * c + j] - (d + 2 * c)
-                                             for j in range(nf))
+        for g, e in zip(elements, big.elements):
+            decode = gather(point_slots(e))
+            point_images[g] = decode(point_of)
+            tau_table[g] = decode(sign_of)
+            flow_images_full[g] = gather(flow_slots(e))(flow_of)
         crit = tuple(CritPoint(*p) if not isinstance(p, CritPoint) else p
                      for p in crit_points)
         flws = tuple(Flow(*f) if not isinstance(f, Flow) else f for f in flows)
@@ -242,14 +245,17 @@ class EquivariantMorseSystem:
         return self._flow_by_label[label]
 
     def manifold_complex(self) -> GradedComplex:
-        """Chain complex of the ambient manifold's Morse data (no quotient)."""
-        n = self.ambient_dim
-        labels = [[p.label for p in self.crit if p.index == k]
-                  for k in range(n + 1)]
-        index = {p.label: p.index for p in self.crit}
-        return GradedComplex.from_entries(labels, (
-            (index[f.src], f.dst, f.src, f.sign) for f in self.flows
-            if 1 <= index[f.src] <= n and index[f.dst] == index[f.src] - 1))
+        """Chain complex of the ambient manifold's Morse data (no quotient),
+        built once per system."""
+        if "manifold" not in self._cache:
+            n = self.ambient_dim
+            labels = [[p.label for p in self.crit if p.index == k]
+                      for k in range(n + 1)]
+            index = {p.label: p.index for p in self.crit}
+            self._cache["manifold"] = GradedComplex.from_entries(labels, (
+                (index[f.src], f.dst, f.src, f.sign) for f in self.flows
+                if 1 <= index[f.src] <= n and index[f.dst] == index[f.src] - 1))
+        return self._cache["manifold"]
 
 
 # -- validation -----------------------------------------------------------
@@ -266,68 +272,57 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     """Check every law, reporting each violation with a witness; never raises.
     The report is cached on the system.
 
-    The laws read the integer image arrays and tau rows.  Index, endpoint,
-    sign and value equivariance are checked for every g in G.  The cocycle
-    law is checked for g in a generating set S of G only, against every h:
+    The laws read the integer image arrays and tau rows.  The cocycle law is
+    checked for g in a generating set S of G only, against every h:
     action_compatibility checks (gh).x = g.(h.x) on the same pairs, on points
     and flows, and given it the law for (s, h) with s in S gives the law for
     every (g, h) by induction on the word length of g.  Without
     compatibility that induction fails, so the direct constructor's image
     tables are not trusted to be an action.  The trivial group has no
     generators; its identity is checked instead.
+
+    Index, endpoint, sign and value equivariance are checked on the rows
+    g in S first.  When those, compatibility and the cocycle law all hold,
+    the same induction covers every g in G: the law for s and for h gives it
+    for sh, the sign law using the endpoint and cocycle laws on the way.
+    Otherwise they are checked for every g in G, so every witness of a
+    failing law is listed, in the order of the element table.
     """
     if "report" in s._cache:
         return s._cache["report"]
-    v: list[Violation] = []
     G = s.group
     pa, fa, tau = s.point_action, s.flow_action, s._tau
     labels, flow_labels = pa.points, fa.points
     index = [p.index for p in s.crit]
+    value = [p.value for p in s.crit]
+    values_present = [i for i, v in enumerate(value) if v is not None]
     src = [pa.index_of[f.src] for f in s.flows]
     dst = [pa.index_of[f.dst] for f in s.flows]
+    eps = [f.sign for f in s.flows]
 
-    for p in s.crit:
-        if not (0 <= p.index <= s.ambient_dim):
-            v.append(Violation("index_range",
-                               f"point {p.label!r} has index {p.index}, "
-                               f"ambient dimension {s.ambient_dim}"))
+    index_range = [
+        Violation("index_range",
+                  f"point {p.label!r} has index {p.index}, "
+                  f"ambient dimension {s.ambient_dim}")
+        for p in s.crit if not (0 <= p.index <= s.ambient_dim)]
+    index_step = [
+        Violation("flow_index_step",
+                  f"flow {f.label!r} goes from index {index[a]} to index {index[b]}")
+        for f, a, b in zip(s.flows, src, dst) if index[a] != index[b] + 1]
 
-    for g in G:
-        ag = pa.image_array(g)
-        for i, q in enumerate(ag):
-            if index[q] != index[i]:
-                v.append(Violation(
-                    "index_equivariance",
-                    f"g={list(g)} sends {labels[i]!r} (index {index[i]}) to "
-                    f"{labels[q]!r} (index {index[q]})"))
-
-    for f, a, b in zip(s.flows, src, dst):
-        if index[a] != index[b] + 1:
-            v.append(Violation(
-                "flow_index_step",
-                f"flow {f.label!r} goes from index {index[a]} to index {index[b]}"))
-
-    for g in G:
-        ag, fg = pa.image_array(g), fa.image_array(g)
-        for j, k in enumerate(fg):
-            if src[k] != ag[src[j]] or dst[k] != ag[dst[j]]:
-                v.append(Violation(
-                    "endpoint_equivariance",
-                    f"g={list(g)} sends flow {flow_labels[j]!r} to "
-                    f"{flow_labels[k]!r} but the endpoints do not match"))
-
+    gens = generating_set(G) or (G.identity,)
     compat: list[Violation] = []
     cocycle: list[Violation] = []
-    for g in generating_set(G) or (G.identity,):
+    for g in gens:
         ag, fg, tg = pa.image_array(g), fa.image_array(g), tau[g]
         for h in G:
             gh = compose(g, h)
             ah, th = pa.image_array(h), tau[h]
             agh, tgh = pa.image_array(gh), tau[gh]
-            if agh != tuple(ag[x] for x in ah):
+            if agh != gather(ah)(ag):
                 compat.append(_action_witness(g, h, labels, agh, ag, ah, "point"))
             fh, fgh = fa.image_array(h), fa.image_array(gh)
-            if fgh != tuple(fg[x] for x in fh):
+            if fgh != gather(fh)(fg):
                 compat.append(_action_witness(g, h, flow_labels, fgh, fg, fh,
                                               "flow"))
             for i, x in enumerate(ah):
@@ -336,43 +331,60 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
                         "cocycle",
                         f"tau(gh, {labels[i]!r}) != tau(g, {labels[x]!r}) "
                         f"tau(h, {labels[i]!r}) for g={list(g)}, h={list(h)}"))
-    v += compat + cocycle
 
-    for g in G:
-        ag, fg, tg = pa.image_array(g), fa.image_array(g), tau[g]
-        for j, f in enumerate(s.flows):
-            want = tg[src[j]] * tg[dst[j]] * f.sign
-            gf = s.flows[fg[j]]
-            if gf.sign != want:
-                v.append(Violation(
-                    "sign_equivariance",
-                    f"g={list(g)}: flow {f.label!r} maps to {gf.label!r} with "
-                    f"sign {gf.sign}, expected {want}"))
+    def per_element(rows):
+        index_eq, endpoint_eq, sign_eq, value_eq = [], [], [], []
+        for g in rows:
+            ag, fg, tg = pa.image_array(g), fa.image_array(g), tau[g]
+            for i, q in enumerate(ag):
+                if index[q] != index[i]:
+                    index_eq.append(Violation(
+                        "index_equivariance",
+                        f"g={list(g)} sends {labels[i]!r} (index {index[i]}) to "
+                        f"{labels[q]!r} (index {index[q]})"))
+            for j, k in enumerate(fg):
+                if src[k] != ag[src[j]] or dst[k] != ag[dst[j]]:
+                    endpoint_eq.append(Violation(
+                        "endpoint_equivariance",
+                        f"g={list(g)} sends flow {flow_labels[j]!r} to "
+                        f"{flow_labels[k]!r} but the endpoints do not match"))
+                want = tg[src[j]] * tg[dst[j]] * eps[j]
+                if eps[k] != want:
+                    sign_eq.append(Violation(
+                        "sign_equivariance",
+                        f"g={list(g)}: flow {flow_labels[j]!r} maps to "
+                        f"{flow_labels[k]!r} with sign {eps[k]}, "
+                        f"expected {want}"))
+            for i in values_present:
+                q = ag[i]
+                if value[q] != value[i]:
+                    value_eq.append(Violation(
+                        "value_equivariance",
+                        f"g={list(g)} sends {labels[i]!r} (value {value[i]}) to "
+                        f"{labels[q]!r} (value {value[q]})"))
+        return index_eq, endpoint_eq, sign_eq, value_eq
 
-    if not any(x.law in ("index_range", "flow_index_step") for x in v):
+    laws = per_element(gens)
+    if compat or cocycle or any(laws):
+        laws = per_element(G)
+    index_eq, endpoint_eq, sign_eq, value_eq = laws
+
+    d_squared = []
+    if not (index_range or index_step):
         ok, witness = verify_complex(s.manifold_complex())
         if not ok:
             k, row, col, val = witness
-            v.append(Violation(
+            d_squared.append(Violation(
                 "manifold_d_squared",
                 f"boundary squared has entry {val} from {col!r} to {row!r}"))
 
     self_indexing: Optional[bool] = None
-    values_present = [i for i, p in enumerate(s.crit) if p.value is not None]
     if values_present:
-        value = [p.value for p in s.crit]
-        for g in G:
-            ag = pa.image_array(g)
-            for i in values_present:
-                q = ag[i]
-                if value[q] != value[i]:
-                    v.append(Violation(
-                        "value_equivariance",
-                        f"g={list(g)} sends {labels[i]!r} (value {value[i]}) to "
-                        f"{labels[q]!r} (value {value[q]})"))
         self_indexing = (len(values_present) == len(s.crit)
                          and all(p.value == p.index for p in s.crit))
 
+    v = (index_range + index_eq + index_step + endpoint_eq + compat + cocycle
+         + sign_eq + d_squared + value_eq)
     report = ValidationReport(violations=tuple(v), self_indexing=self_indexing)
     s._cache["report"] = report
     return report
@@ -392,7 +404,8 @@ def classify(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:
 
     An orbit is orientable when tau is +1 on the stabilizer of its least
     member; by the cocycle law the negative part of a stabilizer is empty or
-    exactly half, which is asserted.
+    exactly half, which is asserted.  The map from each label to its orbit
+    is cached beside the result, for orbit_of.
     """
     if "classify" in s._cache:
         return s._cache["classify"]
@@ -411,14 +424,16 @@ def classify(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:
             orientable=not neg))
     result = tuple(out)
     s._cache["classify"] = result
+    s._cache["orbit_of"] = {m: orb for orb in result for m in orb.members}
     return result
 
 
 def orbit_of(s: EquivariantMorseSystem, label: str) -> CriticalOrbit:
-    for orb in classify(s):
-        if label in orb.members:
-            return orb
-    raise UnknownPoint(f"{label!r} is not a critical point")
+    classify(s)
+    orb = s._cache["orbit_of"].get(label)
+    if orb is None:
+        raise UnknownPoint(f"{label!r} is not a critical point")
+    return orb
 
 
 # -- canonical gauge ----------------------------------------------------------
@@ -503,14 +518,11 @@ def _normalize(s: EquivariantMorseSystem) -> _Gauge:
                 shift[vtx] = eps[anchor] * shift[u]
                 queue.append(vtx)
 
-    orbit_rep_of = {}
-    for orb in cls:
-        for m in orb.members:
-            orbit_rep_of[m] = (orb.rep, orb.orientable)
     sigma_final = {}
     for p in s.crit:
-        rep, orientable = orbit_rep_of[p.label]
-        sigma_final[p.label] = sigma[p.label] * (shift[rep] if orientable else 1)
+        orb = s._cache["orbit_of"][p.label]
+        sigma_final[p.label] = sigma[p.label] * (
+            shift[orb.rep] if orb.orientable else 1)
     eps_final = {f.label: sigma_final[f.src] * sigma_final[f.dst] * f.sign
                  for f in s.flows}
 
@@ -572,7 +584,8 @@ def derive_intrinsic(s: EquivariantMorseSystem, *,
 
     Orientations are first normalized to the canonical gauge; flow orbits
     whose endpoints are both orientable become flow classes with the
-    stabilizer order of their least member and its canonical sign.
+    stabilizer order of their least member, |G| / |orbit| by the
+    orbit-stabilizer theorem, and its canonical sign.
     """
     _require_valid(s, check_valid)
     gauge = _normalize(s)
@@ -586,9 +599,9 @@ def derive_intrinsic(s: EquivariantMorseSystem, *,
         if not (src_orb.orientable and dst_orb.orientable):
             continue
         rep = members[0]
-        iso = stabilizer(s.flow_action, rep).order
         flows.append(IntrinsicFlow(label=rep, src=src_orb.rep,
-                                   dst=dst_orb.rep, iso_order=iso,
+                                   dst=dst_orb.rep,
+                                   iso_order=s.group.order // len(members),
                                    sign=gauge.eps[rep]))
     return OrbifoldMorseSystem(ambient_dim=s.ambient_dim,
                                crit_points=crit, flows=flows)

@@ -58,11 +58,14 @@ class SimplicialComplex:
 
     def __init__(self, vertices, maximal_simplices):
         self.vertices = tuple(sorted(set(vertices)))
+        maximal_simplices = list(maximal_simplices)
         closed = _close_downward(maximal_simplices)
         declared = set(self.vertices)
-        stray = next(((s, v) for s in closed for v in s if v not in declared), None)
-        if stray is not None:
-            raise NotASubcomplex("simplex %r uses undeclared vertex %r" % stray)
+        for s in maximal_simplices:
+            if not declared.issuperset(s):
+                raise NotASubcomplex(
+                    "simplex %r uses undeclared vertex %r"
+                    % (tuple(sorted(s)), min(set(s) - declared)))
         closed.update((vtx,) for vtx in self.vertices)
         self._closed = frozenset(closed)
         by_len: dict[int, list] = {}

@@ -69,6 +69,37 @@ def make_football(p):
         flows=[], flow_images=[[]], ambient_dim=2)
 
 
+def make_ring_sphere(p, defect=None):
+    """S^2 with maxima N, S and a ring of p saddles r_k and p minima m_k
+    under the rotation of order p; every orbit is free or fixed and
+    orientable.  defect "flip" negates the sign of c0 = r0 -> m0,
+    "endpoint" re-aims it at m1 while its images stay as they were."""
+    def shift(lab):
+        return lab if lab in ("N", "S") else lab[0] + str((int(lab[1:]) + 1) % p)
+    points = [("N", 2, None), ("S", 2, None)]
+    points += [("r%d" % k, 1, None) for k in range(p)]
+    points += [("m%d" % k, 0, None) for k in range(p)]
+    flows = []
+    for k in range(p):
+        flows += [("a%d" % k, "N", "r%d" % k, 1), ("b%d" % k, "S", "r%d" % k, -1),
+                  ("c%d" % k, "r%d" % k, "m%d" % k, 1),
+                  ("e%d" % k, "r%d" % k, "m%d" % ((k - 1) % p), -1)]
+    pidx = {lab: i for i, (lab, _, _) in enumerate(points)}
+    fidx = {f[0]: i for i, f in enumerate(flows)}
+    crit_images = [[pidx[shift(lab)] for lab, _, _ in points]]
+    flow_images = [[fidx[shift(f[0])] for f in flows]]
+    c0 = fidx["c0"]
+    if defect == "flip":
+        flows[c0] = ("c0", "r0", "m0", -1)
+    elif defect == "endpoint":
+        flows[c0] = ("c0", "r0", "m1", 1)
+    return EquivariantMorseSystem.from_generator_data(
+        generators=[tuple(range(1, p)) + (0,)], degree=p,
+        crit_points=points, crit_images=crit_images,
+        crit_signs=[[1] * len(points)], flows=flows, flow_images=flow_images,
+        ambient_dim=2)
+
+
 def grid_torus(n):
     """Simplicial payload of the n x n grid torus (two triangles per square)
     under the negation (i, j) -> (-i, -j); generators permute the sorted

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,19 @@ def test_each_system_is_validated_once(argv, tmp_path, monkeypatch):
     assert len(made) == 1
 
 
+@pytest.mark.parametrize("command", ["homology", "corpus"])
+def test_manifold_complex_is_built_once(command, tmp_path, monkeypatch):
+    # validation's d^2 check and betti_manifold share one complex
+    quotient = importlib.import_module("orbimorse.quotient")
+    built, real = [], quotient.GradedComplex
+    monkeypatch.setattr(quotient, "GradedComplex", types.SimpleNamespace(
+        from_entries=lambda *a: built.append(a) or real.from_entries(*a)))
+    argv = (["homology", corpus_file(tmp_path, "heart")]
+            if command == "homology" else ["corpus", "run", "heart"])
+    assert main(argv) == EXIT_OK
+    assert len(built) == 1
+
+
 def test_group_cap_environment_variable(tmp_path, monkeypatch, capsys):
     path = corpus_file(tmp_path, "football_p2")
     monkeypatch.setenv("ORBIMORSE_GROUP_CAP", "1")
@@ -263,15 +277,16 @@ def test_compare_bundle_and_mismatch(tmp_path, capsys):
     assert main(["compare", corpus_file(tmp_path, "heart")]) == EXIT_PARSE
 
 
-def run_child(argv):
-    """Run argv as a separate process that imports the orbimorse under test.
+def run_child(argv, **environ):
+    """Run argv as a separate process that imports the orbimorse under test,
+    with environ added to its environment.
 
     The directory holding the imported package goes first on PYTHONPATH, so
     the child finds this code whatever the working directory and whether or
     not some other copy is installed.
     """
     package_parent = str(Path(orbimorse.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_parent, env.get("PYTHONPATH")]))
     return subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -307,3 +322,16 @@ def test_python_m_smoke():
                       "corpus", "run", "heart"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "heart: pass\n"
+
+
+def test_undeclared_vertex_error_is_the_same_under_every_hash_seed(tmp_path):
+    path = write_doc(tmp_path, "stray.json", {
+        "kind": "simplicial", "metadata": {"name": "stray"},
+        "system": {"vertices": ["a", "b"],
+                   "maximal": [["a", "b", "z"], ["b", "z", "y"]],
+                   "generators": []}})
+    runs = [run_child([sys.executable, "-m", "orbimorse", "validate", path],
+                      PYTHONHASHSEED=str(seed)) for seed in (1, 2, 3)]
+    assert [proc.returncode for proc in runs] == [EXIT_INVALID] * 3
+    assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+    assert "('a', 'b', 'z') uses undeclared vertex 'z'" in runs[0].stderr

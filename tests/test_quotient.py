@@ -1,5 +1,6 @@
 """Equivariant systems: validation laws, classification, gauge, weights."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from orbimorse import (
     ActionNotWellDefined,
     CancellationFailure,
+    ClosureExceedsCap,
     CritPoint,
     EquivariantMorseSystem,
     Flow,
@@ -33,7 +35,10 @@ from orbimorse import (
     regauge,
     validate_system,
 )
-from conftest import make_heart
+from orbimorse.cli import build_global, corpus_names, load_corpus
+
+from conftest import make_heart, make_ring_sphere
+from reference_validator import reference_violations
 
 
 def trivial_system(crit, flows, ambient_dim=2):
@@ -224,19 +229,29 @@ def _parity(g):
     return sign
 
 
-SMALL_GROUPS = {
-    "Z6": generate_group([(1, 2, 3, 4, 5, 0)]),
-    "S3": generate_group([(1, 0, 2), (1, 2, 0)]),
-    "D4": generate_group([(1, 2, 3, 0), (3, 2, 1, 0)]),
-    "Z2xZ2": generate_group([(1, 0, 2, 3), (0, 1, 3, 2)]),
+SMALL_GENERATORS = {
+    "Z6": [(1, 2, 3, 4, 5, 0)],
+    "S3": [(1, 0, 2), (1, 2, 0)],
+    "D4": [(1, 2, 3, 0), (3, 2, 1, 0)],
+    "Z2xZ2": [(1, 0, 2, 3), (0, 1, 3, 2)],
 }
+SMALL_GROUPS = {name: generate_group(gens)
+                for name, gens in SMALL_GENERATORS.items()}
 
 
 @st.composite
-def drawn_systems(draw):
+def drawn_systems(draw, laws=False):
     """Copies of the natural action plus fixed points, tau a twisted
     coboundary chi(g) sigma(g.p) sigma(p); then, sometimes, a few image
-    arrays replaced by arbitrary permutations and a few tau entries flipped."""
+    arrays replaced by arbitrary permutations and a few tau entries flipped.
+
+    With laws, point orbits take indices 0, 1, 2 in a drawn order and draw
+    a value each, and flow orbits join orbits one index apart: copy to
+    copy, copy to fixed point and back pointwise, fixed to fixed as one
+    flow.  A flow's sign is sigma(src) sigma(dst) times one sign per flow
+    orbit, so every law holds until defects are planted: an index or a
+    value changed, a flow re-aimed or its sign flipped, a flow image array
+    replaced."""
     group = SMALL_GROUPS[draw(st.sampled_from(sorted(SMALL_GROUPS)))]
     d = group.degree
     copies = draw(st.integers(0, 2))
@@ -261,11 +276,70 @@ def drawn_systems(draw):
                                         st.integers(0, n - 1)), max_size=2)):
         tau[g][p] = -tau[g][p]
     labels = ["p%d" % i for i in range(n)]
+    tau = {g: tuple(row) for g, row in tau.items()}
+    if not laws:
+        return EquivariantMorseSystem(
+            group, [CritPoint(lab, 0) for lab in labels],
+            GroupAction(group, labels, images), tau, [],
+            GroupAction(group, [], {g: () for g in group}), ambient_dim=0)
+
+    # orbit o: its points, one per element of [0, d) for a copy
+    orbit_points = [[place[c * d + i] for i in range(d)] for c in range(copies)]
+    orbit_points += [[place[k]] for k in range(copies * d, n)]
+    index, value = [0] * n, [None] * n
+    levels = draw(st.permutations(range(3)))
+    orbit_index = [levels[o % 3] for o in range(len(orbit_points))]
+    for members, k in zip(orbit_points, orbit_index):
+        val = draw(st.one_of(st.none(), st.integers(0, 3)))
+        for p in members:
+            index[p] = k
+            value[p] = None if val is None else Fraction(val)
+    pairs = [(a, b) for a in range(len(orbit_points))
+             for b in range(len(orbit_points))
+             if orbit_index[a] == orbit_index[b] + 1]
+    ends, natural = [], []      # (src, dst, orbit sign); image index under g
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3)
+                     if pairs else st.just([])):
+        e0 = draw(st.sampled_from([1, -1]))
+        A, B = orbit_points[a], orbit_points[b]
+        if len(A) == len(B) == 1:
+            natural.append(lambda g, j=len(ends): j)
+            ends.append((A[0], B[0], e0))
+            continue
+        base = len(ends)
+        for i in range(d):
+            natural.append(lambda g, i=i, base=base: base + g[i])
+            ends.append((A[i % len(A)], B[i % len(B)], e0))
+    m = len(ends)
+    fplace = draw(st.permutations(range(m)))
+    flow_images = {}
+    for g in group:
+        img = [0] * m
+        for j in range(m):
+            img[fplace[j]] = fplace[natural[j](g)]
+        flow_images[g] = tuple(img)
+    flows = [None] * m
+    for j, (a, b, e0) in enumerate(ends):
+        flows[fplace[j]] = ["f%d" % fplace[j], a, b, sigma[a] * sigma[b] * e0]
+
+    if m:
+        for g in draw(st.lists(st.sampled_from(group.elements), max_size=1)):
+            flow_images[g] = tuple(draw(st.permutations(range(m))))
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=1)):
+            flows[j][2] = draw(st.sampled_from(
+                [p for p in range(n) if index[p] == index[flows[j][2]]]))
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=1)):
+            flows[j][3] = -flows[j][3]
+    for p in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        index[p] = draw(st.sampled_from([k for k in range(3) if k != index[p]]))
+    for p in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        value[p] = Fraction(7) if value[p] is None else value[p] + 1
     return EquivariantMorseSystem(
-        group, [CritPoint(lab, 0) for lab in labels],
-        GroupAction(group, labels, images),
-        {g: tuple(row) for g, row in tau.items()}, [],
-        GroupAction(group, [], {g: () for g in group}), ambient_dim=0)
+        group, [CritPoint(lab, k, val)
+                for lab, k, val in zip(labels, index, value)],
+        GroupAction(group, labels, images), tau,
+        [Flow(lab, labels[a], labels[b], e) for lab, a, b, e in flows],
+        GroupAction(group, [f[0] for f in flows], flow_images), ambient_dim=2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -278,6 +352,88 @@ def test_generator_checks_agree_with_full_scans(s):
     assert validate_system(s).ok == (compatible and not cocycle)
     if compatible:
         assert ("cocycle" in found) == bool(cocycle)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn_systems(laws=True))
+def test_gated_validation_matches_the_full_scan(s):
+    assert list(validate_system(s).violations) == reference_violations(s)
+
+
+def test_per_element_law_broken_off_the_generators_is_listed():
+    # Z3 = {e, a, b} is generated by a; the table for b is no action and
+    # sends x (index 0) to w (index 1), so only b breaks index equivariance
+    group = generate_group([(1, 2, 0)], degree=3)
+    e, a, b = group.elements
+    pa = GroupAction(group, ["x", "y", "z", "w"],
+                     {e: (0, 1, 2, 3), a: (1, 2, 0, 3), b: (3, 1, 2, 0)})
+    fa = GroupAction(group, [], {g: () for g in group})
+    s = EquivariantMorseSystem(
+        group, [CritPoint(lab, 0) for lab in "xyz"] + [CritPoint("w", 1)],
+        pa, {g: (1, 1, 1, 1) for g in group}, [], fa, ambient_dim=1)
+    report = validate_system(s)
+    assert list(report.violations) == reference_violations(s)
+    assert laws(report) == {"action_compatibility", "index_equivariance"}
+    assert [v.detail for v in report.violations
+            if v.law == "index_equivariance"] == [
+        "g=[2, 0, 1] sends 'x' (index 0) to 'w' (index 1)",
+        "g=[2, 0, 1] sends 'w' (index 1) to 'x' (index 0)"]
+
+
+@pytest.mark.parametrize("defect, law", [("flip", "sign_equivariance"),
+                                         ("endpoint", "endpoint_equivariance")])
+def test_planted_ring_sphere_defect_lists_every_witness(defect, law):
+    # the orbit of c0 is free: 2(|G| - 1) pairs (g, f) with g != e and
+    # f = c0 or g.f = c0 break the law, and d^2 N != 0 once
+    s = make_ring_sphere(12, defect)
+    report = validate_system(s)
+    assert list(report.violations) == reference_violations(s)
+    assert Counter(v.law for v in report.violations) \
+        == {law: 2 * (12 - 1), "manifold_d_squared": 1}
+    assert validate_system(make_ring_sphere(12)).ok
+
+
+def test_one_closure_keeps_the_element_order():
+    systems = 0
+    for name in corpus_names():
+        inst = load_corpus(name)
+        if inst.kind not in ("global_quotient", "comparison"):
+            continue
+        payload = inst.body.get("system", inst.body.get("morse"))
+        want = generate_group(payload["generators"], degree=payload["degree"])
+        assert build_global(payload).group.elements == want.elements, name
+        systems += 1
+    assert systems >= 10
+    for name, gens in SMALL_GENERATORS.items():
+        d = len(gens[0])
+        # the natural points and a fixed minimum with tau the parity
+        # character, a flow from each point to the minimum
+        s = EquivariantMorseSystem.from_generator_data(
+            generators=gens, degree=d,
+            crit_points=[("p%d" % i, 1, None) for i in range(d)]
+            + [("b", 0, None)],
+            crit_images=[list(g) + [d] for g in gens],
+            crit_signs=[[_parity(g)] * (d + 1) for g in gens],
+            flows=[("f%d" % i, "p%d" % i, "b", 1) for i in range(d)],
+            flow_images=[list(g) for g in gens], ambient_dim=1)
+        assert s.group.elements == SMALL_GROUPS[name].elements, name
+        assert validate_system(s).ok, name
+
+
+def test_inconsistent_flow_images_rejected_and_the_cap_kept():
+    # a 3-cycle on the flows cannot follow the swap, of order 2
+    data = dict(generators=[(1, 0)], degree=2,
+                crit_points=[("p", 1, None), ("q", 0, None)],
+                crit_images=[[0, 1]], crit_signs=[[1, 1]],
+                flows=[("f%d" % i, "p", "q", 1) for i in range(3)],
+                flow_images=[[1, 2, 0]], ambient_dim=1)
+    with pytest.raises(ActionNotWellDefined):
+        EquivariantMorseSystem.from_generator_data(**data)
+    # the combined closure (order 6) passes a cap of 2 that G meets
+    with pytest.raises(ActionNotWellDefined):
+        EquivariantMorseSystem.from_generator_data(cap=2, **data)
+    with pytest.raises(ClosureExceedsCap):
+        EquivariantMorseSystem.from_generator_data(cap=1, **data)
 
 
 def sign_skew_heart():
