@@ -4,7 +4,8 @@ An instance file is a single JSON object:
 
     {"kind": ..., "metadata": {...}, ...payload...}
 
-Kinds and their payload keys:
+Kinds and their payload keys; the table KINDS says how the subcommands
+build, validate and take the homology of each kind:
 
   global_quotient   "system": ground generators of a permutation group plus
                     critical points, per-generator images and cocycle signs,
@@ -21,21 +22,23 @@ is canonical: sorted keys, two-space indent, trailing newline, so instance
 files round-trip byte for byte.
 
 Exit codes: 0 success, 2 validation failure, 3 theorem or expectation
-mismatch, 4 unreadable or malformed input.  The environment variable
-ORBIMORSE_GROUP_CAP bounds group closure sizes.
+mismatch, 4 unreadable or malformed input, malformed values included.  The
+environment variable ORBIMORSE_GROUP_CAP bounds group closure sizes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from .chaincx import betti
 from .errors import (
@@ -43,7 +46,6 @@ from .errors import (
     MalformedSystem,
     OrbimorseError,
     ParseError,
-    SystemNotValid,
 )
 from .groups import DEFAULT_CAP, GroupAction, generate_group
 from .intrinsic import (
@@ -61,7 +63,6 @@ from .quotient import (
     classify,
     derive_intrinsic,
     discarded_orbits,
-    invariant_boundary,
     validate_system,
 )
 from .simplicial import (
@@ -75,8 +76,6 @@ from .simplicial import (
     quotient,
     regularize,
 )
-
-KINDS = ("global_quotient", "intrinsic", "simplicial", "comparison")
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -131,6 +130,14 @@ def _group_cap() -> int:
         raise ParseError("ORBIMORSE_GROUP_CAP must be positive")
     return cap
 
+@contextlib.contextmanager
+def _parsing(ctx):
+    """A malformed value is malformed input, like a missing key."""
+    try:
+        yield
+    except (MalformedPermutation, MalformedSystem) as e:
+        raise ParseError(f"{ctx}: {e}") from None
+
 
 # -- instance files ----------------------------------------------------------
 
@@ -144,24 +151,17 @@ class InstanceFile:
     def name(self) -> str:
         return self.metadata.get("name", "?")
 
-_PAYLOAD_KEYS = {
-    "global_quotient": ("system",),
-    "intrinsic": ("system",),
-    "simplicial": ("system",),
-    "comparison": ("morse", "triangulation"),
-}
-
 def instance_from_dict(doc, ctx="instance") -> InstanceFile:
     if not isinstance(doc, dict):
         raise ParseError(f"{ctx}: top level must be an object")
     kind = _req(doc, "kind", ctx)
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ParseError(f"{ctx}: unknown kind {kind!r}")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{ctx}: metadata must be an object")
     body = {}
-    for key in _PAYLOAD_KEYS[kind]:
+    for key in KINDS[kind].payload:
         payload = _req(doc, key, f"{ctx} ({kind})")
         if not isinstance(payload, dict):
             raise ParseError(f"{ctx}: {key!r} must be an object")
@@ -230,14 +230,12 @@ def build_global(payload) -> EquivariantMorseSystem:
     crit_images = per_generator("crit_images")
     crit_signs = per_generator("crit_signs")
     flow_images = per_generator("flow_images")
-    try:
+    with _parsing(ctx):
         return EquivariantMorseSystem.from_generator_data(
             generators=gens, degree=degree,
             cap=_group_cap(), crit_points=crit, crit_images=crit_images,
             crit_signs=crit_signs, flows=flows, flow_images=flow_images,
             ambient_dim=ambient)
-    except (MalformedPermutation, MalformedSystem) as e:
-        raise ParseError(f"{ctx}: {e}") from None
 
 def build_intrinsic(payload) -> OrbifoldMorseSystem:
     ctx = "intrinsic system"
@@ -269,19 +267,14 @@ def build_intrinsic(payload) -> OrbifoldMorseSystem:
             label=label, src=src, dst=dst,
             iso_order=_as_int(_req(f, "iso_order", f"flow {label!r}"), "iso_order"),
             sign=_as_int(_req(f, "sign", f"flow {label!r}"), "sign")))
-    return OrbifoldMorseSystem(ambient_dim=ambient, crit_points=points,
-                               flows=flows)
+    with _parsing(ctx):
+        return OrbifoldMorseSystem(ambient_dim=ambient, crit_points=points,
+                                   flows=flows)
 
 def intrinsic_payload(s: OrbifoldMorseSystem) -> dict:
-    return {
-        "ambient_dim": s.ambient_dim,
-        "points": [{"label": p.label, "index": p.index,
-                    "iso_order": p.iso_order, "orientable": p.orientable}
-                   for p in s.crit],
-        "flows": [{"label": f.label, "src": f.src, "dst": f.dst,
-                   "iso_order": f.iso_order, "sign": f.sign}
-                  for f in s.flows],
-    }
+    return {"ambient_dim": s.ambient_dim,
+            "points": [asdict(p) for p in s.crit],
+            "flows": [asdict(f) for f in s.flows]}
 
 def _vertex_lists(payload, ctx, known=()):
     """Vertices and maximal simplices, labels all integers or all strings."""
@@ -300,10 +293,8 @@ def build_simplicial(payload):
     K = SimplicialComplex(vertices, maximal)
     gens = [tuple(_as_list(g, f"{ctx}: generator"))
             for g in _as_list(payload.get("generators", []), f"{ctx}: generators")]
-    try:
+    with _parsing(ctx):
         group = generate_group(gens, degree=len(K.vertices), cap=_group_cap())
-    except MalformedPermutation as e:
-        raise ParseError(f"{ctx}: {e}") from None
     action = GroupAction(group, K.vertices, {g: g for g in group.elements})
     gk = GSimplicialComplex(K, group, action)
     sub = None
@@ -336,133 +327,173 @@ def load_corpus(name: str) -> InstanceFile:
 # -- reports ------------------------------------------------------------------
 
 class Report:
-    """Ordered key/value rows, printable as text lines or CSV."""
+    """Ordered key/value rows, printable as text lines or CSV.  Values keep
+    their types until printed: booleans print as yes/no and Betti tuples as
+    comma-joined numbers."""
 
-    def __init__(self):
-        self.rows: list[tuple[str, str]] = []
+    def __init__(self, *rows):
+        self.rows: list[tuple[str, object]] = list(rows)
 
     def add(self, key, value):
-        self.rows.append((str(key), str(value)))
+        self.rows.append((key, value))
 
-    def emit(self, fmt: str, out=None):
-        out = out or sys.stdout
+    @staticmethod
+    def text(value) -> str:
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        if isinstance(value, tuple):
+            return ",".join(str(x) for x in value)
+        return str(value)
+
+    def emit(self, fmt: str):
+        rows = [(k, self.text(v)) for k, v in self.rows]
         if fmt == "csv":
-            w = csv.writer(out, lineterminator="\n")
-            w.writerow(["key", "value"])
-            w.writerows(self.rows)
+            csv.writer(sys.stdout, lineterminator="\n").writerows(
+                [("key", "value"), *rows])
         else:
-            for k, v in self.rows:
-                out.write(f"{k}: {v}\n")
+            sys.stdout.writelines(f"{k}: {v}\n" for k, v in rows)
 
-def _fmt_betti(b) -> str:
-    return ",".join(str(x) for x in b)
+
+# -- the kinds: build, validate, homology ---------------------------------------
+
+def _invalid(rep, key, value) -> int:
+    rep.add("valid", False)
+    rep.add(key, value)
+    return EXIT_INVALID
+
+def _witness(conv, top, bot, val) -> str:
+    return f"{conv}: boundary squared sends {top} to {val} * {bot}"
+
+def _boundary(s: OrbifoldMorseSystem, conv: str):
+    return boundary_plus(s) if conv == "plus" else boundary_minus(s)
+
+def _validate_global(rep, s, self_indexing=True) -> int:
+    r = validate_system(s)
+    rep.add("valid", r.ok)
+    if self_indexing and r.self_indexing is not None:
+        rep.add("self_indexing", r.self_indexing)
+    for v in r.violations:
+        rep.add("violation", f"{v.law}: {v.detail}")
+    return EXIT_OK if r.ok else EXIT_INVALID
+
+def _homology_global(rep, conv, s) -> int:
+    r = validate_system(s)
+    if not r.ok:
+        return _invalid(rep, "detail", r.summary())
+    for o in classify(s):
+        status = "orientable" if o.orientable else "discarded"
+        rep.add("orbit", f"{o.rep} index={o.index} iso={o.iso_order} {status}")
+    rep.add("convention", conv)
+    rep.add("betti_manifold", betti(s.manifold_complex()))
+    rep.add("betti_invariant", betti(_boundary(derive_intrinsic(s), conv)))
+    return EXIT_OK
+
+def _validate_intrinsic(rep, s) -> int:
+    d = verify_d_squared(s)
+    rep.add("valid", d.ok)
+    for w in d.witnesses:
+        rep.add("witness", _witness(*w))
+    return EXIT_OK if d.ok else EXIT_INVALID
+
+def _homology_intrinsic(rep, conv, s) -> int:
+    d = verify_d_squared(s)
+    if not d.ok:
+        return _invalid(rep, "witness", _witness(*d.witnesses[0]))
+    rep.add("convention", conv)
+    rep.add("betti", betti(_boundary(s, conv)))
+    return EXIT_OK
+
+def _validate_simplicial(rep, gk, sub) -> int:
+    rep.add("regular", is_regular(gk))
+    try:
+        quotient(gk, sub)
+        rep.add("quotient", "simplicial")
+    except NotRegular as e:
+        rep.add("quotient", f"needs subdivision: {e}")
+    return EXIT_OK
+
+def _homology_simplicial(rep, conv, gk, sub) -> int:
+    _, _, rounds, q = regularize(gk, sub)
+    rep.add("rounds", rounds)
+    rep.add("betti", homology(q.complex))
+    rep.add("betti_invariant", invariant_homology(gk))
+    if sub is not None:
+        rep.add("betti_rel", homology(q.complex, q.sub))
+        rep.add("betti_invariant_rel", invariant_homology(gk, sub))
+    return EXIT_OK
+
+def _validate_comparison(rep, s, gk) -> int:
+    code = _validate_global(rep, s, self_indexing=False)
+    rep.add("triangulation", "ok")
+    return code
+
+def _homology_comparison(rep, conv, s, gk) -> int:
+    r = validate_system(s)
+    if not r.ok:
+        return _invalid(rep, "detail", r.summary())
+    cr = compare(s, gk)
+    rep.add("betti_morse", cr.morse_betti)
+    rep.add("betti_quotient", cr.quotient_betti)
+    rep.add("rounds", cr.rounds)
+    rep.add("equal", cr.equal)
+    return EXIT_OK if cr.equal else EXIT_MISMATCH
+
+def _orbit_counts(rows) -> dict:
+    status = [v.rsplit(" ", 1)[1] for k, v in rows if k == "orbit"]
+    return {"orientable_orbits": status.count("orientable"),
+            "discarded": status.count("discarded")}
+
+class Kind(NamedTuple):
+    payload: tuple        # keys of the JSON objects an instance carries
+    build: Callable       # body -> tuple of built objects
+    validate: Callable    # (report, *objects) -> exit code
+    homology: Callable    # (report, convention, *objects) -> exit code
+    aliases: dict = {}    # corpus expectation key -> report row key
+    counts: Callable = lambda rows: {}  # report rows -> counted expectations
+
+# The builders are looked up as module globals at call time, so rebinding
+# one (as perfbench/tracer.py does) reaches every kind that uses it.
+KINDS = {
+    "global_quotient": Kind(
+        ("system",), lambda b: (build_global(b["system"]),),
+        _validate_global, _homology_global, counts=_orbit_counts),
+    "intrinsic": Kind(
+        ("system",), lambda b: (build_intrinsic(b["system"]),),
+        _validate_intrinsic, _homology_intrinsic,
+        {"dsq_ok": "valid", "betti_plus": "betti"}),
+    "simplicial": Kind(
+        ("system",), lambda b: build_simplicial(b["system"]),
+        _validate_simplicial, _homology_simplicial),
+    "comparison": Kind(
+        ("morse", "triangulation"),
+        lambda b: (build_global(b["morse"]),
+                   build_simplicial(b["triangulation"])[0]),
+        _validate_comparison, _homology_comparison,
+        {"betti": "betti_quotient"}),
+}
 
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+def cmd_report(args) -> int:
+    """validate, homology and compare (homology of comparisons only): build
+    the instance once, run the step its kind gives and print the rows."""
     inst = load_instance(args.path)
-    rep = Report()
-    rep.add("kind", inst.kind)
-    rep.add("name", inst.name)
-    code = EXIT_OK
-
-    if inst.kind == "global_quotient":
-        s = build_global(inst.body["system"])
-        r = validate_system(s)
-        rep.add("valid", "yes" if r.ok else "no")
-        if r.self_indexing is not None:
-            rep.add("self_indexing", "yes" if r.self_indexing else "no")
-        for v in r.violations:
-            rep.add("violation", f"{v.law}: {v.detail}")
-        code = EXIT_OK if r.ok else EXIT_INVALID
-    elif inst.kind == "intrinsic":
-        s = build_intrinsic(inst.body["system"])
-        d = verify_d_squared(s)
-        rep.add("valid", "yes" if d.ok else "no")
-        for conv, top, bot, val in d.witnesses:
-            rep.add("witness",
-                    f"{conv}: boundary squared sends {top} to {val} * {bot}")
-        code = EXIT_OK if d.ok else EXIT_INVALID
-    elif inst.kind == "simplicial":
-        gk, sub = build_simplicial(inst.body["system"])
-        rep.add("regular", "yes" if is_regular(gk) else "no")
-        try:
-            quotient(gk, sub)
-            rep.add("quotient", "simplicial")
-        except NotRegular as e:
-            rep.add("quotient", f"needs subdivision: {e}")
-    else:
-        s = build_global(inst.body["morse"])
-        r = validate_system(s)
-        rep.add("valid", "yes" if r.ok else "no")
-        for v in r.violations:
-            rep.add("violation", f"{v.law}: {v.detail}")
-        build_simplicial(inst.body["triangulation"])
-        rep.add("triangulation", "ok")
-        code = EXIT_OK if r.ok else EXIT_INVALID
-
+    if args.command == "compare" and inst.kind != "comparison":
+        raise ParseError("compare expects a comparison instance")
+    kind = KINDS[inst.kind]
+    objs = kind.build(inst.body)
+    rep = Report(("kind", inst.kind), ("name", inst.name))
+    code = (kind.validate(rep, *objs) if args.command == "validate" else
+            kind.homology(rep, getattr(args, "convention", "plus"), *objs))
     rep.emit(args.format)
     return code
-
-
-def cmd_homology(args) -> int:
-    inst = load_instance(args.path)
-    conv = args.convention
-    rep = Report()
-    rep.add("kind", inst.kind)
-    rep.add("name", inst.name)
-
-    if inst.kind == "global_quotient":
-        s = build_global(inst.body["system"])
-        r = validate_system(s)
-        if not r.ok:
-            rep.add("valid", "no")
-            rep.add("detail", r.summary())
-            rep.emit(args.format)
-            return EXIT_INVALID
-        for o in classify(s):
-            status = "orientable" if o.orientable else "discarded"
-            rep.add("orbit", f"{o.rep} index={o.index} iso={o.iso_order} {status}")
-        derived = derive_intrinsic(s)
-        cx = boundary_plus(derived) if conv == "plus" else boundary_minus(derived)
-        rep.add("convention", conv)
-        rep.add("betti_manifold", _fmt_betti(betti(s.manifold_complex())))
-        rep.add("betti_invariant", _fmt_betti(betti(cx)))
-    elif inst.kind == "intrinsic":
-        s = build_intrinsic(inst.body["system"])
-        d = verify_d_squared(s)
-        if not d.ok:
-            rep.add("valid", "no")
-            conv0, top, bot, val = d.witnesses[0]
-            rep.add("witness",
-                    f"{conv0}: boundary squared sends {top} to {val} * {bot}")
-            rep.emit(args.format)
-            return EXIT_INVALID
-        cx = boundary_plus(s) if conv == "plus" else boundary_minus(s)
-        rep.add("convention", conv)
-        rep.add("betti", _fmt_betti(betti(cx)))
-    elif inst.kind == "simplicial":
-        gk, sub = build_simplicial(inst.body["system"])
-        _, _, rounds, q = regularize(gk, sub)
-        rep.add("rounds", rounds)
-        rep.add("betti", _fmt_betti(homology(q.complex)))
-        rep.add("betti_invariant", _fmt_betti(invariant_homology(gk)))
-        if sub is not None:
-            rep.add("betti_rel", _fmt_betti(homology(q.complex, q.sub)))
-            rep.add("betti_invariant_rel", _fmt_betti(invariant_homology(gk, sub)))
-    else:
-        return _compare_instance(inst, args.format)
-
-    rep.emit(args.format)
-    return EXIT_OK
-
 
 def cmd_derive(args) -> int:
     inst = load_instance(args.path)
     if inst.kind != "global_quotient":
         raise ParseError("derive expects a global_quotient instance")
-    s = build_global(inst.body["system"])
+    (s,) = KINDS[inst.kind].build(inst.body)
     r = validate_system(s)
     if not r.ok:
         print(f"error: {r.summary()}", file=sys.stderr)
@@ -474,92 +505,29 @@ def cmd_derive(args) -> int:
                   "description": f"invariant system of {inst.name}"},
         body={"system": intrinsic_payload(derived)})
     save_instance(out, args.out)
-    rep = Report()
-    rep.add("written", args.out)
-    rep.add("points", len(derived.crit))
-    rep.add("flows", len(derived.flows))
+    rep = Report(("written", args.out), ("points", len(derived.crit)),
+                 ("flows", len(derived.flows)))
     for o in discarded_orbits(s):
         rep.add("discarded", f"{o.rep} index={o.index} iso={o.iso_order}")
     rep.emit(args.format)
     return EXIT_OK
 
-
-def _compare_instance(inst: InstanceFile, fmt: str) -> int:
-    s = build_global(inst.body["morse"])
-    r = validate_system(s)
-    rep = Report()
-    rep.add("kind", inst.kind)
-    rep.add("name", inst.name)
-    if not r.ok:
-        rep.add("valid", "no")
-        rep.add("detail", r.summary())
-        rep.emit(fmt)
-        return EXIT_INVALID
-    gk, _ = build_simplicial(inst.body["triangulation"])
-    cr = compare(s, gk)
-    rep.add("betti_morse", _fmt_betti(cr.morse_betti))
-    rep.add("betti_quotient", _fmt_betti(cr.quotient_betti))
-    rep.add("rounds", cr.rounds)
-    rep.add("equal", "yes" if cr.equal else "no")
-    rep.emit(fmt)
-    return EXIT_OK if cr.equal else EXIT_MISMATCH
-
-
-def cmd_compare(args) -> int:
-    inst = load_instance(args.path)
-    if inst.kind != "comparison":
-        raise ParseError("compare expects a comparison instance")
-    return _compare_instance(inst, args.format)
-
-
 def run_expectations(inst: InstanceFile) -> list[str]:
-    """Evaluate the instance's expected results; returns failure strings."""
-    exp = inst.metadata.get("expected", {})
-    fails: list[str] = []
-
-    def chk(key, actual):
-        if key not in exp:
-            return
-        want = exp[key]
-        got = list(actual) if isinstance(actual, tuple) else actual
-        if got != want:
-            fails.append(f"{key}: expected {want}, got {got}")
-
-    if inst.kind == "global_quotient":
-        s = build_global(inst.body["system"])
-        r = validate_system(s)
-        chk("valid", r.ok)
-        if r.ok:
-            chk("betti_manifold", betti(s.manifold_complex()))
-            chk("betti_invariant", betti(invariant_boundary(s)))
-            chk("orientable_orbits",
-                sum(1 for o in classify(s) if o.orientable))
-            chk("discarded", len(discarded_orbits(s)))
-    elif inst.kind == "intrinsic":
-        s = build_intrinsic(inst.body["system"])
-        d = verify_d_squared(s)
-        chk("dsq_ok", d.ok)
-        if d.ok:
-            chk("betti_plus", betti(boundary_plus(s)))
-    elif inst.kind == "simplicial":
-        gk, sub = build_simplicial(inst.body["system"])
-        chk("regular", is_regular(gk))
-        _, _, rounds, q = regularize(gk, sub)
-        chk("rounds", rounds)
-        chk("betti", homology(q.complex))
-        chk("betti_invariant", invariant_homology(gk))
-        if sub is not None:
-            chk("betti_rel", homology(q.complex, q.sub))
-            chk("betti_invariant_rel", invariant_homology(gk, sub))
-    else:
-        s = build_global(inst.body["morse"])
-        gk, _ = build_simplicial(inst.body["triangulation"])
-        cr = compare(s, gk)
-        chk("equal", cr.equal)
-        chk("rounds", cr.rounds)
-        chk("betti", cr.quotient_betti)
+    """Check the instance's expected results against the rows validate and
+    homology (plus convention) report for it; returns failure strings."""
+    kind = KINDS[inst.kind]
+    objs = kind.build(inst.body)
+    rep = Report()
+    kind.validate(rep, *objs)
+    kind.homology(rep, "plus", *objs)
+    got = dict(rep.rows, **kind.counts(rep.rows))
+    fails = []
+    for key, want in inst.metadata.get("expected", {}).items():
+        value = got.get(kind.aliases.get(key, key))
+        value = list(value) if isinstance(value, tuple) else value
+        if value != want:
+            fails.append(f"{key}: expected {want}, got {value}")
     return fails
-
 
 def cmd_corpus(args) -> int:
     if args.action == "list":
@@ -591,37 +559,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact homology of quotient and intrinsic orbifold "
                     "Morse systems.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    commands = (
+        ("validate", cmd_report, "check an instance against the laws", ()),
+        ("homology", cmd_report, "betti numbers of an instance", ()),
+        ("derive", cmd_derive,
+         "write the derived intrinsic system of a quotient", ("out",)),
+        ("compare", cmd_report,
+         "invariant Morse homology against a triangulated quotient", ()))
+    for name, func, help_, extra in commands:
+        sp = sub.add_parser(name, help=help_)
+        for arg in ("path", *extra):
+            sp.add_argument(arg)
+        if name == "homology":
+            sp.add_argument("--convention", choices=("plus", "minus"),
+                            default="plus",
+                            help="boundary weighting (default plus)")
         sp.add_argument("--format", choices=("text", "csv"), default="text",
                         help="report format (default text)")
-
-    v = sub.add_parser("validate", help="check an instance against the laws")
-    v.add_argument("path")
-    common(v)
-    v.set_defaults(func=cmd_validate)
-
-    h = sub.add_parser("homology", help="betti numbers of an instance")
-    h.add_argument("path")
-    h.add_argument("--convention", choices=("plus", "minus"), default="plus",
-                   help="boundary weighting (default plus)")
-    common(h)
-    h.set_defaults(func=cmd_homology)
-
-    d = sub.add_parser("derive",
-                       help="write the derived intrinsic system of a quotient")
-    d.add_argument("path")
-    d.add_argument("out")
-    common(d)
-    d.set_defaults(func=cmd_derive)
-
-    c = sub.add_parser("compare",
-                       help="invariant Morse homology against a triangulated "
-                            "quotient")
-    c.add_argument("path")
-    common(c)
-    c.set_defaults(func=cmd_compare)
-
+        sp.set_defaults(func=func)
     k = sub.add_parser("corpus", help="list or run the packaged instances")
     k.add_argument("action", choices=("list", "run"))
     k.add_argument("name", nargs="?")
@@ -633,15 +588,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except SystemNotValid as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
     except OrbimorseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

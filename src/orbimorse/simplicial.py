@@ -24,13 +24,16 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Optional
 
-from .chaincx import GradedComplex, betti as complex_betti, orbit_sum_complex
+from .chaincx import (GradedComplex, betti as complex_betti, orbit_sum_complex,
+                      verify_complex)
 from .errors import (
     ActionNotSimplicial,
     NotASubcomplex,
     NotRegular,
 )
 from .groups import FiniteGroup, GroupAction, orbits
+from .intrinsic import boundary_plus
+from .quotient import derive_intrinsic
 
 
 def _close_downward(maximal):
@@ -299,10 +302,15 @@ class CompareReport:
 
 
 def compare(system, gk: GSimplicialComplex) -> CompareReport:
-    """Betti numbers of the invariant Morse complex against the quotient space."""
-    from .quotient import invariant_boundary
+    """Betti numbers of the invariant Morse complex against the quotient space.
 
-    morse = complex_betti(invariant_boundary(system))
+    The Morse side is the plus complex of the derived quotient system: the
+    orientable orbits weighted by their isotropy orders.
+    """
+    cx = boundary_plus(derive_intrinsic(system))
+    ok, witness = verify_complex(cx)
+    assert ok, f"invariant Morse complex fails to square to zero at {witness}"
+    morse = complex_betti(cx)
     _, _, rounds, q = regularize(gk)
     simp = homology(q.complex)
     width = max(len(morse), len(simp))

@@ -1,6 +1,7 @@
 """CLI subcommands, instance files, exit codes, and the packaged corpus."""
 
 import importlib
+import importlib.util
 import json
 import os
 import shutil
@@ -63,6 +64,24 @@ def test_corpus_list(capsys):
 def test_corpus_run_single(capsys):
     assert main(["corpus", "run", "heart"]) == EXIT_OK
     assert capsys.readouterr().out == "heart: pass\n"
+
+
+def test_corpus_tool_builds_the_packaged_corpus_and_every_instance_passes(
+        capsys):
+    from orbimorse.cli import _corpus_root, instance_from_dict
+    tool_path = Path(__file__).resolve().parent.parent / "tools" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    docs = tool.instances()
+    assert sorted(docs) == corpus_names()
+    for name, doc in docs.items():
+        packaged = _corpus_root().joinpath(name + ".json").read_text(encoding="utf-8")
+        assert instance_to_text(instance_from_dict(doc, ctx=name)) == packaged, name
+
+    assert main(["corpus", "run"]) == EXIT_OK
+    assert capsys.readouterr().out == "".join(
+        f"{name}: pass\n" for name in corpus_names())
 
 
 def test_validate_heart(tmp_path, capsys):
@@ -169,6 +188,17 @@ def test_parse_failures_exit_4(tmp_path, capsys):
     assert main(["corpus", "run", "nosuch"]) == EXIT_PARSE
 
 
+def segment_doc(**flow):
+    """Intrinsic interval: a flow from a to b, both of isotropy 2; the keys
+    given replace those of the flow."""
+    flow = dict({"label": "f", "src": "a", "dst": "b", "iso_order": 1,
+                 "sign": 1}, **flow)
+    return {"kind": "intrinsic", "metadata": {}, "system": {
+        "ambient_dim": 1, "flows": [flow], "points": [
+            {"label": "a", "index": 1, "iso_order": 2},
+            {"label": "b", "index": 0, "iso_order": 2}]}}
+
+
 def test_malformed_values_exit_4(tmp_path, capsys):
     docs = {}
     for key, value in (("crit_images", [["x", 1, 2, 3]]),
@@ -188,6 +218,10 @@ def test_malformed_values_exit_4(tmp_path, capsys):
         docs[f"simplicial_{len(docs)}"] = {
             "kind": "simplicial", "metadata": {}, "system": {
                 "vertices": ["a", "b"], "maximal": [["a", "b"]], key: value}}
+    docs["intrinsic_sign"] = segment_doc(sign=2)
+    docs["intrinsic_iso_order"] = segment_doc(iso_order=0)
+    docs["intrinsic_duplicate_flow"] = segment_doc()
+    docs["intrinsic_duplicate_flow"]["system"]["flows"] *= 2
     for name, doc in docs.items():
         assert main(["homology", write_doc(tmp_path, name + ".json", doc)]) \
             == EXIT_PARSE, name
@@ -197,6 +231,19 @@ def test_malformed_values_exit_4(tmp_path, capsys):
     assert main(["homology", write_doc(tmp_path, "ok.json", orientable)]) \
         == EXIT_OK
     assert "betti: 1,0,1" in capsys.readouterr().out
+
+
+def test_intrinsic_laws_exit_2(tmp_path, capsys):
+    assert main(["homology", write_doc(tmp_path, "ok.json", segment_doc())]) \
+        == EXIT_OK
+    assert "betti: 0,0" in capsys.readouterr().out
+    index = segment_doc()
+    index["system"]["points"][0]["index"] = 2
+    for name, doc in (("index", index), ("divides", segment_doc(iso_order=4))):
+        for command in ("validate", "homology"):
+            path = write_doc(tmp_path, name + ".json", doc)
+            assert main([command, path]) == EXIT_INVALID, (command, name)
+            assert capsys.readouterr().err.startswith("error: "), name
 
 
 @pytest.mark.parametrize("argv", [["homology", "heart"],
