@@ -35,7 +35,6 @@ from .groups import (
     DEFAULT_CAP,
     FiniteGroup,
     GroupAction,
-    WeightedSet,
     compose,
     generate_group,
     generating_set,
@@ -49,7 +48,6 @@ from .intrinsic import (
     IntrinsicFlow,
     IntrinsicPoint,
     OrbifoldMorseSystem,
-    PairingForm,
     PairingReport,
     boundary_minus,
     boundary_plus,

@@ -165,16 +165,6 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
 
-    def grid(self) -> str:
-        """Stable textual grid, one bracketed row per line."""
-        if self.rows == 0 or self.cols == 0:
-            return f"[empty {self.rows}x{self.cols}]"
-        cells = [[str(x) for x in row] for row in self.entries]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join(
-            "[ " + "  ".join(c.rjust(width) for c in row) + " ]"
-            for row in cells)
-
 
 @dataclass(frozen=True)
 class GradedComplex:
@@ -233,25 +223,6 @@ class GradedComplex:
 
     def dims(self) -> tuple[int, ...]:
         return tuple(self.dim(k) for k in range(self.max_degree + 1))
-
-    def opposite(self) -> "GradedComplex":
-        """Reversed grading with transposed boundaries."""
-        n = self.max_degree
-        labels = [self.basis_labels[n - k] for k in range(n + 1)]
-        bnds = [self.boundary_at(n - k + 1).transpose() for k in range(1, n + 1)]
-        return GradedComplex.build(labels, bnds)
-
-    def permuted(self, perms) -> "GradedComplex":
-        """Reorder each degree's generators by the given permutations."""
-        labels = [[self.basis_labels[k][i] for i in perms[k]]
-                  for k in range(self.max_degree + 1)]
-        bnds = []
-        for k in range(1, self.max_degree + 1):
-            row_at = {r: i for i, r in enumerate(perms[k - 1])}
-            cols = self.boundary_at(k).columns
-            bnds.append(RationalMatrix.of_columns(self.dim(k - 1), (
-                {row_at[r]: v for r, v in cols[c].items()} for c in perms[k])))
-        return GradedComplex.build(labels, bnds)
 
 
 def square_entries(c: GradedComplex):

@@ -413,7 +413,7 @@ def _validate_simplicial(rep, gk, sub) -> int:
     return EXIT_OK
 
 def _homology_simplicial(rep, conv, gk, sub) -> int:
-    _, _, rounds, q = regularize(gk, sub)
+    rounds, q = regularize(gk, sub)
     rep.add("rounds", rounds)
     rep.add("betti", homology(q.complex))
     rep.add("betti_invariant", invariant_homology(gk))

@@ -180,8 +180,8 @@ class GroupAction:
     """Action of a FiniteGroup on a finite labeled set.
 
     Stored as one image array over the point list per group element.  The
-    identity and compatibility laws hold by construction for the provided
-    constructors; verify() re-checks them exhaustively.
+    tables are taken as given; validate_system checks the action law on the
+    tables of a Morse system.
     """
 
     def __init__(self, group: FiniteGroup, points: Sequence[Hashable],
@@ -201,42 +201,6 @@ class GroupAction:
         pts = range(group.degree)
         return cls(group, pts, {g: g for g in group.elements})
 
-    @classmethod
-    def from_generator_images(cls, group: FiniteGroup,
-                              points: Sequence[Hashable],
-                              gen_images: Sequence[Sequence[int]],
-                              generators: Sequence[Sequence[int]]) -> "GroupAction":
-        """Extend per-generator image arrays to the whole group.
-
-        generators[i] (a ground permutation) acts on the points by
-        gen_images[i].  The pair lists must line up.  Raises
-        ActionNotWellDefined when the images do not factor through the
-        group, i.e. two words with the same ground permutation disagree
-        on the points.
-        """
-        d, m = group.degree, len(points)
-        gens = [check_perm(g, d) for g in generators]
-        imgs = [check_perm(a, m) for a in gen_images]
-        if len(gens) != len(imgs):
-            raise ActionNotWellDefined("one image array per generator required")
-        combined = [g + tuple(d + x for x in a) for g, a in zip(gens, imgs)]
-        try:
-            big = generate_group(combined, degree=d + m, cap=group.order)
-        except ClosureExceedsCap:
-            raise ActionNotWellDefined(
-                "generator images are inconsistent on some group element") from None
-        if big.order != group.order:
-            raise ActionNotWellDefined(
-                "generator images are inconsistent on some group element")
-        images: dict[Perm, tuple[int, ...]] = {}
-        for e in big.elements:
-            ground = e[:d]
-            images[ground] = tuple(x - d for x in e[d:])
-        if set(images) != set(group.elements):
-            raise ActionNotWellDefined(
-                "ground permutations do not generate the given group")
-        return cls(group, points, images)
-
     # -- the action ----------------------------------------------------
 
     def image(self, g: Perm, x: Hashable) -> Hashable:
@@ -246,18 +210,6 @@ class GroupAction:
 
     def image_array(self, g: Perm) -> tuple[int, ...]:
         return self._images[tuple(g)]
-
-    def verify(self) -> None:
-        """Exhaustive identity/compatibility check (test helper)."""
-        ident = self.group.identity
-        assert self._images[ident] == tuple(range(len(self.points)))
-        for g in self.group:
-            ag = self._images[g]
-            for h in self.group:
-                ah = self._images[h]
-                agh = self._images[compose(g, h)]
-                assert agh == tuple(ag[x] for x in ah), \
-                    f"action not compatible at {g}, {h}"
 
 
 def stabilizer(action: GroupAction, x: Hashable) -> FiniteGroup:
@@ -282,45 +234,21 @@ def orbits(action: GroupAction) -> list[list[Hashable]]:
     return out
 
 
-@dataclass(frozen=True)
-class WeightedSet:
-    """Finite labeled set with an exact rational weight per equivalence class.
-
-    grouping partitions the points; the weight map must be constant on each
-    class (checked on construction).
-    """
-
-    points: tuple
-    weight: dict
-    grouping: tuple[tuple, ...]
-
-    def __post_init__(self):
-        seen = []
-        for cls_ in self.grouping:
-            vals = {Fraction(self.weight[x]) for x in cls_}
-            if len(vals) != 1:
-                raise WeightNotOrbitConstant(
-                    f"weights differ on class {list(cls_)!r}: {sorted(vals)}")
-            seen.extend(cls_)
-        if len(seen) != len(self.points) or set(seen) != set(self.points):
-            raise WeightNotOrbitConstant("grouping does not partition the points")
-
-    def class_weight(self, cls_) -> Fraction:
-        return Fraction(self.weight[cls_[0]])
-
-
 def weighted_orbit_count(action: GroupAction, weight: dict) -> Fraction:
     """Sum of one weight per orbit, computed two independent ways.
 
     Direct: sum the common weight over the orbit list.  Averaged: sum
     weight(x) * |Stab(x)| over all points and divide by |G|.  The two results
-    are asserted equal before returning.
+    are asserted equal before returning.  Raises WeightNotOrbitConstant when
+    the weight differs within an orbit.
     """
-    orbs = orbits(action)
-    ws = WeightedSet(points=action.points,
-                     weight=weight,
-                     grouping=tuple(tuple(o) for o in orbs))
-    direct = sum((ws.class_weight(o) for o in orbs), Fraction(0))
+    direct = Fraction(0)
+    for orb in orbits(action):
+        vals = {Fraction(weight[x]) for x in orb}
+        if len(vals) != 1:
+            raise WeightNotOrbitConstant(
+                f"weights differ on class {orb!r}: {sorted(vals)}")
+        direct += vals.pop()
     averaged = Fraction(0)
     for x in action.points:
         averaged += Fraction(weight[x]) * stabilizer(action, x).order

@@ -102,12 +102,9 @@ def _boundary(s: OrbifoldMorseSystem, convention: str) -> GradedComplex:
               for k in range(s.ambient_dim + 1)]
     entries = []
     for f in s.flows:
-        weight_point = s.point(f.dst if convention == "plus" else f.src)
-        term = Fraction(f.sign * weight_point.iso_order, f.iso_order)
-        if term.denominator != 1:
-            raise DivisibilityViolation(
-                f"flow {f.label!r}: weight {term} is not an integer")
-        entries.append((s.point(f.src).index, f.dst, f.src, term))
+        iso = s.point(f.dst if convention == "plus" else f.src).iso_order
+        entries.append((s.point(f.src).index, f.dst, f.src,
+                        f.sign * iso // f.iso_order))
     return GradedComplex.from_entries(labels, entries)
 
 
@@ -171,26 +168,6 @@ def reverse(s: OrbifoldMorseSystem, n: int | None = None) -> OrbifoldMorseSystem
                            iso_order=f.iso_order, sign=f.sign)
              for f in s.flows]
     return OrbifoldMorseSystem(ambient_dim=n, crit_points=crit, flows=flows)
-
-
-@dataclass(frozen=True)
-class PairingForm:
-    """Diagonal inner product on the generators."""
-
-    weights: dict
-
-    def __post_init__(self):
-        for lab, w in self.weights.items():
-            if w <= 0:
-                raise MalformedSystem(f"pairing weight of {lab!r} not positive")
-
-    @classmethod
-    def from_system(cls, s: OrbifoldMorseSystem, convention: str = "plus"):
-        if convention == "plus":
-            return cls({p.label: Fraction(1, p.iso_order) for p in s.crit
-                        if p.orientable})
-        return cls({p.label: Fraction(p.iso_order) for p in s.crit
-                    if p.orientable})
 
 
 @dataclass(frozen=True)

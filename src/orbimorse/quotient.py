@@ -390,7 +390,7 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     return report
 
 
-def _require_valid(s: EquivariantMorseSystem, check_valid: bool) -> None:
+def _require_valid(s: EquivariantMorseSystem, check_valid: bool = True) -> None:
     if check_valid:
         report = validate_system(s)
         if not report.ok:
@@ -578,16 +578,16 @@ def invariant_boundary(s: EquivariantMorseSystem, *,
     return out
 
 
-def derive_intrinsic(s: EquivariantMorseSystem, *,
-                     check_valid: bool = True) -> OrbifoldMorseSystem:
+def derive_intrinsic(s: EquivariantMorseSystem) -> OrbifoldMorseSystem:
     """Quotient system: orientable orbits become weighted critical points.
 
+    Raises SystemNotValid unless the system passes validate_system.
     Orientations are first normalized to the canonical gauge; flow orbits
     whose endpoints are both orientable become flow classes with the
     stabilizer order of their least member, |G| / |orbit| by the
     orbit-stabilizer theorem, and its canonical sign.
     """
-    _require_valid(s, check_valid)
+    _require_valid(s)
     gauge = _normalize(s)
     cls = classify(s)
     crit = [IntrinsicPoint(label=o.rep, index=o.index, iso_order=o.iso_order,

@@ -253,20 +253,20 @@ def quotient(gk: GSimplicialComplex,
     return QuotientComplex(complex=qc, provenance=seen, sub=qsub)
 
 
-def regularize(gk: GSimplicialComplex, sub: Optional[SimplicialComplex] = None,
-               max_rounds: int = 2):
-    """Subdivide until the quotient is simplicial; returns (gk, sub, rounds, q).
+#: Subdivision rounds regularize tries; one is usually enough, two always are.
+MAX_ROUNDS = 2
 
-    One round is usually enough, two always are.
-    """
+
+def regularize(gk: GSimplicialComplex, sub: Optional[SimplicialComplex] = None):
+    """Subdivide until the quotient is simplicial; returns (rounds, q), q the
+    quotient of the complex (and sub) subdivided that many times."""
     rounds = 0
     current, cur_sub = gk, sub
     while True:
         try:
-            q = quotient(current, cur_sub)
-            return current, cur_sub, rounds, q
+            return rounds, quotient(current, cur_sub)
         except NotRegular:
-            if rounds >= max_rounds:
+            if rounds >= MAX_ROUNDS:
                 raise
         current = current.subdivided()
         if cur_sub is not None:
@@ -311,7 +311,7 @@ def compare(system, gk: GSimplicialComplex) -> CompareReport:
     ok, witness = verify_complex(cx)
     assert ok, f"invariant Morse complex fails to square to zero at {witness}"
     morse = complex_betti(cx)
-    _, _, rounds, q = regularize(gk)
+    rounds, q = regularize(gk)
     simp = homology(q.complex)
     width = max(len(morse), len(simp))
     morse_p = tuple(morse) + (0,) * (width - len(morse))

@@ -195,7 +195,7 @@ def test_criterion_05_burnside_identity():
 
 def test_criterion_06_invariant_equals_quotient_homology():
     for name, (gk, sub) in triangulations():
-        _, _, rounds, q = regularize(gk, sub)
+        rounds, q = regularize(gk, sub)
         assert invariant_homology(gk) == homology(q.complex), name
         if sub is not None:
             assert invariant_homology(gk, sub) == homology(q.complex, q.sub), \
@@ -206,13 +206,13 @@ def test_criterion_07_disc_quotients():
     for k in (2, 3, 4):
         inst = load_corpus(f"disc_rot_{k}")
         gk, sub = build_simplicial(inst.body["system"])
-        _, _, _, q = regularize(gk, sub)
+        _, q = regularize(gk, sub)
         assert homology(q.complex, q.sub) == (0, 0, 1), k
         assert invariant_homology(gk, sub) == (0, 0, 1), k
     for name in ("disc_reflect", "disc_reflect_d1"):
         inst = load_corpus(name)
         gk, sub = build_simplicial(inst.body["system"])
-        _, _, _, q = regularize(gk, sub)
+        _, q = regularize(gk, sub)
         assert not any(homology(q.complex, q.sub)), name
         assert not any(invariant_homology(gk, sub)), name
 

@@ -87,7 +87,6 @@ def test_matrix_algebra_round_trip():
     a = RationalMatrix([[1, 2], [3, 4]])
     assert a + a.scale(-1) == RationalMatrix.zeros(2, 2)
     assert a.transpose().transpose() == a
-    assert "1" in a.grid()
 
 
 def test_elimination_self_consistency_randomized():
@@ -138,21 +137,6 @@ def test_verify_complex_reports_witness():
 def test_betti_of_interval_and_circle():
     assert betti(interval_complex()) == (1, 0)
     assert betti(circle_complex()) == (1, 1)
-
-
-def test_opposite_reverses_betti():
-    c = interval_complex()
-    assert betti(c.opposite()) == (0, 1)
-    assert betti(circle_complex().opposite()) == (1, 1)
-
-
-def test_permuted_complex_keeps_homology():
-    c = circle_complex()
-    p = c.permuted([(2, 0, 1), (1, 2, 0)])
-    assert p.basis_labels[0] == ("c", "a", "b")
-    assert betti(p) == betti(c)
-    # permuting by identities is the identity
-    assert c.permuted([(0, 1, 2), (0, 1, 2)]) == c
 
 
 def test_chain_map_verification():

@@ -84,6 +84,39 @@ def test_corpus_tool_builds_the_packaged_corpus_and_every_instance_passes(
         f"{name}: pass\n" for name in corpus_names())
 
 
+def _package_namespaces():
+    """Each orbimorse module and each class it defines, by name, with a copy
+    of its attribute dict."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "orbimorse" or name.startswith("orbimorse."):
+            out[name] = dict(vars(mod))
+            for attr, value in vars(mod).items():
+                if isinstance(value, type) and value.__module__ == name:
+                    out[f"{name}.{attr}"] = dict(vars(value))
+    return out
+
+
+def test_benchmark_tracer_wraps_every_named_function_and_restores_it():
+    tracer_path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t[:2] for t in tracer.SPANS + tracer.COUNTED + [tracer.ROOT]]
+    before = _package_namespaces()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        during = _package_namespaces()
+        for module, path in targets:
+            *cls, attr = path.split(".")
+            owner = ".".join([f"orbimorse.{module}", *cls])
+            assert during[owner][attr] is not before[owner][attr], (module, path)
+    finally:
+        t.uninstall()
+    assert _package_namespaces() == before
+
+
 def test_validate_heart(tmp_path, capsys):
     assert main(["validate", corpus_file(tmp_path, "heart")]) == EXIT_OK
     out = capsys.readouterr().out

@@ -13,7 +13,6 @@ from orbimorse import (
     IntrinsicPoint,
     MalformedSystem,
     OrbifoldMorseSystem,
-    PairingForm,
     betti,
     boundary_minus,
     boundary_plus,
@@ -132,16 +131,6 @@ def test_pairing_rows_of_one_flow():
                                Fraction(1, 2), Fraction(1, 2))
     assert by_conv["minus"] == ("p", "q", "minus", Fraction(4),
                                 Fraction(4), Fraction(4))
-
-
-def test_pairing_form_weights():
-    s = one_flow_system()
-    assert PairingForm.from_system(s, "plus").weights == \
-        {"p": Fraction(1, 2), "q": Fraction(1, 4)}
-    assert PairingForm.from_system(s, "minus").weights == \
-        {"p": Fraction(2), "q": Fraction(4)}
-    with pytest.raises(MalformedSystem):
-        PairingForm({"p": Fraction(-1)})
 
 
 def random_system(rng):

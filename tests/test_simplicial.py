@@ -107,7 +107,7 @@ def test_flipped_edge_needs_one_subdivision():
         quotient(gk)
     sd = gk.subdivided()
     assert is_regular(sd)
-    _, _, rounds, q = regularize(gk)
+    rounds, q = regularize(gk)
     assert rounds == 1
     assert q.complex.counts() == (2, 1)
     assert homology(q.complex) == (1, 0)
@@ -119,7 +119,7 @@ def test_octahedron_quotient_needs_one_subdivision():
     assert is_regular(gk)
     with pytest.raises(NotRegular, match="share"):
         quotient(gk)
-    _, _, rounds, q = regularize(gk)
+    rounds, q = regularize(gk)
     assert rounds == 1
     assert homology(q.complex) == (1, 0, 1)
     assert invariant_homology(gk) == (1, 0, 1)
@@ -130,7 +130,7 @@ def test_cycle_rotation_needs_two_subdivisions():
                   [[1, 2, 3, 0]])
     with pytest.raises(NotRegular, match="collapses"):
         quotient(gk)
-    _, _, rounds, q = regularize(gk)
+    rounds, q = regularize(gk)
     assert rounds == 2
     assert homology(q.complex) == (1, 1)
     assert invariant_homology(gk) == (1, 1)
@@ -140,7 +140,7 @@ def test_cycle_reflection_quotients_to_a_path():
     gk = gcomplex("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
                   [[0, 3, 2, 1]])
     assert is_regular(gk)
-    _, _, rounds, q = regularize(gk)
+    rounds, q = regularize(gk)
     assert rounds == 0
     assert q.complex.counts() == (3, 2)
     assert homology(q.complex) == (1, 0)
@@ -152,7 +152,7 @@ def test_relative_quotient_of_a_folded_path():
     ends = SimplicialComplex("ac", [("a",), ("c",)])
     assert homology(gk.complex, ends) == (0, 1)
     assert invariant_homology(gk, ends) == (0, 0)
-    _, _, rounds, q = regularize(gk, ends)
+    rounds, q = regularize(gk, ends)
     assert rounds == 0
     assert q.sub is not None and q.sub.vertices == ("a",)
     assert homology(q.complex, q.sub) == (0, 0)
@@ -245,7 +245,7 @@ def symmetric_complexes(draw):
 @given(symmetric_complexes())
 def test_invariant_homology_equals_quotient_homology(case):
     gk, sub = case
-    _, _, _, q = regularize(gk, sub)
+    _, q = regularize(gk, sub)
     assert invariant_homology(gk) == homology(q.complex)
     if sub is not None:
         assert invariant_homology(gk, sub) == homology(q.complex, q.sub)
