@@ -37,7 +37,6 @@ from .groups import (
     GroupAction,
     compose,
     generate_group,
-    generating_set,
     identity_perm,
     invert,
     orbits,

@@ -78,8 +78,7 @@ class FiniteGroup:
     """Permutation group of fixed degree with its full element table.
 
     elements[0] is the identity.  Closure under composition and inverse is
-    guaranteed by the generate_group constructor; verify() re-checks it
-    exhaustively for tests.
+    guaranteed by the generate_group constructor.
     """
 
     degree: int
@@ -102,17 +101,6 @@ class FiniteGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def verify(self) -> None:
-        """Exhaustive closure/inverse/identity check (test helper)."""
-        elems = set(self.elements)
-        assert len(elems) == len(self.elements), "duplicate elements"
-        assert self.elements[0] == identity_perm(self.degree)
-        for g in self.elements:
-            check_perm(g, self.degree)
-            assert invert(g) in elems, f"inverse of {g} missing"
-            for h in self.elements:
-                assert compose(g, h) in elems, f"product {g}*{h} missing"
 
 
 def check_generators(generators: Iterable[Sequence[int]],
@@ -159,29 +147,24 @@ def generate_group(generators: Iterable[Sequence[int]], *,
     return FiniteGroup(degree=degree, elements=tuple(order))
 
 
-def generating_set(group: FiniteGroup) -> tuple[Perm, ...]:
-    """A generating set of at most log2 |G| elements, in element order.
-
-    Walks the element table and keeps each element the kept ones do not yet
-    generate, re-closing after each.  Every kept element at least doubles
-    the generated subgroup, hence the bound.  The trivial group gives ().
-    """
-    gens: list[Perm] = []
-    reached = {group.identity}
-    for g in group.elements:
-        if g not in reached:
-            gens.append(g)
-            reached = set(generate_group(gens, degree=group.degree,
-                                         cap=group.order).elements)
-    return tuple(gens)
+def base_points(group: FiniteGroup) -> list[int]:
+    """Points whose images tell the elements of G apart, kept greedily when
+    they split the elements further (at most log2 |G| of them)."""
+    base, told = [], 1
+    for b in range(group.degree):
+        if told == group.order:
+            break
+        n = len(set(map(gather(base + [b]), group.elements)))
+        if n > told:
+            base, told = base + [b], n
+    return base
 
 
 class GroupAction:
     """Action of a FiniteGroup on a finite labeled set.
 
-    Stored as one image array over the point list per group element.  The
-    tables are taken as given; validate_system checks the action law on the
-    tables of a Morse system.
+    Stored as one image array over the point list per group element, taken
+    as given.
     """
 
     def __init__(self, group: FiniteGroup, points: Sequence[Hashable],

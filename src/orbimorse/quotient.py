@@ -7,24 +7,29 @@ orientation at g.p; the cocycle law tau(gh, p) = tau(g, h.p) tau(h, p) and the
 sign-equivariance law eps(g.flow) = tau(g, src) tau(g, dst) eps(flow) tie the
 data together.
 
-Validation reads the integer image arrays and tau rows.  The cocycle law is
-checked for g in a generating set of G only, against every h; by induction
-on the word length of g this covers all of G x G once the tables form an
-action, (gh).x = g.(h.x), which is checked on the same pairs because the
-direct constructor accepts any image tables.
-
-Orbit classification: an orbit is orientable when tau(g, p) = +1 for every g
-in the stabilizer of one (hence any) member.  Orientable orbits carry the
-quotient chain generators; non-orientable orbits are discarded, and the
-boundary of an orbit sum provably cancels on them.
+A system's state is one row per generator s of G: its ground permutation,
+the point images, tau(s, .) and the flow images; G is the closure of the
+ground generators.  Construction scans the Cayley graph of G (edges
+g -> sg) for one member x of each orbit of signed points (k, +-1) and of
+flows, carrying g.x along the edges: the rows extend to an action of G,
+with tau a cocycle, exactly when every edge agrees, so those two laws hold
+by construction.  The scan also gives the orbits.  A point orbit is
+orientable when (k, +1) and (k, -1) lie in different signed orbits, that is
+when no element of the stabilizer of k reverses its orientation, and then
+the signs on the orbit of (rep, +1) are a G-invariant orientation.
+Orientable orbits carry the quotient chain generators; non-orientable orbits
+are discarded, and the boundary of an orbit sum provably cancels on them.
+The other laws are checked on the rows (validate_system); the per-element
+tables (point_action, flow_action, tau) are built on first use only, for
+tests and to list every witness of a law that fails.
 
 Canonical gauge.  Orientation choices can be re-gauged (flip any subset of
 unstable-manifold orientations, transforming tau and eps accordingly) without
 changing the geometry.  All derived quantities here are computed in a
 canonical gauge so they are literal functions of the gauge class: first the
-orientations over each orientable orbit are made G-invariant by propagation
-from the least member, then the leftover one-sign-per-orbit freedom is fixed
-along a deterministic spanning forest of the orbit adjacency graph (the
+orientations over each orientable orbit are made G-invariant, +1 at the
+least member, then the leftover one-sign-per-orbit freedom is fixed along a
+deterministic spanning forest of the orbit adjacency graph (the
 lexicographically least flow class on each forest edge gets sign +1).
 """
 
@@ -32,12 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from operator import mul
+from typing import NamedTuple, Optional
 
 from .chaincx import GradedComplex, orbit_sum_complex, verify_complex
 from .errors import (
     ActionNotWellDefined,
-    ClosureExceedsCap,
     GaugeFailure,
     IndexMismatch,
     MalformedSystem,
@@ -49,14 +55,11 @@ from .groups import (
     DEFAULT_CAP,
     FiniteGroup,
     GroupAction,
+    base_points,
     check_generators,
-    compose,
     gather,
     generate_group,
-    generating_set,
     is_perm,
-    orbits,
-    stabilizer,
 )
 from .intrinsic import IntrinsicFlow, IntrinsicPoint, OrbifoldMorseSystem
 
@@ -118,45 +121,45 @@ class CriticalOrbit:
 class EquivariantMorseSystem:
     """Critical points, flows, orientation cocycle, and the group actions.
 
-    Construction checks structure only (labels resolve, signs are +-1, the
-    tau table covers the group).  The geometric laws are the validator's job,
-    so defective systems can be built and diagnosed.
+    rows holds (g, point images, tau(g, .), flow images) per generator g of
+    G.  Construction raises ActionNotWellDefined unless the rows extend to
+    an action of G (the orbit scan) and otherwise checks structure only
+    (labels resolve, signs are +-1).  The remaining laws are the
+    validator's job, so defective systems can be built and diagnosed.
     """
 
-    def __init__(self, group: FiniteGroup, crit_points, point_action: GroupAction,
-                 tau_table: dict, flows, flow_action: GroupAction,
+    def __init__(self, group: FiniteGroup, crit_points, flows, rows,
                  ambient_dim: int):
-        self.group = group
-        self.crit = tuple(crit_points)
-        self.point_action = point_action
-        self.flows = tuple(flows)
-        self.flow_action = flow_action
+        self._setup(group, crit_points, flows, rows, ambient_dim)
+        if not _scan(self).consistent:
+            raise ActionNotWellDefined(
+                "cocycle or action data inconsistent across group words")
+        self._check()
+
+    def _setup(self, group, crit_points, flows, rows, ambient_dim):
+        self.group, self.rows = group, tuple(rows)
+        self.crit, self.flows = tuple(crit_points), tuple(flows)
         self.ambient_dim = int(ambient_dim)
-        self._crit_by_label = {p.label: p for p in self.crit}
+        self._index_of = {p.label: i for i, p in enumerate(self.crit)}
         self._flow_by_label = {f.label: f for f in self.flows}
-        self._tau = {tuple(g): tuple(row) for g, row in tau_table.items()}
         self._cache: dict = {}
 
-        if len(self._crit_by_label) != len(self.crit):
+    def _check(self):
+        if len(self._index_of) != len(self.crit):
             raise MalformedSystem("duplicate critical point labels")
         if len(self._flow_by_label) != len(self.flows):
             raise MalformedSystem("duplicate flow labels")
-        if point_action.points != tuple(p.label for p in self.crit):
-            raise MalformedSystem("point action must act on the critical labels in order")
-        if flow_action.points != tuple(f.label for f in self.flows):
-            raise MalformedSystem("flow action must act on the flow labels in order")
         for f in self.flows:
             for end in (f.src, f.dst):
-                if end not in self._crit_by_label:
+                if end not in self._index_of:
                     raise MalformedSystem(
                         f"flow {f.label!r} references unknown point {end!r}")
             if not _is_sign(f.sign):
                 raise MalformedSystem(f"flow {f.label!r} has sign {f.sign!r}")
-        if set(self._tau) != set(group.elements):
-            raise MalformedSystem("tau table must cover every group element")
-        for g, row in self._tau.items():
-            if len(row) != len(self.crit) or not all(map(_is_sign, row)):
-                raise MalformedSystem("tau rows must be +-1 per critical point")
+
+    def _action_laws(self) -> tuple[list, list]:
+        """Action compatibility and cocycle violations: none by construction."""
+        return [], []
 
     # -- construction from generator data --------------------------------
 
@@ -164,82 +167,66 @@ class EquivariantMorseSystem:
     def from_generator_data(cls, *, generators, degree=None, cap=DEFAULT_CAP,
                             crit_points, crit_images, crit_signs,
                             flows, flow_images, ambient_dim):
-        """Build the full tables from per-generator data.
+        """Build a system whose state is its generator rows and G.
 
-        The cocycle is extended by closing signed permutations: a critical
-        label with a sign is a point of a doubled set, so plain permutation
-        closure realizes exactly the cocycle composition law.  That one
-        closure also gives G, as the ground parts of its elements.  The data
-        is consistent exactly when those are distinct; the projection is then
-        an isomorphism onto the group the generators close to, mapping
-        breadth-first levels onto levels, so G keeps generate_group's element
-        order.  Inconsistent generator data raises ActionNotWellDefined, and
-        a group beyond the cap ClosureExceedsCap.
+        G is the closure of the ground generators alone, in generate_group's
+        element order; a group beyond the cap raises ClosureExceedsCap.  The
+        orbit scan (module docstring) raises ActionNotWellDefined unless the
+        rows extend to an action of G on signed points and flows, and is
+        kept for classify.  The action and cocycle laws thus hold by
+        construction, and no per-element table is built.
         """
         gens, d = check_generators(generators, degree)
-        c, nf = len(crit_points), len(flows)
-        n = d + 2 * c + nf
-        combined = []
-        for gi, g in enumerate(gens):
-            imgs = list(crit_images[gi])
-            sgns = list(crit_signs[gi])
-            if (not is_perm(imgs, c) or len(sgns) != c
-                    or not all(map(_is_sign, sgns))):
-                raise MalformedSystem(
-                    f"generator {gi}: bad critical images or signs")
-            fimgs = list(flow_images[gi])
-            if not is_perm(fimgs, nf):
-                raise MalformedSystem(f"generator {gi}: bad flow images")
-            perm = list(g)
-            for j in range(c):
-                k, s = imgs[j], sgns[j]
-                perm.append(d + 2 * k + (0 if s == 1 else 1))
-                perm.append(d + 2 * k + (1 if s == 1 else 0))
-            for j in range(nf):
-                perm.append(d + 2 * c + fimgs[j])
-            combined.append(tuple(perm))
-
-        inconsistent = "cocycle or action data inconsistent across group words"
-        try:
-            big = generate_group(combined, degree=n, cap=cap)
-        except ClosureExceedsCap:
-            generate_group(gens, degree=d, cap=cap)
-            raise ActionNotWellDefined(inconsistent) from None
-        ground = gather(range(d))
-        elements = tuple(map(ground, big.elements))
-        if len(set(elements)) != len(elements):
-            raise ActionNotWellDefined(inconsistent)
-        group = FiniteGroup(degree=d, elements=elements)
-
-        # Decoding tables: position d + 2k + (0 or 1) of an element holds
-        # the image of point k, and which slot it lands in holds the sign.
-        point_of = [0] * d + [k for k in range(c) for _ in (1, -1)] + [0] * nf
-        sign_of = [0] * d + [1, -1] * c + [0] * nf
-        flow_of = [0] * (d + 2 * c) + list(range(nf))
-        point_slots = gather(range(d, d + 2 * c, 2))
-        flow_slots = gather(range(d + 2 * c, n))
-        point_images, tau_table, flow_images_full = {}, {}, {}
-        for g, e in zip(elements, big.elements):
-            decode = gather(point_slots(e))
-            point_images[g] = decode(point_of)
-            tau_table[g] = decode(sign_of)
-            flow_images_full[g] = gather(flow_slots(e))(flow_of)
         crit = tuple(CritPoint(*p) if not isinstance(p, CritPoint) else p
                      for p in crit_points)
         flws = tuple(Flow(*f) if not isinstance(f, Flow) else f for f in flows)
-        pa = GroupAction(group, [p.label for p in crit], point_images)
-        fa = GroupAction(group, [f.label for f in flws], flow_images_full)
-        return cls(group, crit, pa, tau_table, flws, fa, ambient_dim)
+        rows = []
+        for gi, g in enumerate(gens):
+            imgs, sgns = tuple(crit_images[gi]), tuple(crit_signs[gi])
+            if (not is_perm(imgs, len(crit)) or len(sgns) != len(crit)
+                    or not all(map(_is_sign, sgns))):
+                raise MalformedSystem(
+                    f"generator {gi}: bad critical images or signs")
+            fimgs = tuple(flow_images[gi])
+            if not is_perm(fimgs, len(flws)):
+                raise MalformedSystem(f"generator {gi}: bad flow images")
+            rows.append((g, imgs, sgns, fimgs))
+        group = generate_group(gens, degree=d, cap=cap)
+        return cls(group, crit, flws, rows, ambient_dim)
+
+    # -- per-element views, for tests and for listing every witness ----------
+
+    @cached_property
+    def _tables(self):
+        """Point action, tau table and flow action, composed along the tree
+        of the orbit scan: (sg).x = s.(g.x), tau(sg, x) = tau(s, g.x) tau(g, x)."""
+        c, e = len(self.crit), self.group.identity
+        pts, taus = {e: tuple(range(c))}, {e: (1,) * c}
+        flws = {e: tuple(range(len(self.flows)))}
+        elements = self.group.elements
+        for i, j, k in _scan(self).tree:
+            g, h = elements[i], elements[k]
+            _, ag, tg, fg = self.rows[j]
+            after_g = gather(pts[g])
+            pts[h] = after_g(ag)
+            taus[h] = tuple(map(mul, after_g(tg), taus[g]))
+            flws[h] = gather(flws[g])(fg)
+        return (GroupAction(self.group, [p.label for p in self.crit], pts), taus,
+                GroupAction(self.group, [f.label for f in self.flows], flws))
+
+    point_action = cached_property(lambda self: self._tables[0])
+    _tau = cached_property(lambda self: self._tables[1])
+    flow_action = cached_property(lambda self: self._tables[2])
 
     # -- access -----------------------------------------------------------
 
     def tau(self, g, label: str) -> int:
-        if label not in self._crit_by_label:
+        if label not in self._index_of:
             raise UnknownPoint(f"{label!r} is not a critical point")
-        return self._tau[tuple(g)][self.point_action.index_of[label]]
+        return self._tau[tuple(g)][self._index_of[label]]
 
     def crit_point(self, label: str) -> CritPoint:
-        return self._crit_by_label[label]
+        return self.crit[self._index_of[label]]
 
     def flow(self, label: str) -> Flow:
         return self._flow_by_label[label]
@@ -258,46 +245,105 @@ class EquivariantMorseSystem:
         return self._cache["manifold"]
 
 
+# -- the orbit scan -----------------------------------------------------------
+
+class _Scan(NamedTuple):
+    tree: list          # (i, j, k): g_k = s_j g_i first reaches g_k, breadth first
+    orbits: list        # point orbits (member indices, orientable), by label
+    sigma: list         # invariant orientation per point, +1 off orientable orbits
+    flow_orbits: list   # flow orbits as member indices, by label
+    consistent: bool    # the rows extend to an action of G
+
+
+def _partition(labels, images):
+    """Orbits of the image arrays, members and orbits by least label."""
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    orbit_of, out = [-1] * len(labels), []
+    for x in by_label:
+        if orbit_of[x] < 0:
+            k = orbit_of[x] = len(out)
+            queue = [x]
+            for y in queue:
+                for img in images:
+                    if orbit_of[img[y]] < 0:
+                        orbit_of[img[y]] = k
+                        queue.append(img[y])
+            out.append([])
+    for x in by_label:
+        out[orbit_of[x]].append(x)
+    return out
+
+
+def _scan(s: EquivariantMorseSystem) -> _Scan:
+    """The orbit scan of the module docstring, for all orbits at once; cached.
+
+    Signed point (k, +1) is 2k, (k, -1) is 2k + 1 and flow f is 2c + f.
+    phi(g) lists g.x for the least member x of each orbit, (x, +1) for
+    points; breadth first from the identity, phi(sg) = s.phi(g) on the
+    first edge reaching sg, and every other edge is compared.
+    """
+    if "scan" in s._cache:
+        return s._cache["scan"]
+    group, rows, c = s.group, s.rows, len(s.crit)
+    moves = [[2 * y + ((t < 0) ^ e) for y, t in zip(ag, tg) for e in (0, 1)]
+             + [2 * c + h for h in fg] for _, ag, tg, fg in rows]
+    orbits = _partition([p.label for p in s.crit], [r[1] for r in rows])
+    flow_orbits = _partition([f.label for f in s.flows], [r[3] for r in rows])
+    reps = [2 * o[0] for o in orbits] + [2 * c + o[0] for o in flow_orbits]
+
+    # An element is keyed by its images of base points b; (sg)[b] = s[g[b]].
+    key = gather(base_points(group))
+    index = {k: i for i, k in enumerate(map(key, group.elements))}
+    phi = [None] * group.order
+    phi[0], tree, consistent = tuple(reps), [], True
+    queue = [0]
+    for i in queue:
+        ahead, here = gather(key(group.elements[i])), gather(phi[i])
+        for j, row in enumerate(rows):
+            k, there = index[ahead(row[0])], here(moves[j])
+            if phi[k] is None:
+                phi[k] = there
+                tree.append((i, j, k))
+                queue.append(k)
+            elif phi[k] != there:
+                consistent = False
+
+    sigma, kept = [1] * c, []
+    for o, values in zip(orbits, zip(*phi)):
+        seen = set(values)
+        orientable = 2 * o[0] + 1 not in seen
+        if orientable:
+            for v in seen:
+                sigma[v >> 1] = 1 - 2 * (v & 1)
+        kept.append((o, orientable))
+    s._cache["scan"] = _Scan(tree, kept, sigma, flow_orbits, consistent)
+    return s._cache["scan"]
+
+
 # -- validation -----------------------------------------------------------
-
-def _action_witness(g, h, labels, agh, ag, ah, what):
-    i = next(i for i in range(len(labels)) if agh[i] != ag[ah[i]])
-    return Violation(
-        "action_compatibility",
-        f"g={list(g)}, h={list(h)}: gh sends {what} {labels[i]!r} to "
-        f"{labels[agh[i]]!r}, g after h sends it to {labels[ag[ah[i]]]!r}")
-
 
 def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     """Check every law, reporting each violation with a witness; never raises.
     The report is cached on the system.
 
-    The laws read the integer image arrays and tau rows.  The cocycle law is
-    checked for g in a generating set S of G only, against every h:
-    action_compatibility checks (gh).x = g.(h.x) on the same pairs, on points
-    and flows, and given it the law for (s, h) with s in S gives the law for
-    every (g, h) by induction on the word length of g.  Without
-    compatibility that induction fails, so the direct constructor's image
-    tables are not trusted to be an action.  The trivial group has no
-    generators; its identity is checked instead.
-
-    Index, endpoint, sign and value equivariance are checked on the rows
-    g in S first.  When those, compatibility and the cocycle law all hold,
-    the same induction covers every g in G: the law for s and for h gives it
-    for sh, the sign law using the endpoint and cocycle laws on the way.
-    Otherwise they are checked for every g in G, so every witness of a
-    failing law is listed, in the order of the element table.
+    Action compatibility and the cocycle law hold by construction; only a
+    system holding hand-written tables (tests/reference_validator.py)
+    reports them, from _action_laws.  Index, endpoint, sign and value
+    equivariance are checked on the rows: given the action and cocycle
+    laws, the law for s and for h gives it for sh, the sign law using the
+    endpoint and cocycle laws on the way.  When one fails, or _action_laws
+    reports, the per-element tables are built and the four laws checked for
+    every g in G, so every witness is listed, in element-table order.
     """
     if "report" in s._cache:
         return s._cache["report"]
-    G = s.group
-    pa, fa, tau = s.point_action, s.flow_action, s._tau
-    labels, flow_labels = pa.points, fa.points
+    labels = [p.label for p in s.crit]
+    flow_labels = [f.label for f in s.flows]
     index = [p.index for p in s.crit]
     value = [p.value for p in s.crit]
     values_present = [i for i, v in enumerate(value) if v is not None]
-    src = [pa.index_of[f.src] for f in s.flows]
-    dst = [pa.index_of[f.dst] for f in s.flows]
+    src = [s._index_of[f.src] for f in s.flows]
+    dst = [s._index_of[f.dst] for f in s.flows]
     eps = [f.sign for f in s.flows]
 
     index_range = [
@@ -310,32 +356,11 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
                   f"flow {f.label!r} goes from index {index[a]} to index {index[b]}")
         for f, a, b in zip(s.flows, src, dst) if index[a] != index[b] + 1]
 
-    gens = generating_set(G) or (G.identity,)
-    compat: list[Violation] = []
-    cocycle: list[Violation] = []
-    for g in gens:
-        ag, fg, tg = pa.image_array(g), fa.image_array(g), tau[g]
-        for h in G:
-            gh = compose(g, h)
-            ah, th = pa.image_array(h), tau[h]
-            agh, tgh = pa.image_array(gh), tau[gh]
-            if agh != gather(ah)(ag):
-                compat.append(_action_witness(g, h, labels, agh, ag, ah, "point"))
-            fh, fgh = fa.image_array(h), fa.image_array(gh)
-            if fgh != gather(fh)(fg):
-                compat.append(_action_witness(g, h, flow_labels, fgh, fg, fh,
-                                              "flow"))
-            for i, x in enumerate(ah):
-                if tgh[i] != tg[x] * th[i]:
-                    cocycle.append(Violation(
-                        "cocycle",
-                        f"tau(gh, {labels[i]!r}) != tau(g, {labels[x]!r}) "
-                        f"tau(h, {labels[i]!r}) for g={list(g)}, h={list(h)}"))
+    compat, cocycle = s._action_laws()
 
     def per_element(rows):
         index_eq, endpoint_eq, sign_eq, value_eq = [], [], [], []
-        for g in rows:
-            ag, fg, tg = pa.image_array(g), fa.image_array(g), tau[g]
+        for g, ag, tg, fg in rows:
             for i, q in enumerate(ag):
                 if index[q] != index[i]:
                     index_eq.append(Violation(
@@ -364,9 +389,11 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
                         f"{labels[q]!r} (value {value[q]})"))
         return index_eq, endpoint_eq, sign_eq, value_eq
 
-    laws = per_element(gens)
+    laws = per_element(s.rows)
     if compat or cocycle or any(laws):
-        laws = per_element(G)
+        pa, fa, tau = s.point_action, s.flow_action, s._tau
+        laws = per_element((g, pa.image_array(g), tau[g], fa.image_array(g))
+                           for g in s.group)
     index_eq, endpoint_eq, sign_eq, value_eq = laws
 
     d_squared = []
@@ -400,29 +427,17 @@ def _require_valid(s: EquivariantMorseSystem, check_valid: bool = True) -> None:
 # -- classification ---------------------------------------------------------
 
 def classify(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:
-    """Orbit classification, ordered by least member label.
-
-    An orbit is orientable when tau is +1 on the stabilizer of its least
-    member; by the cocycle law the negative part of a stabilizer is empty or
-    exactly half, which is asserted.  The map from each label to its orbit
-    is cached beside the result, for orbit_of.
-    """
+    """Orbit classification from the orbit scan, ordered by least member
+    label; the isotropy order is |G| / |orbit|.  The map from each label to
+    its orbit is cached beside the result, for orbit_of."""
     if "classify" in s._cache:
         return s._cache["classify"]
-    out = []
-    for members in orbits(s.point_action):
-        rep = members[0]
-        stab = stabilizer(s.point_action, rep)
-        r = s.point_action.index_of[rep]
-        neg = [g for g in stab if s._tau[g][r] == -1]
-        assert len(neg) in (0, stab.order // 2), \
-            f"tau is not a homomorphism on the stabilizer of {rep!r}"
-        out.append(CriticalOrbit(
-            members=tuple(members),
-            index=s._crit_by_label[rep].index,
-            iso_order=stab.order,
-            orientable=not neg))
-    result = tuple(out)
+    result = tuple(
+        CriticalOrbit(members=tuple(s.crit[m].label for m in members),
+                      index=s.crit[members[0]].index,
+                      iso_order=s.group.order // len(members),
+                      orientable=orientable)
+        for members, orientable in _scan(s).orbits)
     s._cache["classify"] = result
     s._cache["orbit_of"] = {m: orb for orb in result for m in orb.members}
     return result
@@ -454,33 +469,27 @@ def _normalize(s: EquivariantMorseSystem) -> _Gauge:
     if "gauge" in s._cache:
         return s._cache["gauge"]
     cls = classify(s)
+    scan = _scan(s)
 
-    # G-invariant orientations over each orientable orbit: each member m
-    # takes tau(g, rep) for the first g in element order with g.rep = m.
-    pa = s.point_action
-    sig = [1] * len(s.crit)
+    # The scan's orientation on each orientable orbit, +1 at its least member,
+    # must give sigma(g.m) tau(g, m) sigma(m) = 1 on the generating rows.
+    sig = scan.sigma
     for orb in cls:
         if not orb.orientable:
             continue
-        r = pa.index_of[orb.rep]
-        orient: dict = {}
-        for g in s.group:
-            orient.setdefault(pa.image_array(g)[r], s._tau[g][r])
-        members = [pa.index_of[m] for m in orb.members]
-        for m in members:
-            sig[m] = orient.get(m, 1)
-        for g in s.group:
-            ag, tg = pa.image_array(g), s._tau[g]
+        members = [s._index_of[m] for m in orb.members]
+        for g, ag, tg, _ in s.rows:
             for m in members:
                 if sig[ag[m]] * tg[m] * sig[m] != 1:
                     raise GaugeFailure(
                         f"no G-invariant orientation on orbit of {orb.rep!r}; "
-                        f"witness g={list(g)}, p={pa.points[m]!r}")
-    sigma = dict(zip(pa.points, sig))
+                        f"witness g={list(g)}, p={s.crit[m].label!r}")
+    sigma = {p.label: sg for p, sg in zip(s.crit, sig)}
 
     eps = {f.label: sigma[f.src] * sigma[f.dst] * f.sign for f in s.flows}
 
-    flow_orbits = tuple(tuple(o) for o in orbits(s.flow_action))
+    flow_orbits = tuple(tuple(s.flows[f].label for f in o)
+                        for o in scan.flow_orbits)
     orientable_classes = {}
     for members in flow_orbits:
         src_orb, dst_orb = _flow_orbit_endpoints(s, members)
@@ -532,23 +541,17 @@ def _normalize(s: EquivariantMorseSystem) -> _Gauge:
 
 
 def regauge(s: EquivariantMorseSystem, sigma: dict) -> EquivariantMorseSystem:
-    """Flip unstable-manifold orientations by sigma; transforms tau and eps.
-
-    The result describes the same geometry in a different gauge; used by the
-    invariance test suites.
-    """
-    sg = {p.label: sigma.get(p.label, 1) for p in s.crit}
-    tau_table = {}
-    for g in s.group:
-        row = []
-        for p in s.crit:
-            gp = s.point_action.image(g, p.label)
-            row.append(sg[gp] * s.tau(g, p.label) * sg[p.label])
-        tau_table[g] = tuple(row)
+    """Flip unstable-manifold orientations by sigma: the rows' tau becomes
+    sigma(g.p) tau(g, p) sigma(p) and the flow signs follow.  The result
+    describes the same geometry in a different gauge; used by the
+    invariance test suites."""
+    sg = [sigma.get(p.label, 1) for p in s.crit]
+    rows = [(g, ag, tuple(map(mul, map(mul, gather(ag)(sg), tg), sg)), fg)
+            for g, ag, tg, fg in s.rows]
     flows = [Flow(label=f.label, src=f.src, dst=f.dst,
-                  sign=sg[f.src] * sg[f.dst] * f.sign) for f in s.flows]
-    return EquivariantMorseSystem(s.group, s.crit, s.point_action, tau_table,
-                                  flows, s.flow_action, s.ambient_dim)
+                  sign=sg[s._index_of[f.src]] * sg[s._index_of[f.dst]] * f.sign)
+             for f in s.flows]
+    return EquivariantMorseSystem(s.group, s.crit, flows, rows, s.ambient_dim)
 
 
 # -- derived complexes --------------------------------------------------------
@@ -623,10 +626,12 @@ def broken_weight(s: EquivariantMorseSystem, p: str, q: str, r: str, *,
 
         (1 / iso(m)) * sum(eps over flows top -> m) * sum(eps over m -> bottom)
 
-    The result is recomputed at every representative and asserted equal.
-    When the middle orbit is orientable the result is asserted to match the
-    flow-class formula sum nu(a) nu(b) / iso(middle); when it is not, the
-    result is asserted to be zero.
+    The result is recomputed at every representative, from the flows at
+    each endpoint (indexed once per system), and asserted equal.  When the
+    middle orbit is orientable the result is asserted to match the
+    flow-class formula sum nu(a) nu(b) / iso(middle), a flow class having
+    isotropy |G| / |flow orbit|; when it is not, the result is asserted to
+    be zero.
     """
     _require_valid(s, check_valid)
     P, Q, R = orbit_of(s, p), orbit_of(s, q), orbit_of(s, r)
@@ -637,12 +642,16 @@ def broken_weight(s: EquivariantMorseSystem, p: str, q: str, r: str, *,
         raise IndexMismatch("top and bottom orbits must be orientable")
     gauge = _normalize(s)
 
-    results = []
+    ends = s._cache.get("ends")
+    if ends is None:
+        ends = s._cache["ends"] = {c.label: ([], []) for c in s.crit}
+        for f in s.flows:
+            ends[f.dst][0].append(f)
+            ends[f.src][1].append(f)
+    top, bottom, results = set(P.members), set(R.members), []
     for m in Q.members:
-        into = sum(gauge.eps[f.label] for f in s.flows
-                   if f.dst == m and f.src in P.members)
-        outof = sum(gauge.eps[f.label] for f in s.flows
-                    if f.src == m and f.dst in R.members)
+        into = sum(gauge.eps[f.label] for f in ends[m][0] if f.src in top)
+        outof = sum(gauge.eps[f.label] for f in ends[m][1] if f.dst in bottom)
         results.append(Fraction(into * outof, Q.iso_order))
     assert len(set(results)) == 1, \
         f"broken weight depends on the representative: {results}"
@@ -652,7 +661,7 @@ def broken_weight(s: EquivariantMorseSystem, p: str, q: str, r: str, *,
         nu_in, nu_out = Fraction(0), Fraction(0)
         for members in gauge.flow_orbits:
             src_orb, dst_orb = _flow_orbit_endpoints(s, members)
-            iso = stabilizer(s.flow_action, members[0]).order
+            iso = s.group.order // len(members)
             nu = Fraction(gauge.eps[members[0]] * Q.iso_order, iso)
             if src_orb.rep == P.rep and dst_orb.rep == Q.rep:
                 nu_in += nu

@@ -1,15 +1,48 @@
-"""Full-scan validation: the reference the generator-gated validator must match.
+"""Full scans of the per-element tables: the references the generator-row
+code of orbimorse.quotient must match.
 
 reference_violations checks index, endpoint, sign and value equivariance
 for every g in G, with no gating, and compatibility and the cocycle law on
-a generating set times G.  It lists violations in the order
+the generators of the system's rows times G.  It lists violations in the order
 orbimorse.quotient.validate_system promises: law by law, and within a law
 in the order of the element table, then of the points or flows.
+
+reference_classify, reference_gauge and reference_derive compute the orbit
+classification, the canonical gauge and the derived system by scanning
+stabilizers and the element table: the oracle for the orbit scan of
+orbimorse.quotient.  They read the tables a system builds on first use.
+
+TableSystem is a system given by hand-written per-element tables, which
+nothing in the package builds; its rows come from generating_set.
 """
 
 from orbimorse.chaincx import verify_complex
-from orbimorse.groups import compose, generating_set
-from orbimorse.quotient import Violation
+from orbimorse.errors import MalformedSystem
+from orbimorse.groups import compose, generate_group, orbits, stabilizer
+from orbimorse.intrinsic import IntrinsicFlow, IntrinsicPoint
+from orbimorse.quotient import (
+    CriticalOrbit,
+    EquivariantMorseSystem,
+    Violation,
+    _is_sign,
+)
+
+
+def generating_set(group) -> tuple:
+    """A generating set of at most log2 |G| elements, in element order.
+
+    Walks the element table and keeps each element the kept ones do not yet
+    generate, re-closing after each.  Every kept element at least doubles
+    the generated subgroup, hence the bound.  The trivial group gives ().
+    """
+    gens = []
+    reached = {group.identity}
+    for g in group.elements:
+        if g not in reached:
+            gens.append(g)
+            reached = set(generate_group(gens, degree=group.degree,
+                                         cap=group.order).elements)
+    return tuple(gens)
 
 
 def _action_witness(g, h, labels, agh, ag, ah, what):
@@ -18,6 +51,61 @@ def _action_witness(g, h, labels, agh, ag, ah, what):
         "action_compatibility",
         f"g={list(g)}, h={list(h)}: gh sends {what} {labels[i]!r} to "
         f"{labels[agh[i]]!r}, g after h sends it to {labels[ag[ah[i]]]!r}")
+
+
+def action_laws(s):
+    """Action compatibility and the cocycle law, checked for g in the rows'
+    generating set against every h, on the per-element tables."""
+    G, pa, fa, tau = s.group, s.point_action, s.flow_action, s._tau
+    labels, flow_labels = pa.points, fa.points
+    compat, cocycle = [], []
+    for g, ag, tg, fg in s.rows:
+        for h in G:
+            gh = compose(g, h)
+            ah, th = pa.image_array(h), tau[h]
+            agh, tgh = pa.image_array(gh), tau[gh]
+            if agh != tuple(ag[x] for x in ah):
+                compat.append(_action_witness(g, h, labels, agh, ag, ah, "point"))
+            fh, fgh = fa.image_array(h), fa.image_array(gh)
+            if fgh != tuple(fg[x] for x in fh):
+                compat.append(_action_witness(g, h, flow_labels, fgh, fg, fh,
+                                              "flow"))
+            for i, x in enumerate(ah):
+                if tgh[i] != tg[x] * th[i]:
+                    cocycle.append(Violation(
+                        "cocycle",
+                        f"tau(gh, {labels[i]!r}) != tau(g, {labels[x]!r}) "
+                        f"tau(h, {labels[i]!r}) for g={list(g)}, h={list(h)}"))
+    return compat, cocycle
+
+
+class TableSystem(EquivariantMorseSystem):
+    """A system given by hand-written per-element tables, trusted to be
+    neither an action nor a cocycle: its rows are those of generating_set(G),
+    or the identity's for the trivial group, and validate_system checks
+    action compatibility and the cocycle law on them (action_laws)."""
+
+    def __init__(self, group, crit_points, point_action, tau_table, flows,
+                 flow_action, ambient_dim):
+        self._setup(group, crit_points, flows, (), ambient_dim)
+        self._check()
+        if point_action.points != tuple(p.label for p in self.crit):
+            raise MalformedSystem("point action must act on the critical labels in order")
+        if flow_action.points != tuple(f.label for f in self.flows):
+            raise MalformedSystem("flow action must act on the flow labels in order")
+        self._tau = {tuple(g): tuple(row) for g, row in tau_table.items()}
+        if set(self._tau) != set(group.elements):
+            raise MalformedSystem("tau table must cover every group element")
+        for row in self._tau.values():
+            if len(row) != len(self.crit) or not all(map(_is_sign, row)):
+                raise MalformedSystem("tau rows must be +-1 per critical point")
+        self.point_action, self.flow_action = point_action, flow_action
+        self.rows = tuple((g, point_action.image_array(g), self._tau[g],
+                           flow_action.image_array(g))
+                          for g in generating_set(group) or (group.identity,))
+
+    def _action_laws(self):
+        return action_laws(self)
 
 
 def reference_violations(s) -> list:
@@ -59,25 +147,7 @@ def reference_violations(s) -> list:
                     f"g={list(g)} sends flow {flow_labels[j]!r} to "
                     f"{flow_labels[k]!r} but the endpoints do not match"))
 
-    compat, cocycle = [], []
-    for g in generating_set(G) or (G.identity,):
-        ag, fg, tg = pa.image_array(g), fa.image_array(g), tau[g]
-        for h in G:
-            gh = compose(g, h)
-            ah, th = pa.image_array(h), tau[h]
-            agh, tgh = pa.image_array(gh), tau[gh]
-            if agh != tuple(ag[x] for x in ah):
-                compat.append(_action_witness(g, h, labels, agh, ag, ah, "point"))
-            fh, fgh = fa.image_array(h), fa.image_array(gh)
-            if fgh != tuple(fg[x] for x in fh):
-                compat.append(_action_witness(g, h, flow_labels, fgh, fg, fh,
-                                              "flow"))
-            for i, x in enumerate(ah):
-                if tgh[i] != tg[x] * th[i]:
-                    cocycle.append(Violation(
-                        "cocycle",
-                        f"tau(gh, {labels[i]!r}) != tau(g, {labels[x]!r}) "
-                        f"tau(h, {labels[i]!r}) for g={list(g)}, h={list(h)}"))
+    compat, cocycle = action_laws(s)
     v += compat + cocycle
 
     for g in G:
@@ -111,3 +181,102 @@ def reference_violations(s) -> list:
                     f"g={list(g)} sends {labels[i]!r} (value {value[i]}) to "
                     f"{labels[q]!r} (value {value[q]})"))
     return v
+
+
+# -- classification and gauge by scanning the per-element tables ---------------
+
+def reference_classify(s) -> tuple:
+    """Orbits of the point table; an orbit is orientable when tau is +1 on
+    the stabilizer of its least member, whose negative part is empty or
+    exactly half by the cocycle law."""
+    out = []
+    for members in orbits(s.point_action):
+        rep = members[0]
+        stab = stabilizer(s.point_action, rep)
+        r = s.point_action.index_of[rep]
+        neg = [g for g in stab if s._tau[g][r] == -1]
+        assert len(neg) in (0, stab.order // 2), \
+            f"tau is not a homomorphism on the stabilizer of {rep!r}"
+        out.append(CriticalOrbit(members=tuple(members),
+                                 index=s.crit_point(rep).index,
+                                 iso_order=stab.order, orientable=not neg))
+    return tuple(out)
+
+
+def reference_gauge(s):
+    """(sigma, eps, flow orbits) of the canonical gauge, from the tables.
+
+    Each member m of an orientable orbit takes tau(g, rep) for the first g
+    in element order with g.rep = m, checked invariant against every g;
+    then the residual sign per orbit is fixed along the spanning forest of
+    the orbit adjacency graph, as quotient._normalize documents."""
+    cls = reference_classify(s)
+    orbit_of = {m: orb for orb in cls for m in orb.members}
+    pa = s.point_action
+    sig = [1] * len(s.crit)
+    for orb in cls:
+        if not orb.orientable:
+            continue
+        r = pa.index_of[orb.rep]
+        orient = {}
+        for g in s.group:
+            orient.setdefault(pa.image_array(g)[r], s._tau[g][r])
+        members = [pa.index_of[m] for m in orb.members]
+        for m in members:
+            sig[m] = orient.get(m, 1)
+        for g in s.group:
+            ag, tg = pa.image_array(g), s._tau[g]
+            assert all(sig[ag[m]] * tg[m] * sig[m] == 1 for m in members)
+    sigma = dict(zip(pa.points, sig))
+    eps = {f.label: sigma[f.src] * sigma[f.dst] * f.sign for f in s.flows}
+
+    flow_orbits = tuple(tuple(o) for o in orbits(s.flow_action))
+    classes = {}
+    for members in flow_orbits:
+        f = s.flow(members[0])
+        a, b = orbit_of[f.src], orbit_of[f.dst]
+        if a.orientable and b.orientable:
+            assert len({eps[m] for m in members}) == 1
+            classes.setdefault(tuple(sorted((a.rep, b.rep))), []).append(members[0])
+    adjacency = {}
+    for (a, b), reps in classes.items():
+        if a != b:
+            adjacency.setdefault(a, {})[b] = min(reps)
+            adjacency.setdefault(b, {})[a] = min(reps)
+    shift, seen = {o.rep: 1 for o in cls if o.orientable}, set()
+    for orb in cls:
+        if not orb.orientable or orb.rep in seen:
+            continue
+        seen.add(orb.rep)
+        queue = [orb.rep]
+        while queue:
+            u = queue.pop(0)
+            for v in sorted(adjacency.get(u, {})):
+                if v not in seen:
+                    seen.add(v)
+                    shift[v] = eps[adjacency[u][v]] * shift[u]
+                    queue.append(v)
+    final = {p.label: sigma[p.label] * (shift[orbit_of[p.label].rep]
+                                        if orbit_of[p.label].orientable else 1)
+             for p in s.crit}
+    eps = {f.label: final[f.src] * final[f.dst] * f.sign for f in s.flows}
+    return final, eps, flow_orbits
+
+
+def reference_derive(s):
+    """(points, flows) of the derived quotient system, from the tables: the
+    isotropy of a flow class is the order of its least member's stabilizer."""
+    cls = reference_classify(s)
+    orbit_of = {m: orb for orb in cls for m in orb.members}
+    _, eps, flow_orbits = reference_gauge(s)
+    points = [IntrinsicPoint(o.rep, o.index, o.iso_order, True)
+              for o in cls if o.orientable]
+    flows = []
+    for members in flow_orbits:
+        f = s.flow(members[0])
+        a, b = orbit_of[f.src], orbit_of[f.dst]
+        if a.orientable and b.orientable:
+            flows.append(IntrinsicFlow(
+                f.label, a.rep, b.rep,
+                stabilizer(s.flow_action, f.label).order, eps[f.label]))
+    return tuple(points), tuple(flows)

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -302,6 +303,62 @@ def test_manifold_complex_is_built_once(command, tmp_path, monkeypatch):
             if command == "homology" else ["corpus", "run", "heart"])
     assert main(argv) == EXIT_OK
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "homology"])
+def test_valid_global_quotients_close_the_ground_group_once(
+        command, tmp_path, monkeypatch):
+    # one closure, of the ground generators at the instance's degree, and no
+    # per-element table: the signed action is checked on the Cayley graph
+    quotient = importlib.import_module("orbimorse.quotient")
+    real = importlib.import_module("orbimorse.groups").generate_group
+    closures = []
+
+    def closure(gens, **kw):
+        closures.append(kw.get("degree"))
+        return real(gens, **kw)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbimorse") and vars(module).get("generate_group") is real:
+            monkeypatch.setattr(module, "generate_group", closure)
+    tables, real_tables = [], vars(quotient.EquivariantMorseSystem).get("_tables")
+    monkeypatch.setattr(quotient.EquivariantMorseSystem, "_tables", property(
+        lambda s: tables.append(s) or real_tables.__get__(s)), raising=False)
+    checked = 0
+    for name in corpus_names():
+        inst = load_corpus(name)
+        if inst.kind != "global_quotient":
+            continue
+        closures.clear()
+        assert main([command, corpus_file(tmp_path, name)]) == EXIT_OK
+        assert closures == [inst.body["system"]["degree"]], name
+        checked += 1
+    assert checked >= 8 and tables == []
+
+
+def test_dihedral_ring_sphere_of_order_800_stays_small(
+        tmp_path, capsys, monkeypatch):
+    # D_400 acting on a sphere with 802 critical points and 1,600 flows
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, instances)
+    spec.loader.exec_module(instances)
+    doc = {"kind": "global_quotient", "metadata": {"name": "dp400"},
+           "system": instances.dp_sphere(400)}
+    instance = write_doc(tmp_path, "dp400.json", doc)
+    tracemalloc.start()
+    try:
+        code = main(["homology", instance])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    rows = sorted((min(members), index, iso, "orientable" if ok else "discarded")
+                  for members, index, iso, ok in instances.ring_orbits(400, True))
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "orbit: %s index=%d iso=%d %s" % row for row in rows] + [
+        "convention: plus", "betti_manifold: 1,0,1", "betti_invariant: 1,0,1"]
+    assert peak < 10e6
 
 
 def test_group_cap_environment_variable(tmp_path, monkeypatch, capsys):

