@@ -14,8 +14,10 @@ the quotient goes through; two subdivisions always suffice.
 Invariant homology needs no regularity: it is the homology of the orbit sums
 of simplices (chaincx.orbit_sum_complex, shared with the Morse side), where
 an orbit flipped by its stabilizer cancels like a non-orientable critical
-point.  The image check, regularity, the quotient and invariant homology
-read one orbit scan, |G| vertex images per orbit rather than per simplex.
+point.  The constructor scans the simplex orbits once, |G| vertex images per
+orbit rather than per simplex, checking that the action is simplicial, and
+keeps the rows as the complex's orbit table; regularity, the quotient, the
+invariance of a relative part and invariant homology read that table.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     NotASubcomplex,
     NotRegular,
 )
-from .groups import FiniteGroup, GroupAction, orbits
+from .groups import FiniteGroup, GroupAction
 from .intrinsic import boundary_plus
 from .quotient import derive_intrinsic
 
@@ -70,7 +72,8 @@ class SimplicialComplex:
                     "simplex %r uses undeclared vertex %r"
                     % (tuple(sorted(s)), min(set(s) - declared)))
         closed.update((vtx,) for vtx in self.vertices)
-        self._closed = frozenset(closed)
+        # each simplex maps to itself, so an image can share the stored tuple
+        self._closed = dict(zip(closed, closed))
         by_len: dict[int, list] = {}
         for s in closed:
             by_len.setdefault(len(s), []).append(s)
@@ -137,8 +140,7 @@ class GSimplicialComplex:
         self.complex = complex_
         self.group = group
         self.vertex_action = vertex_action
-        for _ in _orbit_scan(self):
-            pass
+        self.orbit_table = tuple(_orbit_scan(self))
 
     def subdivided(self) -> "GSimplicialComplex":
         sd, act = barycentric_subdivide(self.complex), self.vertex_action
@@ -177,6 +179,7 @@ def _orbit_scan(gk: GSimplicialComplex):
             if img not in closed:
                 raise ActionNotSimplicial(
                     f"g={list(g)} sends simplex {s!r} to {img!r}")
+            img = closed[img]  # the complex's own tuple, kept by the table
             sign = _perm_sign(raw)
             flipped |= members.setdefault(img, sign) != sign
             irregular |= srt == idx and raw != idx
@@ -186,21 +189,26 @@ def _orbit_scan(gk: GSimplicialComplex):
 
 def is_regular(gk: GSimplicialComplex) -> bool:
     """True when every setwise-fixed simplex is fixed vertex-wise."""
-    return not any(irregular for *_, irregular in _orbit_scan(gk))
+    return not any(irregular for *_, irregular in gk.orbit_table)
 
 
 def _require_invariant_sub(gk, sub) -> None:
-    """Reject a relative part that is not an invariant subcomplex."""
+    """Reject a relative part that is not an invariant subcomplex, one that
+    meets an orbit without containing it; a g-major scan finds the witness."""
     if sub is None:
         return
     if not gk.complex.contains(sub):
         raise NotASubcomplex("relative part is not a subcomplex")
+    inside = sub._closed.keys()
+    if all(inside.isdisjoint(members) or inside >= members.keys()
+           for _, members, *_ in gk.orbit_table):
+        return
     index, points = gk.vertex_action.index_of, gk.complex.vertices
     for g in gk.group:
         arr = gk.vertex_action.image_array(g)
         for s in sub.all_simplices():
             img = tuple([points[i] for i in sorted([arr[index[vtx]] for vtx in s])])
-            if img not in sub._closed:
+            if img not in inside:
                 raise NotASubcomplex(
                     f"relative part is not invariant: g={list(g)} moves {s!r} out")
 
@@ -223,26 +231,27 @@ def quotient(gk: GSimplicialComplex,
     two distinct orbits land on the same quotient vertex set; the first of
     these before NotASubcomplex for a relative part, the others after it.
     """
-    vertex_label = {vtx: orb[0] for orb in orbits(gk.vertex_action) for vtx in orb}
-    seen, pending = {}, None
-    for s, _, _, irregular in _orbit_scan(gk):
-        if irregular:
-            raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
-        if pending is not None:
-            continue
+    if not is_regular(gk):
+        raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
+    # an orbit is labelled by its least member, the representative of its row
+    vertex_label = {vtx: s[0] for s, members, *_ in gk.orbit_table
+                    if len(s) == 1 for (vtx,) in members}
+    seen, reason = {}, None
+    for s, *_ in gk.orbit_table:
         down = tuple(sorted({vertex_label[vtx] for vtx in s}))
         if len(down) != len(s):
-            pending = NotRegular(
-                f"simplex {s!r} collapses onto {down!r} in the quotient")
-        elif down in seen:
-            pending = NotRegular(
-                f"orbits of {seen[down]!r} and {s!r} share the quotient "
-                f"vertex set {down!r}")
-        else:
-            seen[down] = s
+            reason = f"simplex {s!r} collapses onto {down!r} in the quotient"
+            break
+        if down in seen:
+            reason = (f"orbits of {seen[down]!r} and {s!r} share the quotient "
+                      f"vertex set {down!r}")
+            break
+        seen[down] = s
     _require_invariant_sub(gk, sub)
-    if pending is not None:
-        raise pending
+    if reason is not None:
+        # raised, not kept: an exception in a local of this frame would tie
+        # the frame, and the complex, into a cycle through its traceback
+        raise NotRegular(reason)
     qc = SimplicialComplex(vertices=sorted({vertex_label[v] for v in gk.complex.vertices}),
                            maximal_simplices=reversed(seen))  # longest first
     qsub = None if sub is None else SimplicialComplex(
@@ -285,9 +294,9 @@ def invariant_homology(gk: GSimplicialComplex,
     orientation of their unstable manifold are discarded.
     """
     _require_invariant_sub(gk, sub)
-    in_sub = set(sub.all_simplices()) if sub is not None else set()
+    in_sub = sub._closed if sub is not None else {}
     levels = [[] for _ in range(gk.complex.dim + 1)]
-    for s, members, flipped, _ in _orbit_scan(gk):
+    for s, members, flipped, _ in gk.orbit_table:
         if s not in in_sub:
             levels[len(s) - 1].append((members, not flipped))
     return complex_betti(orbit_sum_complex(levels, lambda s: _faces(s, in_sub)))

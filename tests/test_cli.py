@@ -1,5 +1,6 @@
 """CLI subcommands, instance files, exit codes, and the packaged corpus."""
 
+import gc
 import importlib
 import importlib.util
 import json
@@ -43,6 +44,22 @@ def write_doc(tmp_path, name, doc):
 
 def corpus_file(tmp_path, name):
     return write_doc(tmp_path, name + ".json", corpus_doc(name))
+
+
+@pytest.fixture
+def instances(monkeypatch):
+    """perfbench/instances.py, the benchmark's instance builders."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def simplicial_file(tmp_path, name, system):
+    return write_doc(tmp_path, name + ".json", {
+        "kind": "simplicial", "metadata": {"name": name}, "system": system})
 
 
 def test_corpus_files_round_trip_canonically():
@@ -292,6 +309,41 @@ def test_each_system_is_validated_once(argv, tmp_path, monkeypatch):
     assert len(made) == 1
 
 
+@pytest.mark.parametrize("command, name, scans", [
+    ("homology", "disc_rot_2", 1), ("validate", "disc_rot_2", 1),
+    ("homology", "polygon_1x3", 3), ("compare", "compare_heart", 2)])
+def test_each_simplicial_complex_is_scanned_once(
+        command, name, scans, tmp_path, monkeypatch, instances):
+    # one orbit scan per complex: the input and each subdivision round
+    # (polygon_1x3 takes two, compare_heart one)
+    simplicial = importlib.import_module("orbimorse.simplicial")
+    real, calls = simplicial._orbit_scan, []
+    monkeypatch.setattr(simplicial, "_orbit_scan",
+                        lambda gk: calls.append(gk) or real(gk))
+    path = (simplicial_file(tmp_path, name, instances.polygon(1, 3))
+            if name == "polygon_1x3" else corpus_file(tmp_path, name))
+    assert main([command, path]) == EXIT_OK
+    assert len(calls) == scans
+
+
+def test_simplicial_commands_leave_no_cyclic_garbage(
+        tmp_path, capsys, instances):
+    # a NotRegular kept in a frame's local would hold each complex that
+    # needs subdivision in a reference cycle until the next gc pass
+    octahedron = simplicial_file(tmp_path, "octahedron", instances.octahedron())
+    heart = corpus_file(tmp_path, "compare_heart")
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["homology", octahedron]) == EXIT_OK
+        assert main(["validate", octahedron]) == EXIT_OK
+        assert main(["compare", heart]) == EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert "needs subdivision: orbits of" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["homology", "corpus"])
 def test_manifold_complex_is_built_once(command, tmp_path, monkeypatch):
     # validation's d^2 check and betti_manifold share one complex
@@ -336,13 +388,8 @@ def test_valid_global_quotients_close_the_ground_group_once(
 
 
 def test_dihedral_ring_sphere_of_order_800_stays_small(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, instances):
     # D_400 acting on a sphere with 802 critical points and 1,600 flows
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
-    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
-    instances = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, instances)
-    spec.loader.exec_module(instances)
     doc = {"kind": "global_quotient", "metadata": {"name": "dp400"},
            "system": instances.dp_sphere(400)}
     instance = write_doc(tmp_path, "dp400.json", doc)

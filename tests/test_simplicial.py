@@ -376,6 +376,21 @@ def test_orbit_scan_matches_full_scans(case):
     gk = GSimplicialComplex(K, group, act)
     sub = None if sub_simplices is None else SimplicialComplex(
         {v for s in sub_simplices for v in s}, sub_simplices)
+    matches_full_scans(gk, sub)
+    sd = gk.subdivided()
+    assert all(sd.vertex_action.image(g, v) == full_image(gk, g, v)
+               for g in group for v in sd.complex.vertices)
+    matches_full_scans(sd, None if sub is None else barycentric_subdivide(sub))
+
+
+def matches_full_scans(gk, sub):
+    """The orbit table partitions the simplices into their G-orbits, and
+    what is read from it agrees with the full scans."""
+    rows = gk.orbit_table
+    assert sorted(m for _, members, *_ in rows for m in members) \
+        == sorted(gk.complex.all_simplices())
+    assert all(set(members) == {full_image(gk, g, s) for g in gk.group}
+               for s, members, *_ in rows)
     assert is_regular(gk) == full_is_regular(gk)
     assert same_quotient(outcome(scanned_quotient, gk, sub),
                          outcome(full_quotient, gk, sub))
@@ -383,9 +398,6 @@ def test_orbit_scan_matches_full_scans(case):
     if sub is not None:
         assert outcome(invariant_homology, gk, sub) \
             == outcome(full_invariant_homology, gk, sub)
-    sd = gk.subdivided()
-    assert all(sd.vertex_action.image(g, v) == full_image(gk, g, v)
-               for g in group for v in sd.complex.vertices)
 
 
 def test_witnesses_name_g_the_simplex_and_its_image():
