@@ -85,37 +85,37 @@ EXIT_PARSE = 4
 
 # -- low level parsing helpers ---------------------------------------------
 
-def _req(d, key, ctx):
+def _where(ctx, args):
+    """The context of a parse error; formatted only when one is raised."""
+    return ctx % args if args else ctx
+
+def _req(d, key, ctx, *args):
     if not isinstance(d, dict) or key not in d:
-        raise ParseError(f"{ctx}: missing {key!r}")
+        raise ParseError(f"{_where(ctx, args)}: missing {key!r}")
     return d[key]
 
-def _as_int(v, ctx):
+def _as_int(v, ctx, *args):
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"{ctx}: expected an integer, got {v!r}")
+        raise ParseError(f"{_where(ctx, args)}: expected an integer, got {v!r}")
     return v
 
-def _as_str(v, ctx):
+def _as_str(v, ctx, *args):
     if not isinstance(v, str):
-        raise ParseError(f"{ctx}: expected a string, got {v!r}")
+        raise ParseError(f"{_where(ctx, args)}: expected a string, got {v!r}")
     return v
 
-def _as_list(v, ctx):
+def _as_list(v, ctx, *args):
     if not isinstance(v, list):
-        raise ParseError(f"{ctx}: expected a list")
+        raise ParseError(f"{_where(ctx, args)}: expected a list")
     return v
 
-def _as_fraction(v, ctx):
-    if isinstance(v, bool):
-        raise ParseError(f"{ctx}: expected a rational, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+def _as_fraction(v, ctx, *args):
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{ctx}: {v!r} is not a rational") from None
-    raise ParseError(f"{ctx}: expected a rational, got {v!r}")
+            raise ParseError(f"{_where(ctx, args)}: {v!r} is not a rational") from None
+    raise ParseError(f"{_where(ctx, args)}: expected a rational, got {v!r}")
 
 def _group_cap() -> int:
     raw = os.environ.get("ORBIMORSE_GROUP_CAP")
@@ -192,7 +192,7 @@ def build_global(payload) -> EquivariantMorseSystem:
     ctx = "global_quotient system"
     ambient = _as_int(_req(payload, "ambient_dim", ctx), f"{ctx}: ambient_dim")
     degree = _as_int(_req(payload, "degree", ctx), f"{ctx}: degree")
-    gens = [tuple(_as_list(g, f"{ctx}: generator")) for g in
+    gens = [tuple(_as_list(g, "%s: generator", ctx)) for g in
             _as_list(_req(payload, "generators", ctx), f"{ctx}: generators")]
 
     crit, labels = [], set()
@@ -201,10 +201,10 @@ def build_global(payload) -> EquivariantMorseSystem:
         if label in labels:
             raise ParseError(f"{ctx}: duplicate critical point {label!r}")
         labels.add(label)
-        index = _as_int(_req(c, "index", f"point {label!r}"), f"point {label!r}: index")
+        index = _as_int(_req(c, "index", "point %r", label), "point %r: index", label)
         value = None
         if c.get("value") is not None:
-            value = _as_fraction(c["value"], f"point {label!r}: value")
+            value = _as_fraction(c["value"], "point %r: value", label)
         crit.append(CritPoint(label=label, index=index, value=value))
 
     flows, flow_labels = [], set()
@@ -213,19 +213,19 @@ def build_global(payload) -> EquivariantMorseSystem:
         if label in flow_labels:
             raise ParseError(f"{ctx}: duplicate flow {label!r}")
         flow_labels.add(label)
-        src = _as_str(_req(f, "src", f"flow {label!r}"), f"flow {label!r}: src")
-        dst = _as_str(_req(f, "dst", f"flow {label!r}"), f"flow {label!r}: dst")
+        src = _as_str(_req(f, "src", "flow %r", label), "flow %r: src", label)
+        dst = _as_str(_req(f, "dst", "flow %r", label), "flow %r: dst", label)
         for end in (src, dst):
             if end not in labels:
                 raise ParseError(f"flow {label!r}: unknown endpoint {end!r}")
-        sign = _as_int(_req(f, "sign", f"flow {label!r}"), f"flow {label!r}: sign")
+        sign = _as_int(_req(f, "sign", "flow %r", label), "flow %r: sign", label)
         flows.append(Flow(label=label, src=src, dst=dst, sign=sign))
 
     def per_generator(key):
         arr = _as_list(_req(payload, key, ctx), f"{ctx}: {key}")
         if len(arr) != len(gens):
             raise ParseError(f"{ctx}: {key} needs one entry per generator")
-        return [tuple(_as_list(a, f"{ctx}: {key}[{i}]")) for i, a in enumerate(arr)]
+        return [tuple(_as_list(a, "%s: %s[%d]", ctx, key, i)) for i, a in enumerate(arr)]
 
     crit_images = per_generator("crit_images")
     crit_signs = per_generator("crit_signs")
@@ -252,21 +252,21 @@ def build_intrinsic(payload) -> OrbifoldMorseSystem:
                 f"point {label!r}: orientable must be true or false, got {orientable!r}")
         points.append(IntrinsicPoint(
             label=label,
-            index=_as_int(_req(p, "index", f"point {label!r}"), "index"),
-            iso_order=_as_int(_req(p, "iso_order", f"point {label!r}"), "iso_order"),
+            index=_as_int(_req(p, "index", "point %r", label), "index"),
+            iso_order=_as_int(_req(p, "iso_order", "point %r", label), "iso_order"),
             orientable=orientable))
     flows = []
     for f in _as_list(_req(payload, "flows", ctx), f"{ctx}: flows"):
         label = _as_str(_req(f, "label", "flow"), "flow label")
-        src = _as_str(_req(f, "src", f"flow {label!r}"), "src")
-        dst = _as_str(_req(f, "dst", f"flow {label!r}"), "dst")
+        src = _as_str(_req(f, "src", "flow %r", label), "src")
+        dst = _as_str(_req(f, "dst", "flow %r", label), "dst")
         for end in (src, dst):
             if end not in labels:
                 raise ParseError(f"flow {label!r}: unknown endpoint {end!r}")
         flows.append(IntrinsicFlow(
             label=label, src=src, dst=dst,
-            iso_order=_as_int(_req(f, "iso_order", f"flow {label!r}"), "iso_order"),
-            sign=_as_int(_req(f, "sign", f"flow {label!r}"), "sign")))
+            iso_order=_as_int(_req(f, "iso_order", "flow %r", label), "iso_order"),
+            sign=_as_int(_req(f, "sign", "flow %r", label), "sign")))
     with _parsing(ctx):
         return OrbifoldMorseSystem(ambient_dim=ambient, crit_points=points,
                                    flows=flows)
@@ -279,7 +279,7 @@ def intrinsic_payload(s: OrbifoldMorseSystem) -> dict:
 def _vertex_lists(payload, ctx, known=()):
     """Vertices and maximal simplices, labels all integers or all strings."""
     vertices = _as_list(_req(payload, "vertices", ctx), f"{ctx}: vertices")
-    maximal = [tuple(_as_list(s, f"{ctx}: simplex"))
+    maximal = [tuple(_as_list(s, "%s: simplex", ctx))
                for s in _as_list(_req(payload, "maximal", ctx), f"{ctx}: maximal")]
     kinds = {type(x) for x in [*known, *vertices, *(x for s in maximal for x in s)]}
     if len(kinds) > 1 or not kinds <= {int, str}:
@@ -291,7 +291,7 @@ def build_simplicial(payload):
     ctx = "simplicial system"
     vertices, maximal = _vertex_lists(payload, ctx)
     K = SimplicialComplex(vertices, maximal)
-    gens = [tuple(_as_list(g, f"{ctx}: generator"))
+    gens = [tuple(_as_list(g, "%s: generator", ctx))
             for g in _as_list(payload.get("generators", []), f"{ctx}: generators")]
     with _parsing(ctx):
         group = generate_group(gens, degree=len(K.vertices), cap=_group_cap())

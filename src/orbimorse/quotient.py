@@ -21,7 +21,7 @@ Orientable orbits carry the quotient chain generators; non-orientable orbits
 are discarded, and the boundary of an orbit sum provably cancels on them.
 The other laws are checked on the rows (validate_system); the per-element
 tables (point_action, flow_action, tau) are built on first use only, for
-tests and to list every witness of a law that fails.
+tests and to list every witness on the orbits where a law fails.
 
 Canonical gauge.  Orientation choices can be re-gauged (flip any subset of
 unstable-manifold orientations, transforming tau and eps accordingly) without
@@ -329,11 +329,14 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     Action compatibility and the cocycle law hold by construction; only a
     system holding hand-written tables (tests/reference_validator.py)
     reports them, from _action_laws.  Index, endpoint, sign and value
-    equivariance are checked on the rows: given the action and cocycle
-    laws, the law for s and for h gives it for sh, the sign law using the
-    endpoint and cocycle laws on the way.  When one fails, or _action_laws
-    reports, the per-element tables are built and the four laws checked for
-    every g in G, so every witness is listed, in element-table order.
+    equivariance are checked on the rows.  Given those two laws, a law that
+    every generator s keeps on an orbit holds there for all g, by induction:
+    index(sg.x) = index(s.(g.x)) = index(g.x) as g.x is in the orbit, the
+    same for values and endpoints, and the sign law follows from the
+    endpoint and cocycle laws.  When one fails, the tables are built and the
+    four laws checked for every g in G on the point and flow orbits where a
+    generator failed (on all when _action_laws reports), so every witness
+    is listed, by element-table order, then point or flow.
     """
     if "report" in s._cache:
         return s._cache["report"]
@@ -341,7 +344,6 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     flow_labels = [f.label for f in s.flows]
     index = [p.index for p in s.crit]
     value = [p.value for p in s.crit]
-    values_present = [i for i, v in enumerate(value) if v is not None]
     src = [s._index_of[f.src] for f in s.flows]
     dst = [s._index_of[f.dst] for f in s.flows]
     eps = [f.sign for f in s.flows]
@@ -357,43 +359,58 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
         for f, a, b in zip(s.flows, src, dst) if index[a] != index[b] + 1]
 
     compat, cocycle = s._action_laws()
+    bad_points, bad_flows = set(), set()
 
-    def per_element(rows):
+    def per_element(rows, points, flow_ids):
         index_eq, endpoint_eq, sign_eq, value_eq = [], [], [], []
         for g, ag, tg, fg in rows:
-            for i, q in enumerate(ag):
+            at = None       # the witness prefix, formatted once per element
+            for i in points:
+                q = ag[i]
                 if index[q] != index[i]:
+                    at = at or f"g={list(g)}"
+                    bad_points.add(i)
                     index_eq.append(Violation(
                         "index_equivariance",
-                        f"g={list(g)} sends {labels[i]!r} (index {index[i]}) to "
+                        f"{at} sends {labels[i]!r} (index {index[i]}) to "
                         f"{labels[q]!r} (index {index[q]})"))
-            for j, k in enumerate(fg):
+                if value[i] is not None and value[q] != value[i]:
+                    at = at or f"g={list(g)}"
+                    bad_points.add(i)
+                    value_eq.append(Violation(
+                        "value_equivariance",
+                        f"{at} sends {labels[i]!r} (value {value[i]}) to "
+                        f"{labels[q]!r} (value {value[q]})"))
+            for j in flow_ids:
+                k = fg[j]
                 if src[k] != ag[src[j]] or dst[k] != ag[dst[j]]:
+                    at = at or f"g={list(g)}"
+                    bad_flows.add(j)
                     endpoint_eq.append(Violation(
                         "endpoint_equivariance",
-                        f"g={list(g)} sends flow {flow_labels[j]!r} to "
+                        f"{at} sends flow {flow_labels[j]!r} to "
                         f"{flow_labels[k]!r} but the endpoints do not match"))
                 want = tg[src[j]] * tg[dst[j]] * eps[j]
                 if eps[k] != want:
+                    at = at or f"g={list(g)}"
+                    bad_flows.add(j)
                     sign_eq.append(Violation(
                         "sign_equivariance",
-                        f"g={list(g)}: flow {flow_labels[j]!r} maps to "
+                        f"{at}: flow {flow_labels[j]!r} maps to "
                         f"{flow_labels[k]!r} with sign {eps[k]}, "
                         f"expected {want}"))
-            for i in values_present:
-                q = ag[i]
-                if value[q] != value[i]:
-                    value_eq.append(Violation(
-                        "value_equivariance",
-                        f"g={list(g)} sends {labels[i]!r} (value {value[i]}) to "
-                        f"{labels[q]!r} (value {value[q]})"))
         return index_eq, endpoint_eq, sign_eq, value_eq
 
-    laws = per_element(s.rows)
+    laws = per_element(s.rows, range(len(s.crit)), range(len(s.flows)))
     if compat or cocycle or any(laws):
+        scan, every = _scan(s), compat or cocycle
+        points = sorted(x for o, _ in scan.orbits
+                        if every or not bad_points.isdisjoint(o) for x in o)
+        flow_ids = sorted(x for o in scan.flow_orbits
+                          if every or not bad_flows.isdisjoint(o) for x in o)
         pa, fa, tau = s.point_action, s.flow_action, s._tau
-        laws = per_element((g, pa.image_array(g), tau[g], fa.image_array(g))
-                           for g in s.group)
+        laws = per_element(((g, pa.image_array(g), tau[g], fa.image_array(g))
+                            for g in s.group), points, flow_ids)
     index_eq, endpoint_eq, sign_eq, value_eq = laws
 
     d_squared = []
@@ -405,10 +422,8 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
                 "manifold_d_squared",
                 f"boundary squared has entry {val} from {col!r} to {row!r}"))
 
-    self_indexing: Optional[bool] = None
-    if values_present:
-        self_indexing = (len(values_present) == len(s.crit)
-                         and all(p.value == p.index for p in s.crit))
+    self_indexing = (None if value.count(None) == len(value)
+                     else all(v == p.index for v, p in zip(value, s.crit)))
 
     v = (index_range + index_eq + index_step + endpoint_eq + compat + cocycle
          + sign_eq + d_squared + value_eq)

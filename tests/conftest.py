@@ -69,13 +69,28 @@ def make_football(p):
         flows=[], flow_images=[[]], ambient_dim=2)
 
 
-def make_ring_sphere(p, defect=None):
+def make_ring_sphere(p, defect=None, flow="c0", reflect=False):
     """S^2 with maxima N, S and a ring of p saddles r_k and p minima m_k
     under the rotation of order p; every orbit is free or fixed and
-    orientable.  defect "flip" negates the sign of c0 = r0 -> m0,
-    "endpoint" re-aims it at m1 while its images stay as they were."""
+    orientable.  defect "flip" negates the sign of `flow` (c0 = r0 -> m0 by
+    default), "endpoint" re-aims c0 at m1 while its images stay as they
+    were.
+
+    With reflect, G is D_p, generated by the rotation and the reflection
+    in the plane through N, S and r0: it fixes N, S, r0 and a0 = N -> r0,
+    sends r_k to r_-k and m_k to m_(-k-1), and reverses the orientation of
+    the sphere and of the equator, so tau is -1 at N, S and the saddles.
+    Then the orbit of a0 has p flows, not |G|, and the orbits of N, S and
+    r0 are discarded."""
     def shift(lab):
         return lab if lab in ("N", "S") else lab[0] + str((int(lab[1:]) + 1) % p)
+
+    def mirror(lab):
+        if lab in ("N", "S"):
+            return lab
+        kind = {"c": "e", "e": "c"}.get(lab[0], lab[0])
+        return kind + str((-int(lab[1:]) - (kind == "m")) % p)
+
     points = [("N", 2, None), ("S", 2, None)]
     points += [("r%d" % k, 1, None) for k in range(p)]
     points += [("m%d" % k, 0, None) for k in range(p)]
@@ -86,17 +101,22 @@ def make_ring_sphere(p, defect=None):
                   ("e%d" % k, "r%d" % k, "m%d" % ((k - 1) % p), -1)]
     pidx = {lab: i for i, (lab, _, _) in enumerate(points)}
     fidx = {f[0]: i for i, f in enumerate(flows)}
-    crit_images = [[pidx[shift(lab)] for lab, _, _ in points]]
-    flow_images = [[fidx[shift(f[0])] for f in flows]]
-    c0 = fidx["c0"]
+    maps = [(tuple(range(1, p)) + (0,), shift, lambda lab: 1)]
+    if reflect:
+        maps.append((tuple(-i % p for i in range(p)), mirror,
+                     lambda lab: 1 if lab[0] == "m" else -1))
+    j = fidx[flow]
     if defect == "flip":
-        flows[c0] = ("c0", "r0", "m0", -1)
+        flows[j] = flows[j][:3] + (-flows[j][3],)
     elif defect == "endpoint":
-        flows[c0] = ("c0", "r0", "m1", 1)
+        flows[j] = ("c0", "r0", "m1", 1)
     return EquivariantMorseSystem.from_generator_data(
-        generators=[tuple(range(1, p)) + (0,)], degree=p,
-        crit_points=points, crit_images=crit_images,
-        crit_signs=[[1] * len(points)], flows=flows, flow_images=flow_images,
+        generators=[g for g, _, _ in maps], degree=p,
+        crit_points=points,
+        crit_images=[[pidx[act(lab)] for lab, _, _ in points] for _, act, _ in maps],
+        crit_signs=[[sign(lab) for lab, _, _ in points] for _, _, sign in maps],
+        flows=flows,
+        flow_images=[[fidx[act(f[0])] for f in flows] for _, act, _ in maps],
         ambient_dim=2)
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orbimorse import (
     ActionNotWellDefined,
@@ -399,6 +399,19 @@ def test_planted_ring_sphere_defect_lists_every_witness(defect, law):
     assert Counter(v.law for v in report.violations) \
         == {law: 2 * (12 - 1), "manifold_d_squared": 1}
     assert validate_system(make_ring_sphere(12)).ok
+
+
+@pytest.mark.parametrize("flow, stabilizer", [("a0", 2), ("c0", 1)])
+def test_planted_flip_on_a_dihedral_ring_sphere(flow, stabilizer):
+    # D_6 with a reflection fixing a0: a0's orbit has 6 flows, c0's 12.
+    # The pairs (g, f) with exactly one of f, g.f the flipped flow break
+    # the sign law: |G| - |stab| with f flipped, as many with g.f flipped
+    s = make_ring_sphere(6, "flip", flow, reflect=True)
+    report = validate_system(s)
+    assert list(report.violations) == reference_violations(s)
+    assert Counter(v.law for v in report.violations) \
+        == {"sign_equivariance": 2 * (12 - stabilizer), "manifold_d_squared": 1}
+    assert validate_system(make_ring_sphere(6, reflect=True)).ok
 
 
 def test_one_closure_keeps_the_element_order():
@@ -829,6 +842,53 @@ def test_planted_defects_match_the_full_scan(data, defect, draw):
     s = EquivariantMorseSystem.from_generator_data(
         **dict(data, flows=[tuple(f) for f in flows]))
     assert list(validate_system(s).violations) == reference_violations(s)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(generator_data(), st.data())
+def test_defects_on_several_orbits_match_the_full_scan(data, draw):
+    """Each point orbit draws a value or none; then two or more orbits of
+    more than one member each get one defect: a point's index or value
+    changed, a flow re-aimed at another point of its index (flipped when
+    there is none) or its sign flipped.  Each defect breaks a law on its
+    orbit, and the report lists every witness as the full scan does."""
+    s = EquivariantMorseSystem.from_generator_data(**data)
+    points = [list(p) for p in data["crit_points"]]
+    flows = [list(f) for f in data["flows"]]
+    at = {p[0]: i for i, p in enumerate(points)}
+    for orb in classify(s):
+        value = draw.draw(st.one_of(st.none(), st.integers(0, 3)))
+        for m in orb.members:
+            points[at[m]][2] = None if value is None else Fraction(value)
+    targets = [("point", [at[m] for m in o.members]) for o in classify(s)]
+    flow_at = {f[0]: j for j, f in enumerate(flows)}
+    targets += [("flow", [flow_at[f] for f in o]) for o in orbits(s.flow_action)]
+    targets = [t for t in targets if len(t[1]) > 1]
+    assume(len(targets) >= 2)
+    chosen = draw.draw(st.lists(st.sampled_from(range(len(targets))),
+                                min_size=2, max_size=4, unique=True))
+    for where, members in (targets[c] for c in chosen):
+        x = draw.draw(st.sampled_from(members))
+        if where == "point":
+            if draw.draw(st.booleans()):
+                points[x][1] = (points[x][1] + draw.draw(st.integers(1, 2))) % 3
+            else:
+                points[x][2] = Fraction(7) if points[x][2] is None \
+                    else points[x][2] + 1
+            continue
+        f = flows[x]
+        others = [p[0] for p in points if p[1] == points[at[f[2]]][1]
+                  and p[0] != f[2]]
+        if others and draw.draw(st.booleans()):
+            f[2] = draw.draw(st.sampled_from(others))
+        else:
+            f[3] = -f[3]
+    t = EquivariantMorseSystem.from_generator_data(**dict(
+        data, crit_points=[tuple(p) for p in points],
+        flows=[tuple(f) for f in flows]))
+    report = validate_system(t)
+    assert not report.ok
+    assert list(report.violations) == reference_violations(t)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

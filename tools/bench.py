@@ -1,25 +1,29 @@
-"""Scaling rows for homology on global quotients and simplicial G-complexes.
+"""Scaling rows for homology and validate on global quotients and simplicial
+G-complexes.
 
     python3 tools/bench.py
 
-Each row is one in-process ``orbimorse homology`` on an instance built by
-perfbench/instances.py: the wall time of one run without tracing, then the
-peak traced heap of a separate run under tracemalloc.  Both runs must print
-the rows that the construction implies.  The program is imported from the
-src/ next to this directory, and each family's rows are written to a JSON
-file at the repository root, with the Python version and the CPU count of
-the host.
+Each row is one in-process ``orbimorse`` command on an instance built by
+perfbench/instances.py: the median wall time of 5 runs without tracing,
+with the fastest and slowest beside it, then the peak traced heap of one
+more run under tracemalloc.  Every run must print what the construction
+implies.  The program is imported from the src/ next to this directory,
+and each family's rows are written to a JSON file at the repository root,
+with the Python version and the CPU count of the host.
 
-BENCH_gq.json   the ring sphere under Z_p (order p) or D_p (order 2p), for
-                p in 50, 100, 200, 400 and 800; sphere and quotient have
-                Betti numbers 1,0,1.
-BENCH_tri.json  torus(n) under negation, n in 8, 16, 24, and bipyramid(p)
-                under the rotation of order p, p in 32, 64, 128: no
-                subdivision, quotient S^2; polygon(1, k) under the rotation
-                of order k, k in 30, 60, 120: two subdivision rounds,
-                quotient S^1; wheel(k), a disc under the rotation of order
-                k, relative to its rim, k in 20, 40, 80: no subdivision,
-                quotient a disc, relative Betti numbers 0,0,1.
+BENCH_gq.json   homology on the ring sphere under Z_p (order p) or D_p
+                (order 2p), for p in 50, 100, 200, 400 and 800; sphere and
+                quotient have Betti numbers 1,0,1.  validate on the same
+                spheres with one planted defect, the flow c0 re-aimed
+                (Z_p, "endpoint") or its sign flipped (D_p, "flip"): exit 2
+                and the violation counts of instances.ring_violations.
+BENCH_tri.json  homology on torus(n) under negation, n in 8, 16, 24, and
+                bipyramid(p) under the rotation of order p, p in 32, 64,
+                128: no subdivision, quotient S^2; polygon(1, k) under the
+                rotation of order k, k in 30, 60, 120: two subdivision
+                rounds, quotient S^1; wheel(k), a disc under the rotation of
+                order k, relative to its rim, k in 20, 40, 80: no
+                subdivision, quotient a disc, relative Betti numbers 0,0,1.
 """
 
 import contextlib
@@ -32,6 +36,8 @@ import platform
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
+from statistics import median
 from time import perf_counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -39,7 +45,26 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from orbimorse import cli  # noqa: E402
 
+#: Timed runs per row; a row records their median, fastest and slowest.
+RUNS = 5
+
+GQ_SIZES = (50, 100, 200, 400, 800)
 SPHERE = ["betti_manifold: 1,0,1", "betti_invariant: 1,0,1"]
+
+
+def _tail(expect):
+    """homology: exit 0, and the report ends with these rows."""
+    return lambda code, text: (code == 0
+                               and text.splitlines()[-len(expect):] == expect)
+
+
+def _violations(expect):
+    """validate: exit 2, and each law broken as often as expect says."""
+    def check(code, text):
+        got = Counter(line.split(": ")[1] for line in text.splitlines()
+                      if line.startswith("violation: "))
+        return code == 2 and got == expect
+    return check
 
 
 def _quotient_rows(rounds, betti, rel=None):
@@ -48,28 +73,35 @@ def _quotient_rows(rounds, betti, rel=None):
     rows = [f"rounds: {rounds}", f"betti: {betti}", f"betti_invariant: {betti}"]
     if rel is not None:
         rows += [f"betti_rel: {rel}", f"betti_invariant_rel: {rel}"]
-    return rows
+    return _tail(rows)
 
 
-#: (label, kind, [(family, build, answer, sizes)]): build(instances, size)
-#: gives the system, answer(size) its group order and the tail of its
-#: homology output.
+#: (label, kind, [(family, command, build, answer, sizes)]):
+#: build(instances, size) gives the system, answer(instances, size) its
+#: group order and the check of the command's exit code and output.
 BENCHES = (
     ("gq", "global_quotient", [
-        ("zp", lambda i, p: i.zp_sphere(p), lambda p: (p, SPHERE),
-         (50, 100, 200, 400, 800)),
-        ("dp", lambda i, p: i.dp_sphere(p), lambda p: (2 * p, SPHERE),
-         (50, 100, 200, 400, 800)),
+        ("zp", "homology", lambda i, p: i.zp_sphere(p),
+         lambda i, p: (p, _tail(SPHERE)), GQ_SIZES),
+        ("dp", "homology", lambda i, p: i.dp_sphere(p),
+         lambda i, p: (2 * p, _tail(SPHERE)), GQ_SIZES),
+        ("zp_endpoint", "validate",
+         lambda i, p: i.plant(i.zp_sphere(p), "endpoint"),
+         lambda i, p: (p, _violations(i.ring_violations(p, "endpoint"))),
+         GQ_SIZES),
+        ("dp_flip", "validate", lambda i, p: i.plant(i.dp_sphere(p), "flip"),
+         lambda i, p: (2 * p, _violations(i.ring_violations(2 * p, "flip"))),
+         GQ_SIZES),
     ]),
     ("tri", "simplicial", [
-        ("torus", lambda i, n: i.torus(n),
-         lambda n: (2, _quotient_rows(0, "1,0,1")), (8, 16, 24)),
-        ("bipyramid", lambda i, p: i.bipyramid(p),
-         lambda p: (p, _quotient_rows(0, "1,0,1")), (32, 64, 128)),
-        ("polygon", lambda i, k: i.polygon(1, k),
-         lambda k: (k, _quotient_rows(2, "1,1")), (30, 60, 120)),
-        ("wheel", lambda i, k: i.wheel(k),
-         lambda k: (k, _quotient_rows(0, "1,0,0", "0,0,1")), (20, 40, 80)),
+        ("torus", "homology", lambda i, n: i.torus(n),
+         lambda i, n: (2, _quotient_rows(0, "1,0,1")), (8, 16, 24)),
+        ("bipyramid", "homology", lambda i, p: i.bipyramid(p),
+         lambda i, p: (p, _quotient_rows(0, "1,0,1")), (32, 64, 128)),
+        ("polygon", "homology", lambda i, k: i.polygon(1, k),
+         lambda i, k: (k, _quotient_rows(2, "1,1")), (30, 60, 120)),
+        ("wheel", "homology", lambda i, k: i.wheel(k),
+         lambda i, k: (k, _quotient_rows(0, "1,0,0", "0,0,1")), (20, 40, 80)),
     ]),
 )
 
@@ -83,36 +115,39 @@ def _instances():
     return module
 
 
-def _homology(path, expect) -> None:
+def _run(command, path, check) -> None:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["homology", path])
-    if code != 0 or out.getvalue().splitlines()[-len(expect):] != expect:
-        raise SystemExit(f"{path}: exit {code}\n{out.getvalue()}")
+        code = cli.main([command, path])
+    if not check(code, out.getvalue()):
+        raise SystemExit(f"{command} {path}: exit {code}\n{out.getvalue()}")
 
 
-def row(kind, family, system, order, expect, size, workdir) -> dict:
+def row(kind, family, command, system, order, check, size, workdir) -> dict:
     path = str(workdir / f"{family}{size}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"kind": kind, "metadata": {"name": f"{family}{size}"},
                    "system": system}, fh)
-    start = perf_counter()
-    _homology(path, expect)
-    wall = perf_counter() - start
+    walls = []
+    for _ in range(RUNS):
+        start = perf_counter()
+        _run(command, path, check)
+        walls.append(perf_counter() - start)
     tracemalloc.start()
     try:
-        _homology(path, expect)
+        _run(command, path, check)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    out = {"family": family, "p" if kind == "global_quotient" else "n": size,
-           "order": order}
+    out = {"family": family, "command": command,
+           "p" if kind == "global_quotient" else "n": size, "order": order}
     if kind == "global_quotient":
         out.update(points=len(system["crit_points"]), flows=len(system["flows"]))
     else:
         out.update(vertices=len(system["vertices"]),
                    maximal=len(system["maximal"]))
-    out.update(wall_s=round(wall, 4), peak_heap_mb=round(peak / 1e6, 2))
+    out.update(wall_s=round(median(walls), 4), wall_min_s=round(min(walls), 4),
+               wall_max_s=round(max(walls), 4), peak_heap_mb=round(peak / 1e6, 2))
     return out
 
 
@@ -124,12 +159,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for label, kind, families in BENCHES:
             rows = []
-            for family, build, answer, sizes in families:
+            for family, command, build, answer, sizes in families:
                 for size in sizes:
-                    rows.append(row(kind, family, build(instances, size),
-                                    *answer(size), size, pathlib.Path(tmp)))
+                    rows.append(row(kind, family, command,
+                                    build(instances, size),
+                                    *answer(instances, size), size,
+                                    pathlib.Path(tmp)))
                     print(json.dumps(rows[-1]))
-            doc = {"command": "homology", "python": platform.python_version(),
+            doc = {"runs": RUNS, "python": platform.python_version(),
                    "cpus": os.cpu_count(), "rows": rows}
             (ROOT / f"BENCH_{label}.json").write_text(
                 json.dumps(doc, indent=2) + "\n")
