@@ -47,7 +47,7 @@ from .errors import (
     OrbimorseError,
     ParseError,
 )
-from .groups import DEFAULT_CAP, GroupAction, generate_group
+from .groups import DEFAULT_CAP, generate_group
 from .intrinsic import (
     IntrinsicFlow,
     IntrinsicPoint,
@@ -294,9 +294,9 @@ def build_simplicial(payload):
     gens = [tuple(_as_list(g, "%s: generator", ctx))
             for g in _as_list(payload.get("generators", []), f"{ctx}: generators")]
     with _parsing(ctx):
-        group = generate_group(gens, degree=len(K.vertices), cap=_group_cap())
-    action = GroupAction(group, K.vertices, {g: g for g in group.elements})
-    gk = GSimplicialComplex(K, group, action)
+        # closed only to check the generators and bound |G|
+        generate_group(gens, degree=len(K.vertices), cap=_group_cap())
+    gk = GSimplicialComplex(K, [(g, g) for g in gens])
     sub = None
     if payload.get("subcomplex") is not None:
         sub = SimplicialComplex(

@@ -14,9 +14,10 @@ the quotient goes through; two subdivisions always suffice.
 Invariant homology needs no regularity: it is the homology of the orbit sums
 of simplices (chaincx.orbit_sum_complex, shared with the Morse side), where
 an orbit flipped by its stabilizer cancels like a non-orientable critical
-point.  The constructor scans the simplex orbits once, |G| vertex images per
-orbit rather than per simplex, checking that the action is simplicial, and
-keeps the rows as the complex's orbit table; regularity, the quotient, the
+point.  A G-complex is its complex and one vertex image array per ground
+generator; the constructor walks each simplex orbit once, breadth first
+through the generators, checking that the action is simplicial, and keeps
+the rows as the complex's orbit table; regularity, the quotient, the
 invariance of a relative part and invariant homology read that table.
 """
 
@@ -26,14 +27,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Optional
 
-from .chaincx import (GradedComplex, betti as complex_betti, orbit_sum_complex,
-                      verify_complex)
-from .errors import (
-    ActionNotSimplicial,
-    NotASubcomplex,
-    NotRegular,
-)
-from .groups import FiniteGroup, GroupAction
+from .chaincx import GradedComplex, betti as complex_betti, orbit_sum_complex
+from .errors import ActionNotSimplicial, NotASubcomplex, NotRegular
+from .groups import gather, is_perm
 from .intrinsic import boundary_plus
 from .quotient import derive_intrinsic
 
@@ -130,27 +126,30 @@ def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
 
 
 class GSimplicialComplex:
-    """Simplicial complex with a vertex action mapping simplices to simplices."""
+    """Simplicial complex with a vertex action mapping simplices to simplices,
+    kept as rows (g, image array over the vertex list), one per ground
+    generator g, which names the row in witnesses."""
 
-    def __init__(self, complex_: SimplicialComplex, group: FiniteGroup,
-                 vertex_action: GroupAction):
-        if vertex_action.points != complex_.vertices:
+    def __init__(self, complex_: SimplicialComplex, rows):
+        self.complex, self.rows = complex_, tuple(rows)
+        if not all(is_perm(arr, len(complex_.vertices)) for _, arr in self.rows):
             raise ActionNotSimplicial(
                 "vertex action must act on the complex's vertex list")
-        self.complex = complex_
-        self.group = group
-        self.vertex_action = vertex_action
         self.orbit_table = tuple(_orbit_scan(self))
 
     def subdivided(self) -> "GSimplicialComplex":
-        sd, act = barycentric_subdivide(self.complex), self.vertex_action
-        position = {tuple(act.index_of[vtx] for vtx in s): i
+        """Each row lifted to the subdivision: g sends the vertex s to g.s."""
+        sd, index = barycentric_subdivide(self.complex), _index(self.complex)
+        position = {tuple([index[vtx] for vtx in s]): i
                     for i, s in enumerate(sd.vertices)}
-        images = {g: tuple(position[tuple(sorted([arr[i] for i in s]))]
-                           for s in position)
-                  for g, arr in zip(self.group, map(act.image_array, self.group))}
-        return GSimplicialComplex(sd, self.group,
-                                  GroupAction(self.group, sd.vertices, images))
+        gathers = list(map(gather, position))
+        return GSimplicialComplex(sd, [
+            (g, tuple([position[tuple(sorted(at(arr)))] for at in gathers]))
+            for g, arr in self.rows])
+
+
+def _index(K: SimplicialComplex) -> dict:
+    return {vtx: i for i, vtx in enumerate(K.vertices)}
 
 
 def _perm_sign(values) -> int:
@@ -159,32 +158,38 @@ def _perm_sign(values) -> int:
 
 def _orbit_scan(gk: GSimplicialComplex):
     """(s, members, flipped, irregular) per simplex orbit, by dimension and
-    least member s.  members maps g.s to the sign with which g carries the
-    oriented s there; flipped: Stab(s) reverses s; irregular: it moves a
-    vertex.  s stands for its orbit, as g.(h.s) = (gh).s and Stab(h.s) =
-    h Stab(s) h^-1.  Raises ActionNotSimplicial naming g, s and its image."""
-    closed, points = gk.complex._closed, gk.complex.vertices
-    index = gk.vertex_action.index_of
-    arrays = [(g, gk.vertex_action.image_array(g)) for g in gk.group]
+    least member s, walked breadth first through the generators from the
+    vertex-index tuple of s.  members maps the simplex of each tuple t
+    reached to the sign of the permutation sorting t; flipped: a simplex is
+    reached with both signs, so Stab(s) reverses s; irregular: more tuples
+    than simplices are reached, so Stab(s) moves a vertex.  Raises
+    ActionNotSimplicial naming a generator, a reached simplex and its image."""
+    closed, points, index = gk.complex._closed, gk.complex.vertices, _index(gk.complex)
     seen = set()
     for s in gk.complex.all_simplices():
         if s in seen:
             continue
-        idx = [index[vtx] for vtx in s]
-        members, flipped, irregular = {}, False, False
-        for g, arr in arrays:
-            raw = [arr[i] for i in idx]
-            srt = sorted(raw)
-            img = tuple([points[i] for i in srt])
-            if img not in closed:
-                raise ActionNotSimplicial(
-                    f"g={list(g)} sends simplex {s!r} to {img!r}")
-            img = closed[img]  # the complex's own tuple, kept by the table
-            sign = _perm_sign(raw)
-            flipped |= members.setdefault(img, sign) != sign
-            irregular |= srt == idx and raw != idx
+        members, flipped = {s: 1}, False
+        queue = [tuple([index[vtx] for vtx in s])]
+        reached = set(queue)
+        for t in queue:  # breadth first: the queue grows behind the loop
+            at = gather(t)
+            for g, arr in gk.rows:
+                u = at(arr)
+                if u in reached:
+                    continue
+                img = tuple([points[i] for i in sorted(u)])
+                if img not in closed:
+                    raise ActionNotSimplicial(
+                        f"g={list(g)} sends simplex "
+                        f"{tuple([points[i] for i in sorted(t)])!r} to {img!r}")
+                sign = _perm_sign(u)
+                # closed[img]: the table keeps the complex's own tuple
+                flipped |= members.setdefault(closed[img], sign) != sign
+                reached.add(u)
+                queue.append(u)
         seen.update(members)
-        yield s, members, flipped, irregular
+        yield s, members, flipped, len(reached) > len(members)
 
 
 def is_regular(gk: GSimplicialComplex) -> bool:
@@ -194,21 +199,16 @@ def is_regular(gk: GSimplicialComplex) -> bool:
 
 def _require_invariant_sub(gk, sub) -> None:
     """Reject a relative part that is not an invariant subcomplex, one that
-    meets an orbit without containing it; a g-major scan finds the witness."""
+    a generator moves; the witness is the least such generator and the
+    first simplex it moves out."""
     if sub is None:
         return
     if not gk.complex.contains(sub):
         raise NotASubcomplex("relative part is not a subcomplex")
-    inside = sub._closed.keys()
-    if all(inside.isdisjoint(members) or inside >= members.keys()
-           for _, members, *_ in gk.orbit_table):
-        return
-    index, points = gk.vertex_action.index_of, gk.complex.vertices
-    for g in gk.group:
-        arr = gk.vertex_action.image_array(g)
+    points, index = gk.complex.vertices, _index(gk.complex)
+    for g, arr in sorted(gk.rows):
         for s in sub.all_simplices():
-            img = tuple([points[i] for i in sorted([arr[index[vtx]] for vtx in s])])
-            if img not in inside:
+            if tuple(sorted([points[arr[index[vtx]]] for vtx in s])) not in sub._closed:
                 raise NotASubcomplex(
                     f"relative part is not invariant: g={list(g)} moves {s!r} out")
 
@@ -316,10 +316,7 @@ def compare(system, gk: GSimplicialComplex) -> CompareReport:
     The Morse side is the plus complex of the derived quotient system: the
     orientable orbits weighted by their isotropy orders.
     """
-    cx = boundary_plus(derive_intrinsic(system))
-    ok, witness = verify_complex(cx)
-    assert ok, f"invariant Morse complex fails to square to zero at {witness}"
-    morse = complex_betti(cx)
+    morse = complex_betti(boundary_plus(derive_intrinsic(system)))
     rounds, q = regularize(gk)
     simp = homology(q.complex)
     width = max(len(morse), len(simp))

@@ -186,16 +186,31 @@ def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):
     assert _build_parser.cache_info().misses == 1
 
 
+def flipped_edge_file(tmp_path):
+    """The edge {a, b} under the swap, relative to the vertex a."""
+    return write_doc(tmp_path, "e.json", {
+        "kind": "simplicial", "metadata": {"name": "flipped_edge"},
+        "system": {"vertices": ["a", "b"], "maximal": [["a", "b"]],
+                   "generators": [[1, 0]],
+                   "subcomplex": {"vertices": ["a"], "maximal": [["a"]]}}})
+
+
 def test_validate_reports_irregularity_before_a_bad_relative_part(tmp_path, capsys):
-    doc = {"kind": "simplicial", "metadata": {"name": "flipped_edge"},
-           "system": {"vertices": ["a", "b"], "maximal": [["a", "b"]],
-                      "generators": [[1, 0]],
-                      "subcomplex": {"vertices": ["a"], "maximal": [["a"]]}}}
-    assert main(["validate", write_doc(tmp_path, "e.json", doc)]) == EXIT_OK
+    assert main(["validate", flipped_edge_file(tmp_path)]) == EXIT_OK
     assert capsys.readouterr().out == (
         "kind: simplicial\nname: flipped_edge\nregular: no\n"
         "quotient: needs subdivision: a setwise-fixed simplex is moved "
         "vertex-wise\n")
+
+
+def test_relative_part_moved_after_a_subdivision_round_is_named(tmp_path, capsys):
+    # the edge is flipped, so the invariance of {a} is first checked on the
+    # subdivision, whose vertex (a,) the generator, printed as given, moves
+    assert main(["homology", flipped_edge_file(tmp_path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: relative part is not invariant: "
+                            "g=[1, 0] moves (('a',),) out\n")
 
 
 def test_homology_of_relative_simplicial(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from orbimorse import (
     ActionNotSimplicial,
     GSimplicialComplex,
-    GroupAction,
     NotASubcomplex,
     NotRegular,
     OrbimorseError,
@@ -26,7 +25,7 @@ from orbimorse import (
     regularize,
 )
 from orbimorse.chaincx import betti, orbit_sum_complex
-from orbimorse.groups import orbits
+from orbimorse.groups import compose
 from orbimorse.simplicial import _close_downward
 
 from conftest import grid_torus
@@ -34,10 +33,8 @@ from conftest import grid_torus
 
 def gcomplex(vertices, maximal, gens):
     """Action given as index permutations of the sorted vertex list."""
-    K = SimplicialComplex(vertices, maximal)
-    group = generate_group(gens, degree=len(K.vertices))
-    act = GroupAction(group, K.vertices, {g: g for g in group.elements})
-    return GSimplicialComplex(K, group, act)
+    return GSimplicialComplex(SimplicialComplex(vertices, maximal),
+                              [(g, g) for g in gens])
 
 
 def tetra_boundary():
@@ -252,52 +249,75 @@ def test_invariant_homology_equals_quotient_homology(case):
 
 
 # -- the full G x N scans the orbit scan replaced, kept as oracles ---------------
+#
+# act maps each element g of G, in generate_group's order, to the map from
+# each vertex of the complex to its image (element_action).
 
-def full_bad_image(K, group, act):
-    """First (g, s, image) with an image off K, g-major over G x simplices."""
+def element_arrays(gk, group):
+    """Each g in G with its vertex image array, composed from gk's rows along
+    the closure: g = x s gets the array of x after the row of s.  On the
+    input complex these are the ground permutations themselves."""
+    arrays = {group.identity: tuple(range(len(gk.complex.vertices)))}
+    for x in group:
+        for s, arr in gk.rows:
+            arrays.setdefault(compose(x, s), compose(arrays[x], arr))
+    return {g: arrays[g] for g in group}
+
+
+def element_action(gk, arrays):
+    points = gk.complex.vertices
+    return {g: dict(zip(points, [points[i] for i in arr]))
+            for g, arr in arrays.items()}
+
+
+def full_bad_image(K, group):
+    """First (g, s, image) with an image off K, g-major over G x simplices,
+    g acting on K's vertex list as it stands."""
     for g in group:
         for s in K.all_simplices():
-            img = tuple(sorted(act.image(g, vtx) for vtx in s))
+            img = tuple(sorted(K.vertices[g[K.vertices.index(vtx)]] for vtx in s))
             if len(set(img)) != len(s) or not K.has(img):
                 return g, s, img
     return None
 
 
-def full_image(gk, g, s):
-    return tuple(sorted(gk.vertex_action.image(g, vtx) for vtx in s))
+def full_image(image, s):
+    return tuple(sorted(image[vtx] for vtx in s))
 
 
-def full_is_regular(gk):
-    return not any(full_image(gk, g, s) == s
-                   and any(gk.vertex_action.image(g, vtx) != vtx for vtx in s)
-                   for g in gk.group for s in gk.complex.all_simplices())
+def full_is_regular(gk, act):
+    return not any(full_image(image, s) == s
+                   and any(image[vtx] != vtx for vtx in s)
+                   for image in act.values()
+                   for s in gk.complex.all_simplices())
 
 
-def full_require_invariant_sub(gk, sub):
+def full_require_invariant_sub(gk, act, sub):
     if sub is None:
         return
     if not gk.complex.contains(sub):
         raise NotASubcomplex("relative part is not a subcomplex")
-    for g in gk.group:
+    for g, image in act.items():
         for s in sub.all_simplices():
-            if not sub.has(full_image(gk, g, s)):
+            if not sub.has(full_image(image, s)):
                 raise NotASubcomplex(
                     f"relative part is not invariant: g={list(g)} moves {s!r} out")
 
 
-def full_quotient(gk, sub):
+def full_quotient(gk, act, sub):
     """Vertex sets, provenance and relative part, orbits by min over G."""
-    if not full_is_regular(gk):
+    if not full_is_regular(gk, act):
         raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
-    full_require_invariant_sub(gk, sub)
-    label = {vtx: orb[0] for orb in orbits(gk.vertex_action) for vtx in orb}
+    full_require_invariant_sub(gk, act, sub)
+    label = {vtx: min(image[vtx] for image in act.values())
+             for vtx in gk.complex.vertices}
     seen, maximal = {}, []
     for s in gk.complex.all_simplices():
         down = tuple(sorted({label[vtx] for vtx in s}))
         if len(down) != len(s):
             raise NotRegular(
                 f"simplex {s!r} collapses onto {down!r} in the quotient")
-        orbit = min(full_image(gk, g, s) for g in gk.group)
+        orbit = min(full_image(image, s) for image in act.values())
         if down in seen and seen[down] != orbit:
             raise NotRegular(
                 f"orbits of {seen[down]!r} and {orbit!r} share the quotient "
@@ -311,9 +331,9 @@ def full_quotient(gk, sub):
     return qc, seen, qsub
 
 
-def full_invariant_homology(gk, sub=None):
+def full_invariant_homology(gk, act, sub=None):
     """Orbit sums with one permutation sign per g and simplex."""
-    full_require_invariant_sub(gk, sub)
+    full_require_invariant_sub(gk, act, sub)
     in_sub = set(sub.all_simplices()) if sub is not None else set()
     levels = []
     for k in range(gk.complex.dim + 1):
@@ -322,8 +342,8 @@ def full_invariant_homology(gk, sub=None):
             if s in seen or s in in_sub:
                 continue
             members, orientable = {}, True
-            for g in gk.group:
-                raw = [gk.vertex_action.image(g, vtx) for vtx in s]
+            for image in act.values():
+                raw = [image[vtx] for vtx in s]
                 inversions = sum(a > b for a, b in combinations(raw, 2))
                 sign = -1 if inversions % 2 else 1
                 orientable &= members.setdefault(tuple(sorted(raw)), sign) == sign
@@ -363,41 +383,50 @@ def test_orbit_scan_matches_full_scans(case):
     vertices, maximal, perms, sub_simplices = case
     K = SimplicialComplex(vertices, maximal)
     group = generate_group(perms, degree=len(K.vertices))
-    act = GroupAction(group, K.vertices, {g: g for g in group.elements})
-    bad = full_bad_image(K, group, act)
+    bad = full_bad_image(K, group)
     if bad is not None:
         with pytest.raises(ActionNotSimplicial) as err:
-            GSimplicialComplex(K, group, act)
+            gcomplex(vertices, maximal, perms)
         g, s, img = (literal_eval(x) for x in re.fullmatch(
             r"g=(\[.*\]) sends simplex (\(.*\)) to (\(.*\))", str(err.value)).groups())
-        assert K.has(s) and not K.has(img) and tuple(g) in group
-        assert img == tuple(sorted(act.image(tuple(g), vtx) for vtx in s))
+        assert K.has(s) and not K.has(img) and g in perms
+        assert img == tuple(sorted(K.vertices[g[K.vertices.index(vtx)]]
+                                   for vtx in s))
         return
-    gk = GSimplicialComplex(K, group, act)
+    gk = gcomplex(vertices, maximal, perms)
     sub = None if sub_simplices is None else SimplicialComplex(
         {v for s in sub_simplices for v in s}, sub_simplices)
-    matches_full_scans(gk, sub)
-    sd = gk.subdivided()
-    assert all(sd.vertex_action.image(g, v) == full_image(gk, g, v)
-               for g in group for v in sd.complex.vertices)
-    matches_full_scans(sd, None if sub is None else barycentric_subdivide(sub))
+    arrays = element_arrays(gk, group)
+    assert arrays == {g: g for g in group}
+    act = element_action(gk, arrays)
+    matches_full_scans(gk, act, sub)
+    # each subdivision's rows, lifted from the last, compose to the action
+    # of every g on the simplices of the complex before it
+    for _ in range(2):
+        sd = gk.subdivided()
+        sd_act = element_action(sd, element_arrays(sd, group))
+        assert all(sd_act[g][v] == full_image(image, v)
+                   for g, image in act.items() for v in sd.complex.vertices)
+        sub = None if sub is None else barycentric_subdivide(sub)
+        matches_full_scans(sd, sd_act, sub)
+        gk, act = sd, sd_act
 
 
-def matches_full_scans(gk, sub):
+def matches_full_scans(gk, act, sub):
     """The orbit table partitions the simplices into their G-orbits, and
     what is read from it agrees with the full scans."""
     rows = gk.orbit_table
     assert sorted(m for _, members, *_ in rows for m in members) \
         == sorted(gk.complex.all_simplices())
-    assert all(set(members) == {full_image(gk, g, s) for g in gk.group}
+    assert all(set(members) == {full_image(image, s) for image in act.values()}
                for s, members, *_ in rows)
-    assert is_regular(gk) == full_is_regular(gk)
+    assert is_regular(gk) == full_is_regular(gk, act)
     assert same_quotient(outcome(scanned_quotient, gk, sub),
-                         outcome(full_quotient, gk, sub))
-    assert invariant_homology(gk) == full_invariant_homology(gk)
+                         outcome(full_quotient, gk, act, sub))
+    assert invariant_homology(gk) == full_invariant_homology(gk, act)
     if sub is not None:
         assert outcome(invariant_homology, gk, sub) \
-            == outcome(full_invariant_homology, gk, sub)
+            == outcome(full_invariant_homology, gk, act, sub)
 
 
 def test_witnesses_name_g_the_simplex_and_its_image():
@@ -411,6 +440,13 @@ def test_witnesses_name_g_the_simplex_and_its_image():
             fn(gk, one_end)
         assert str(err.value) == \
             "relative part is not invariant: g=[2, 1, 0] moves ('a',) out"
+    # both generators move a; the witness is the least, as in G's order
+    gk = gcomplex("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
+                  [[2, 1, 0, 3], [1, 2, 3, 0]])
+    with pytest.raises(NotASubcomplex) as err:
+        invariant_homology(gk, one_end)
+    assert str(err.value) == \
+        "relative part is not invariant: g=[1, 2, 3, 0] moves ('a',) out"
 
 
 def test_irregularity_is_reported_before_a_bad_relative_part():
