@@ -26,6 +26,16 @@ from .errors import (
 )
 
 
+def label_map(items, what) -> dict:
+    """Label -> item; a label given twice is malformed."""
+    out = {}
+    for x in items:
+        if x.label in out:
+            raise MalformedSystem(f"duplicate {what} {x.label!r}")
+        out[x.label] = x
+    return out
+
+
 @dataclass(frozen=True)
 class IntrinsicPoint:
     label: str
@@ -54,11 +64,8 @@ class OrbifoldMorseSystem:
         self.ambient_dim = int(ambient_dim)
         self.crit = tuple(crit_points)
         self.flows = tuple(flows)
-        self._by_label = {p.label: p for p in self.crit}
-        if len(self._by_label) != len(self.crit):
-            raise MalformedSystem("duplicate critical point labels")
-        if len({f.label for f in self.flows}) != len(self.flows):
-            raise MalformedSystem("duplicate flow labels")
+        self._by_label = label_map(self.crit, "point")
+        label_map(self.flows, "flow")
         for p in self.crit:
             if not (0 <= p.index <= self.ambient_dim):
                 raise IndexOutOfRange(

@@ -26,11 +26,13 @@ tests and to list every witness on the orbits where a law fails.
 Canonical gauge.  Orientation choices can be re-gauged (flip any subset of
 unstable-manifold orientations, transforming tau and eps accordingly) without
 changing the geometry.  All derived quantities here are computed in a
-canonical gauge so they are literal functions of the gauge class: first the
-orientations over each orientable orbit are made G-invariant, +1 at the
-least member, then the leftover one-sign-per-orbit freedom is fixed along a
-deterministic spanning forest of the orbit adjacency graph (the
-lexicographically least flow class on each forest edge gets sign +1).
+canonical gauge so they are literal functions of the gauge class, read off
+the orbit scan: first the orientations over each orientable orbit are the
+scan's invariant ones, +1 at the least member, then the leftover
+one-sign-per-orbit freedom is fixed along a deterministic spanning forest of
+the orbit adjacency graph (the lexicographically least flow class on each
+forest edge gets sign +1).  A consistent scan makes the first step
+invariant under every generator, so nothing is re-checked on the rows.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ from .groups import (
     generate_group,
     is_perm,
 )
-from .intrinsic import IntrinsicFlow, IntrinsicPoint, OrbifoldMorseSystem
+from .intrinsic import (IntrinsicFlow, IntrinsicPoint, OrbifoldMorseSystem,
+                        label_map)
 
 
 def _is_sign(x) -> bool:
@@ -131,10 +134,10 @@ class EquivariantMorseSystem:
     def __init__(self, group: FiniteGroup, crit_points, flows, rows,
                  ambient_dim: int):
         self._setup(group, crit_points, flows, rows, ambient_dim)
+        self._check()
         if not _scan(self).consistent:
             raise ActionNotWellDefined(
                 "cocycle or action data inconsistent across group words")
-        self._check()
 
     def _setup(self, group, crit_points, flows, rows, ambient_dim):
         self.group, self.rows = group, tuple(rows)
@@ -145,10 +148,8 @@ class EquivariantMorseSystem:
         self._cache: dict = {}
 
     def _check(self):
-        if len(self._index_of) != len(self.crit):
-            raise MalformedSystem("duplicate critical point labels")
-        if len(self._flow_by_label) != len(self.flows):
-            raise MalformedSystem("duplicate flow labels")
+        label_map(self.crit, "critical point")
+        label_map(self.flows, "flow")
         for f in self.flows:
             for end in (f.src, f.dst):
                 if end not in self._index_of:
@@ -250,13 +251,15 @@ class EquivariantMorseSystem:
 class _Scan(NamedTuple):
     tree: list          # (i, j, k): g_k = s_j g_i first reaches g_k, breadth first
     orbits: list        # point orbits (member indices, orientable), by label
+    orbit: list         # orbit number per point
     sigma: list         # invariant orientation per point, +1 off orientable orbits
     flow_orbits: list   # flow orbits as member indices, by label
     consistent: bool    # the rows extend to an action of G
 
 
 def _partition(labels, images):
-    """Orbits of the image arrays, members and orbits by least label."""
+    """Orbits of the image arrays, members and orbits by least label, and
+    the orbit number of each element."""
     by_label = sorted(range(len(labels)), key=labels.__getitem__)
     orbit_of, out = [-1] * len(labels), []
     for x in by_label:
@@ -271,7 +274,7 @@ def _partition(labels, images):
             out.append([])
     for x in by_label:
         out[orbit_of[x]].append(x)
-    return out
+    return out, orbit_of
 
 
 def _scan(s: EquivariantMorseSystem) -> _Scan:
@@ -287,8 +290,8 @@ def _scan(s: EquivariantMorseSystem) -> _Scan:
     group, rows, c = s.group, s.rows, len(s.crit)
     moves = [[2 * y + ((t < 0) ^ e) for y, t in zip(ag, tg) for e in (0, 1)]
              + [2 * c + h for h in fg] for _, ag, tg, fg in rows]
-    orbits = _partition([p.label for p in s.crit], [r[1] for r in rows])
-    flow_orbits = _partition([f.label for f in s.flows], [r[3] for r in rows])
+    orbits, orbit = _partition([p.label for p in s.crit], [r[1] for r in rows])
+    flow_orbits, _ = _partition([f.label for f in s.flows], [r[3] for r in rows])
     reps = [2 * o[0] for o in orbits] + [2 * c + o[0] for o in flow_orbits]
 
     # An element is keyed by its images of base points b; (sg)[b] = s[g[b]].
@@ -316,7 +319,7 @@ def _scan(s: EquivariantMorseSystem) -> _Scan:
             for v in seen:
                 sigma[v >> 1] = 1 - 2 * (v & 1)
         kept.append((o, orientable))
-    s._cache["scan"] = _Scan(tree, kept, sigma, flow_orbits, consistent)
+    s._cache["scan"] = _Scan(tree, kept, orbit, sigma, flow_orbits, consistent)
     return s._cache["scan"]
 
 
@@ -443,8 +446,7 @@ def _require_valid(s: EquivariantMorseSystem, check_valid: bool = True) -> None:
 
 def classify(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:
     """Orbit classification from the orbit scan, ordered by least member
-    label; the isotropy order is |G| / |orbit|.  The map from each label to
-    its orbit is cached beside the result, for orbit_of."""
+    label; the isotropy order is |G| / |orbit|.  Cached on the system."""
     if "classify" in s._cache:
         return s._cache["classify"]
     result = tuple(
@@ -454,16 +456,13 @@ def classify(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:
                       orientable=orientable)
         for members, orientable in _scan(s).orbits)
     s._cache["classify"] = result
-    s._cache["orbit_of"] = {m: orb for orb in result for m in orb.members}
     return result
 
 
 def orbit_of(s: EquivariantMorseSystem, label: str) -> CriticalOrbit:
-    classify(s)
-    orb = s._cache["orbit_of"].get(label)
-    if orb is None:
+    if label not in s._index_of:
         raise UnknownPoint(f"{label!r} is not a critical point")
-    return orb
+    return classify(s)[_scan(s).orbit[s._index_of[label]]]
 
 
 # -- canonical gauge ----------------------------------------------------------
@@ -472,85 +471,58 @@ def orbit_of(s: EquivariantMorseSystem, label: str) -> CriticalOrbit:
 class _Gauge:
     sigma: dict          # point label -> +-1
     eps: dict            # flow label -> canonical sign
-    flow_orbits: tuple   # tuple of tuples of flow labels
-
-
-def _flow_orbit_endpoints(s, members):
-    f = s._flow_by_label[members[0]]
-    return orbit_of(s, f.src), orbit_of(s, f.dst)
+    classes: tuple       # (flow orbit, src, dst orbit number), both orientable
 
 
 def _normalize(s: EquivariantMorseSystem) -> _Gauge:
+    """The canonical gauge of the module docstring, from the orbit scan.
+    Its orbits and flow orbits come by least label, so the first flow orbit
+    met per pair of orbits and sorted orbit numbers give the least choices."""
     if "gauge" in s._cache:
         return s._cache["gauge"]
-    cls = classify(s)
     scan = _scan(s)
-
-    # The scan's orientation on each orientable orbit, +1 at its least member,
-    # must give sigma(g.m) tau(g, m) sigma(m) = 1 on the generating rows.
+    if not scan.consistent:
+        raise GaugeFailure("no G-invariant orientation: the rows do not "
+                           "extend to an action of G")
+    orbit, orientable = scan.orbit, [ok for _, ok in scan.orbits]
+    src = [s._index_of[f.src] for f in s.flows]
+    dst = [s._index_of[f.dst] for f in s.flows]
     sig = scan.sigma
-    for orb in cls:
-        if not orb.orientable:
-            continue
-        members = [s._index_of[m] for m in orb.members]
-        for g, ag, tg, _ in s.rows:
-            for m in members:
-                if sig[ag[m]] * tg[m] * sig[m] != 1:
-                    raise GaugeFailure(
-                        f"no G-invariant orientation on orbit of {orb.rep!r}; "
-                        f"witness g={list(g)}, p={s.crit[m].label!r}")
-    sigma = {p.label: sg for p, sg in zip(s.crit, sig)}
+    eps = [sig[a] * sig[b] * f.sign for f, a, b in zip(s.flows, src, dst)]
 
-    eps = {f.label: sigma[f.src] * sigma[f.dst] * f.sign for f in s.flows}
-
-    flow_orbits = tuple(tuple(s.flows[f].label for f in o)
-                        for o in scan.flow_orbits)
-    orientable_classes = {}
-    for members in flow_orbits:
-        src_orb, dst_orb = _flow_orbit_endpoints(s, members)
-        if not (src_orb.orientable and dst_orb.orientable):
+    classes, adjacency = [], [{} for _ in orientable]
+    for members in scan.flow_orbits:
+        a, b = orbit[src[members[0]]], orbit[dst[members[0]]]
+        if not (orientable[a] and orientable[b]):
             continue
         signs = {eps[m] for m in members}
         if len(signs) != 1:
             raise SignNotOrbitConstant(
-                f"flow orbit of {members[0]!r} carries signs {sorted(signs)} "
-                f"after orientation normalization")
-        pair = tuple(sorted((src_orb.rep, dst_orb.rep)))
-        orientable_classes.setdefault(pair, []).append(members[0])
+                f"flow orbit of {s.flows[members[0]].label!r} carries signs "
+                f"{sorted(signs)} after orientation normalization")
+        classes.append((members, a, b))
+        if a != b:
+            adjacency[a].setdefault(b, members[0])
+            adjacency[b].setdefault(a, members[0])
 
     # Fix the residual one-sign-per-orbit freedom along a spanning forest.
-    adjacency: dict = {}
-    for (a, b), reps in orientable_classes.items():
-        if a == b:
-            continue
-        adjacency.setdefault(a, {})[b] = min(reps)
-        adjacency.setdefault(b, {})[a] = min(reps)
-    shift = {orb.rep: 1 for orb in cls if orb.orientable}
-    seen = set()
-    for orb in cls:
-        if not orb.orientable or orb.rep in seen:
-            continue
-        seen.add(orb.rep)
-        queue = [orb.rep]
-        while queue:
-            u = queue.pop(0)
-            for vtx in sorted(adjacency.get(u, {})):
-                if vtx in seen:
-                    continue
-                seen.add(vtx)
-                anchor = adjacency[u][vtx]
-                shift[vtx] = eps[anchor] * shift[u]
-                queue.append(vtx)
+    shift, seen = [1] * len(orientable), [False] * len(orientable)
+    for root, ok in enumerate(orientable):
+        if ok and not seen[root]:
+            seen[root], queue = True, [root]
+            for u in queue:
+                for v in sorted(adjacency[u]):
+                    if not seen[v]:
+                        seen[v] = True
+                        shift[v] = eps[adjacency[u][v]] * shift[u]
+                        queue.append(v)
 
-    sigma_final = {}
-    for p in s.crit:
-        orb = s._cache["orbit_of"][p.label]
-        sigma_final[p.label] = sigma[p.label] * (
-            shift[orb.rep] if orb.orientable else 1)
-    eps_final = {f.label: sigma_final[f.src] * sigma_final[f.dst] * f.sign
-                 for f in s.flows}
-
-    gauge = _Gauge(sigma=sigma_final, eps=eps_final, flow_orbits=flow_orbits)
+    final = [sg * shift[k] for sg, k in zip(sig, orbit)]
+    gauge = _Gauge(
+        sigma={p.label: sg for p, sg in zip(s.crit, final)},
+        eps={f.label: final[a] * final[b] * f.sign
+             for f, a, b in zip(s.flows, src, dst)},
+        classes=tuple(classes))
     s._cache["gauge"] = gauge
     return gauge
 
@@ -612,13 +584,9 @@ def derive_intrinsic(s: EquivariantMorseSystem) -> OrbifoldMorseSystem:
                            orientable=True)
             for o in cls if o.orientable]
     flows = []
-    for members in gauge.flow_orbits:
-        src_orb, dst_orb = _flow_orbit_endpoints(s, members)
-        if not (src_orb.orientable and dst_orb.orientable):
-            continue
-        rep = members[0]
-        flows.append(IntrinsicFlow(label=rep, src=src_orb.rep,
-                                   dst=dst_orb.rep,
+    for members, a, b in gauge.classes:
+        rep = s.flows[members[0]].label
+        flows.append(IntrinsicFlow(label=rep, src=cls[a].rep, dst=cls[b].rep,
                                    iso_order=s.group.order // len(members),
                                    sign=gauge.eps[rep]))
     return OrbifoldMorseSystem(ambient_dim=s.ambient_dim,
@@ -673,14 +641,14 @@ def broken_weight(s: EquivariantMorseSystem, p: str, q: str, r: str, *,
     w = results[0]
 
     if Q.orientable:
-        nu_in, nu_out = Fraction(0), Fraction(0)
-        for members in gauge.flow_orbits:
-            src_orb, dst_orb = _flow_orbit_endpoints(s, members)
+        cls, nu_in, nu_out = classify(s), Fraction(0), Fraction(0)
+        for members, a, b in gauge.classes:
             iso = s.group.order // len(members)
-            nu = Fraction(gauge.eps[members[0]] * Q.iso_order, iso)
-            if src_orb.rep == P.rep and dst_orb.rep == Q.rep:
+            nu = Fraction(gauge.eps[s.flows[members[0]].label] * Q.iso_order,
+                          iso)
+            if cls[a].rep == P.rep and cls[b].rep == Q.rep:
                 nu_in += nu
-            elif src_orb.rep == Q.rep and dst_orb.rep == R.rep:
+            elif cls[a].rep == Q.rep and cls[b].rep == R.rep:
                 nu_out += nu
         expected = nu_in * nu_out / Q.iso_order
         assert w == expected, (w, expected)

@@ -1,6 +1,9 @@
 """Shared instance builders used across the test modules."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +157,14 @@ def dented():
 @pytest.fixture
 def wedge():
     return make_wedge()
+
+
+@pytest.fixture
+def instances(monkeypatch):
+    """perfbench/instances.py, the benchmark's instance builders."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module

@@ -46,17 +46,6 @@ def corpus_file(tmp_path, name):
     return write_doc(tmp_path, name + ".json", corpus_doc(name))
 
 
-@pytest.fixture
-def instances(monkeypatch):
-    """perfbench/instances.py, the benchmark's instance builders."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
-    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 def simplicial_file(tmp_path, name, system):
     return write_doc(tmp_path, name + ".json", {
         "kind": "simplicial", "metadata": {"name": name}, "system": system})
@@ -252,6 +241,45 @@ def test_parse_failures_exit_4(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
     assert main(["corpus", "run", "nosuch"]) == EXIT_PARSE
+    capsys.readouterr()
+
+    # json refuses an integer beyond 4,300 digits and bad UTF-8 with a plain
+    # ValueError, deep nesting with RecursionError
+    doc = corpus_doc("heart")
+    doc["system"]["ambient_dim"] = "DIM"
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text(json.dumps(doc).replace('"DIM"', "9" * 5000),
+                        encoding="utf-8")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"kind": "\xe9"}')
+    for path in (long_int, deep, latin):
+        assert main(["validate", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON")
+
+
+def test_malformed_entries_are_named(tmp_path, capsys):
+    docs = []
+    for key, what, label in (("crit_points", "critical point", "p"),
+                             ("flows", "flow", "g1")):
+        doc = corpus_doc("heart")
+        doc["system"][key][1]["label"] = label
+        docs.append((doc, f"global_quotient system: duplicate {what} {label!r}"))
+    doc = segment_doc()
+    doc["system"]["points"][1]["label"] = "a"
+    docs.append((doc, "intrinsic system: duplicate point 'a'"))
+    doc = segment_doc()
+    doc["system"]["flows"] *= 2
+    docs.append((doc, "intrinsic system: duplicate flow 'f'"))
+    docs.append((segment_doc(sign="x"), "flow 'f': sign: expected an integer"))
+    doc = segment_doc()
+    doc["system"]["points"][1]["iso_order"] = None
+    docs.append((doc, "point 'b': iso_order: expected an integer"))
+    for doc, message in docs:
+        assert main(["validate", write_doc(tmp_path, "bad.json", doc)]) \
+            == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {message}"), message
 
 
 def segment_doc(**flow):
@@ -288,6 +316,9 @@ def test_malformed_values_exit_4(tmp_path, capsys):
     docs["intrinsic_iso_order"] = segment_doc(iso_order=0)
     docs["intrinsic_duplicate_flow"] = segment_doc()
     docs["intrinsic_duplicate_flow"]["system"]["flows"] *= 2
+    for value in ("1e5000", "1e10000000"):
+        docs[f"heart_value_{value}"] = corpus_doc("heart")
+        docs[f"heart_value_{value}"]["system"]["crit_points"][0]["value"] = value
     for name, doc in docs.items():
         assert main(["homology", write_doc(tmp_path, name + ".json", doc)]) \
             == EXIT_PARSE, name

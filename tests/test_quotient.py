@@ -37,7 +37,7 @@ from orbimorse import (
 )
 from orbimorse.cli import build_global, corpus_names, load_corpus
 from orbimorse.groups import orbits
-from orbimorse.quotient import _normalize
+from orbimorse.quotient import _normalize, _scan
 
 from conftest import make_heart, make_ring_sphere
 from reference_validator import (
@@ -412,6 +412,27 @@ def test_planted_flip_on_a_dihedral_ring_sphere(flow, stabilizer):
     assert Counter(v.law for v in report.violations) \
         == {"sign_equivariance": 2 * (12 - stabilizer), "manifold_d_squared": 1}
     assert validate_system(make_ring_sphere(6, reflect=True)).ok
+
+
+def test_named_systems_match_the_table_scans(instances):
+    """The gauge and the derived system of fixed systems beside the drawn
+    ones: every global quotient of the corpus, comparisons included, and
+    the benchmark's ring spheres for groups of order 2 to 12."""
+    payloads = [inst.body.get("system", inst.body.get("morse"))
+                for inst in map(load_corpus, corpus_names())
+                if inst.kind in ("global_quotient", "comparison")]
+    payloads += [instances.zp_sphere(p) for p in (2, 4, 8)]
+    payloads += [instances.dp_sphere(p) for p in (3, 6)]
+    derived = 0
+    for payload in payloads:
+        s = build_global(payload)
+        assert scanned_gauge(s) == reference_gauge(s)
+        assert_row_law(s)
+        if validate_system(s).ok:
+            q = derive_intrinsic(s)
+            assert (q.crit, q.flows) == reference_derive(s)
+            derived += 1
+    assert derived >= 15
 
 
 def test_one_closure_keeps_the_element_order():
@@ -806,6 +827,25 @@ def consistent_by_closure(data):
         return False
 
 
+def scanned_gauge(s):
+    """(sigma, eps, flow orbits) of the canonical gauge, as reference_gauge
+    gives them: the flow orbits are the orbit scan's, by label."""
+    gauge = _normalize(s)
+    return gauge.sigma, gauge.eps, tuple(
+        tuple(s.flows[f].label for f in o) for o in _scan(s).flow_orbits)
+
+
+def assert_row_law(s):
+    """sigma(g.m) tau(g, m) sigma(m) = 1 for the scan's orientation, every
+    generator row g and every member m of an orientable orbit: a consistent
+    scan gives an invariant orientation, so _normalize checks nothing more."""
+    sig = _scan(s).sigma
+    for members, orientable in _scan(s).orbits:
+        if orientable:
+            for _, ag, tg, _ in s.rows:
+                assert all(sig[ag[m]] * tg[m] * sig[m] == 1 for m in members)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(generator_data(), st.data())
 def test_generator_rows_match_the_table_scans(data, draw):
@@ -816,8 +856,8 @@ def test_generator_rows_match_the_table_scans(data, draw):
     derived = []
     for u in (s, t):
         assert classify(u) == reference_classify(u)
-        gauge = _normalize(u)
-        assert (gauge.sigma, gauge.eps, gauge.flow_orbits) == reference_gauge(u)
+        assert scanned_gauge(u) == reference_gauge(u)
+        assert_row_law(u)
         if validate_system(u).ok:
             q = derive_intrinsic(u)
             assert (q.crit, q.flows) == reference_derive(u)
