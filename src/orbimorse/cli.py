@@ -17,7 +17,8 @@ build, validate and take the homology of each kind:
   comparison        "morse": a global_quotient system, "triangulation": a
                     simplicial system
 
-Rational values are strings like "3/2" (or plain integers), no exponent.
+Rational values are strings like "3/2" (or plain integers), no exponent
+and no decimal point.
 Serialization is canonical: sorted keys, two-space indent, trailing
 newline, so instance files round-trip byte for byte.
 
@@ -111,10 +112,11 @@ def _as_list(v, ctx, *args):
 
 def _as_fraction(v, ctx, *args):
     """An integer or a string such as "3/2" or "-7"; an exponent is refused,
-    since Fraction("1e10000000") alone takes seconds."""
+    since Fraction("1e10000000") alone takes seconds, and so is a decimal
+    point, since a long decimal gives a denominator too long to print."""
     if isinstance(v, (int, str)) and not isinstance(v, bool):
         try:
-            if isinstance(v, str) and "e" in v.lower():
+            if isinstance(v, str) and ("e" in v.lower() or "." in v):
                 raise ValueError(v)
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

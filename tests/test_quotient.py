@@ -46,6 +46,7 @@ from reference_validator import (
     reference_derive,
     reference_gauge,
     reference_violations,
+    tables,
 )
 
 
@@ -81,16 +82,17 @@ def laws(report):
 
 def full_cocycle_failures(s):
     """Every (g, h, p) with tau(gh, p) != tau(g, h.p) tau(h, p)."""
-    return [(g, h, p.label) for g in s.group for h in s.group
-            for p in s.crit
-            if s.tau(compose(g, h), p.label)
-            != s.tau(g, s.point_action.image(h, p.label)) * s.tau(h, p.label)]
+    pa, tau, _ = tables(s)
+    return [(g, h, s.crit[p].label) for g in s.group for h in s.group
+            for p, x in enumerate(pa.image_array(h))
+            if tau[compose(g, h)][p] != tau[g][x] * tau[h][p]]
 
 
 def full_compatibility_failures(s):
     """Every (g, h) with (gh).x != g.(h.x) for some point or flow x."""
+    pa, _, fa = tables(s)
     return [(g, h) for g in s.group for h in s.group
-            for act in (s.point_action, s.flow_action)
+            for act in (pa, fa)
             if any(act.image(compose(g, h), x)
                    != act.image(g, act.image(h, x)) for x in act.points)]
 
@@ -579,12 +581,7 @@ def test_classification_of_dented(dented):
         {"M": 2, "B": 2, "b1": 1, "r1": 1}
 
 
-def test_tau_lookup(heart):
-    e, w = heart.group.elements
-    assert heart.tau(e, "r") == 1
-    assert heart.tau(w, "r") == -1
-    with pytest.raises(UnknownPoint):
-        heart.tau(w, "ghost")
+def test_orbit_lookup_of_an_unknown_point(heart):
     with pytest.raises(UnknownPoint):
         orbit_of(heart, "ghost")
 
@@ -696,8 +693,7 @@ def test_regauge_round_trips_and_preserves_derived_data(heart, dented, wedge):
         for P, Q, R in admissible_triples(s):
             assert broken_weight(t, P.rep, Q.rep, R.rep) \
                 == broken_weight(s, P.rep, Q.rep, R.rep)
-        assert regauge(t, flips).tau(s.group.elements[1], s.crit[0].label) \
-            == s.tau(s.group.elements[1], s.crit[0].label)
+        assert tables(regauge(t, flips))[1] == tables(s)[1]
 
 
 def test_derived_quotient_of_heart(heart):
@@ -902,7 +898,7 @@ def test_defects_on_several_orbits_match_the_full_scan(data, draw):
             points[at[m]][2] = None if value is None else Fraction(value)
     targets = [("point", [at[m] for m in o.members]) for o in classify(s)]
     flow_at = {f[0]: j for j, f in enumerate(flows)}
-    targets += [("flow", [flow_at[f] for f in o]) for o in orbits(s.flow_action)]
+    targets += [("flow", [flow_at[f] for f in o]) for o in orbits(tables(s)[2])]
     targets = [t for t in targets if len(t[1]) > 1]
     assume(len(targets) >= 2)
     chosen = draw.draw(st.lists(st.sampled_from(range(len(targets))),

@@ -153,7 +153,6 @@ def test_relative_quotient_of_a_folded_path():
     assert rounds == 0
     assert q.sub is not None and q.sub.vertices == ("a",)
     assert homology(q.complex, q.sub) == (0, 0)
-    assert q.provenance[("a", "b")] == ("a", "b")
 
 
 def test_non_invariant_relative_part_rejected():
@@ -305,7 +304,7 @@ def full_require_invariant_sub(gk, act, sub):
 
 
 def full_quotient(gk, act, sub):
-    """Vertex sets, provenance and relative part, orbits by min over G."""
+    """Quotient complex and relative part, orbits by min over G."""
     if not full_is_regular(gk, act):
         raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
     full_require_invariant_sub(gk, act, sub)
@@ -328,7 +327,7 @@ def full_quotient(gk, act, sub):
     qsub = None if sub is None else SimplicialComplex(
         {label[v] for v in sub.vertices},
         [tuple(sorted({label[v] for v in s})) for s in sub.all_simplices()])
-    return qc, seen, qsub
+    return qc, qsub
 
 
 def full_invariant_homology(gk, act, sub=None):
@@ -365,16 +364,15 @@ def outcome(fn, *args):
 
 def scanned_quotient(gk, sub):
     q = quotient(gk, sub)
-    return q.complex, q.provenance, q.sub
+    return q.complex, q.sub
 
 
 def same_quotient(got, want):
     if not isinstance(want[0], SimplicialComplex):
         return got == want
     return (got[0].by_dim == want[0].by_dim
-            and list(got[1].items()) == list(want[1].items())
-            and (got[2] is None) == (want[2] is None)
-            and (got[2] is None or got[2].by_dim == want[2].by_dim))
+            and (got[1] is None) == (want[1] is None)
+            and (got[1] is None or got[1].by_dim == want[1].by_dim))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
