@@ -58,9 +58,7 @@ from .intrinsic import (
     verify_d_squared,
 )
 from .quotient import (
-    CritPoint,
     EquivariantMorseSystem,
-    Flow,
     classify,
     derive_intrinsic,
     discarded_orbits,
@@ -195,7 +193,28 @@ def save_instance(inst: InstanceFile, path) -> None:
 
 # -- builders: payload dict -> objects ---------------------------------------
 
+def _point(c) -> tuple:
+    """A critical point entry read field by field: (label, index, value), or
+    the parse error of its first bad field."""
+    label = _as_str(_req(c, "label", "critical point"), "critical point label")
+    index = _as_int(_req(c, "index", "point %r", label), "point %r: index", label)
+    value = None
+    if c.get("value") is not None:
+        value = _as_fraction(c["value"], "point %r: value", label)
+    return label, index, value
+
+def _flow(f) -> tuple:
+    """A flow entry read field by field: (label, src, dst, sign), or the
+    parse error of its first bad field."""
+    label = _as_str(_req(f, "label", "flow"), "flow label")
+    src = _as_str(_req(f, "src", "flow %r", label), "flow %r: src", label)
+    dst = _as_str(_req(f, "dst", "flow %r", label), "flow %r: dst", label)
+    sign = _as_int(_req(f, "sign", "flow %r", label), "flow %r: sign", label)
+    return label, src, dst, sign
+
 def build_global(payload) -> EquivariantMorseSystem:
+    """The system of a global_quotient payload, points and flows passed as
+    plain rows; _point and _flow name the first bad field of an entry."""
     ctx = "global_quotient system"
     ambient = _as_int(_req(payload, "ambient_dim", ctx), f"{ctx}: ambient_dim")
     degree = _as_int(_req(payload, "degree", ctx), f"{ctx}: degree")
@@ -204,20 +223,23 @@ def build_global(payload) -> EquivariantMorseSystem:
 
     crit = []
     for c in _as_list(_req(payload, "crit_points", ctx), f"{ctx}: crit_points"):
-        label = _as_str(_req(c, "label", "critical point"), "critical point label")
-        index = _as_int(_req(c, "index", "point %r", label), "point %r: index", label)
-        value = None
-        if c.get("value") is not None:
-            value = _as_fraction(c["value"], "point %r: value", label)
-        crit.append(CritPoint(label=label, index=index, value=value))
+        if (type(c) is dict and type(label := c.get("label")) is str
+                and type(index := c.get("index")) is int):
+            value = c.get("value")
+            crit.append((label, index, value if value is None else
+                         _as_fraction(value, "point %r: value", label)))
+        else:
+            crit.append(_point(c))
 
     flows = []
     for f in _as_list(_req(payload, "flows", ctx), f"{ctx}: flows"):
-        label = _as_str(_req(f, "label", "flow"), "flow label")
-        src = _as_str(_req(f, "src", "flow %r", label), "flow %r: src", label)
-        dst = _as_str(_req(f, "dst", "flow %r", label), "flow %r: dst", label)
-        sign = _as_int(_req(f, "sign", "flow %r", label), "flow %r: sign", label)
-        flows.append(Flow(label=label, src=src, dst=dst, sign=sign))
+        if (type(f) is dict and type(label := f.get("label")) is str
+                and type(src := f.get("src")) is str
+                and type(dst := f.get("dst")) is str
+                and type(sign := f.get("sign")) is int):
+            flows.append((label, src, dst, sign))
+        else:
+            flows.append(_flow(f))
 
     def per_generator(key):
         arr = _as_list(_req(payload, key, ctx), f"{ctx}: {key}")

@@ -26,13 +26,13 @@ from .errors import (
 )
 
 
-def label_map(items, what) -> dict:
-    """Label -> item; a label given twice is malformed."""
-    out = {}
-    for x in items:
-        if x.label in out:
-            raise MalformedSystem(f"duplicate {what} {x.label!r}")
-        out[x.label] = x
+def label_map(labels, items, what) -> dict:
+    """Label -> item, zipped; a label given twice is malformed."""
+    out = dict(zip(labels, items))
+    if len(out) < len(labels):
+        seen = set()    # the first label seen before: add() returns None
+        x = next(x for x in labels if x in seen or seen.add(x))
+        raise MalformedSystem(f"duplicate {what} {x!r}")
     return out
 
 
@@ -64,8 +64,9 @@ class OrbifoldMorseSystem:
         self.ambient_dim = int(ambient_dim)
         self.crit = tuple(crit_points)
         self.flows = tuple(flows)
-        self._by_label = label_map(self.crit, "point")
-        label_map(self.flows, "flow")
+        self._by_label = label_map([p.label for p in self.crit], self.crit,
+                                   "point")
+        label_map([f.label for f in self.flows], self.flows, "flow")
         for p in self.crit:
             if not (0 <= p.index <= self.ambient_dim):
                 raise IndexOutOfRange(

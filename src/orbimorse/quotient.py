@@ -7,13 +7,15 @@ orientation at g.p; the cocycle law tau(gh, p) = tau(g, h.p) tau(h, p) and the
 sign-equivariance law eps(g.flow) = tau(g, src) tau(g, dst) eps(flow) tie the
 data together.
 
-A system's state is one row per generator s of G: its ground permutation,
-the point images, tau(s, .) and the flow images; G is the closure of the
-ground generators.  Construction scans the Cayley graph of G (edges
-g -> sg) for one member x of each orbit of signed points (k, +-1) and of
-flows, carrying g.x along the edges: the rows extend to an action of G,
-with tau a cocycle, exactly when every edge agrees, so those two laws hold
-by construction.  The scan also gives the orbits.  A point orbit is
+A system's state is columns and rows: the points' labels, index and value
+and the flows' flow_labels, src and dst (point numbers) and sign, indexed by
+number, and per generator s of G its ground permutation, the point images,
+tau(s, .) and the flow images; G is the closure of the ground generators.
+Construction scans the Cayley graph of G (edges g -> sg) for one member x
+of each orbit of signed points (k, +-1) and of flows, carrying g.x along
+the edges: the rows extend to an action of G, with tau a cocycle, exactly
+when every edge agrees, so those two laws hold by construction.  The scan
+also gives the orbits.  A point orbit is
 orientable when (k, +1) and (k, -1) lie in different signed orbits, that is
 when no element of the stabilizer of k reverses its orientation, and then
 the signs on the orbit of (rep, +1) are a G-invariant orientation.
@@ -71,15 +73,15 @@ def _is_sign(x) -> bool:
     return type(x) is int and x in (1, -1)
 
 
-@dataclass(frozen=True)
-class CritPoint:
+class CritPoint(NamedTuple):
+    """A critical point row of the constructors' input."""
     label: str
     index: int
     value: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
+    """A flow row of the constructors' input; src and dst are point labels."""
     label: str
     src: str
     dst: str
@@ -123,11 +125,14 @@ class CriticalOrbit:
 class EquivariantMorseSystem:
     """Critical points, flows, orientation cocycle, and the group actions.
 
-    rows holds (g, point images, tau(g, .), flow images) per generator g of
-    G.  Construction raises ActionNotWellDefined unless the rows extend to
-    an action of G (the orbit scan) and otherwise checks structure only
-    (labels resolve, signs are +-1).  The remaining laws are the
-    validator's job, so defective systems can be built and diagnosed.
+    Point rows (label, index, value) and flow rows (label, src label, dst
+    label, sign), as CritPoint and Flow name them, are kept as the columns
+    of the module docstring, and rows holds (g, point images, tau(g, .),
+    flow images) per generator g of G.  Construction raises
+    ActionNotWellDefined unless the rows extend to an action of G (the
+    orbit scan) and otherwise checks structure only (labels resolve, signs
+    are +-1).  The remaining laws are the validator's job, so defective
+    systems can be built and diagnosed.
     """
 
     def __init__(self, group: FiniteGroup, crit_points, flows, rows,
@@ -138,25 +143,28 @@ class EquivariantMorseSystem:
                 "cocycle or action data inconsistent across group words")
 
     def _setup(self, group, crit_points, flows, rows, ambient_dim):
-        """Store the data and check its structure; _src and _dst hold each
-        flow's endpoint point indices."""
-        self.group, self.rows = group, tuple(rows)
-        self.crit, self.flows = tuple(crit_points), tuple(flows)
+        """Store the rows' columns and check their structure: labels
+        unique, then flow by flow both endpoints known and the sign +-1."""
+        self.group, self.rows, self._cache = group, tuple(rows), {}
         self.ambient_dim = int(ambient_dim)
-        label_map(self.crit, "critical point")
-        label_map(self.flows, "flow")
-        self._index_of = {p.label: i for i, p in enumerate(self.crit)}
-        self._flow_by_label = {f.label: f for f in self.flows}
-        self._cache: dict = {}
-        for f in self.flows:
-            for end in (f.src, f.dst):
-                if end not in self._index_of:
-                    raise MalformedSystem(
-                        f"flow {f.label!r} references unknown point {end!r}")
-            if not _is_sign(f.sign):
-                raise MalformedSystem(f"flow {f.label!r} has sign {f.sign!r}")
-        self._src = [self._index_of[f.src] for f in self.flows]
-        self._dst = [self._index_of[f.dst] for f in self.flows]
+        point_cols, flow_cols = tuple(zip(*crit_points)), tuple(zip(*flows))
+        self.labels, self.index, self.value = point_cols or ((),) * 3
+        self.flow_labels, src, dst, self.sign = flow_cols or ((),) * 4
+        self._index_of = label_map(self.labels, range(len(self.labels)),
+                                   "critical point")
+        label_map(self.flow_labels, self.flow_labels, "flow")
+        number = self._index_of.get
+        self.src, self.dst = tuple(map(number, src)), tuple(map(number, dst))
+        if (None in self.src or None in self.dst
+                or not set(map(type, self.sign)) <= {int}
+                or not set(self.sign) <= {1, -1}):
+            for f, ends, e in zip(self.flow_labels, zip(src, dst), self.sign):
+                for end in ends:
+                    if end not in self._index_of:
+                        raise MalformedSystem(
+                            f"flow {f!r} references unknown point {end!r}")
+                if not _is_sign(e):
+                    raise MalformedSystem(f"flow {f!r} has sign {e!r}")
 
     def _action_laws(self) -> tuple[list, list]:
         """Action compatibility and cocycle violations: none by construction."""
@@ -168,7 +176,7 @@ class EquivariantMorseSystem:
     def from_generator_data(cls, *, generators, degree=None, cap=DEFAULT_CAP,
                             crit_points, crit_images, crit_signs,
                             flows, flow_images, ambient_dim):
-        """Build a system whose state is its generator rows and G.
+        """Build a system from point and flow rows and generator data.
 
         G is the closure of the ground generators alone, in generate_group's
         element order; a group beyond the cap raises ClosureExceedsCap.  The
@@ -178,22 +186,32 @@ class EquivariantMorseSystem:
         construction, and no per-element table is built.
         """
         gens, d = check_generators(generators, degree)
-        crit = tuple(CritPoint(*p) if not isinstance(p, CritPoint) else p
-                     for p in crit_points)
-        flws = tuple(Flow(*f) if not isinstance(f, Flow) else f for f in flows)
+        c, nf = len(crit_points), len(flows)
         rows = []
         for gi, g in enumerate(gens):
             imgs, sgns = tuple(crit_images[gi]), tuple(crit_signs[gi])
-            if (not is_perm(imgs, len(crit)) or len(sgns) != len(crit)
+            if (not is_perm(imgs, c) or len(sgns) != c
                     or not all(map(_is_sign, sgns))):
                 raise MalformedSystem(
                     f"generator {gi}: bad critical images or signs")
             fimgs = tuple(flow_images[gi])
-            if not is_perm(fimgs, len(flws)):
+            if not is_perm(fimgs, nf):
                 raise MalformedSystem(f"generator {gi}: bad flow images")
             rows.append((g, imgs, sgns, fimgs))
         group = generate_group(gens, degree=d, cap=cap)
-        return cls(group, crit, flws, rows, ambient_dim)
+        return cls(group, crit_points, flows, rows, ambient_dim)
+
+    def _successors(self) -> tuple:
+        """Per generator row s, the number of sg by the number of g; cached.
+        Elements are keyed by their base point images, (sg)[b] = s[g[b]]."""
+        if "successors" not in self._cache:
+            keys = list(map(gather(base_points(self.group)),
+                            self.group.elements))
+            number = dict(zip(keys, range(len(keys))))
+            aheads = list(map(gather, keys))
+            self._cache["successors"] = tuple(
+                [number[ahead(s)] for ahead in aheads] for s, *_ in self.rows)
+        return self._cache["successors"]
 
     def _walk(self, starts) -> tuple[list, bool]:
         """g.x for each encoded column x of starts, one tuple per element g
@@ -201,22 +219,20 @@ class EquivariantMorseSystem:
 
         Signed point (k, +1) is column 2k, (k, -1) is 2k + 1 and flow f is
         2c + f.  Breadth first from the identity over the Cayley graph
-        (edges g -> sg), (sg).x = s.(g.x) on the first edge reaching sg,
-        and every other edge is compared.  An element is keyed by its
-        images of base points b, (sg)[b] = s[g[b]].
+        (edges g -> sg, read off _successors), (sg).x = s.(g.x) on the
+        first edge reaching sg, and every other edge is compared.
         """
-        group, c = self.group, len(self.crit)
+        c = len(self.labels)
         moves = [[2 * y + ((t < 0) ^ e) for y, t in zip(ag, tg) for e in (0, 1)]
                  + [2 * c + h for h in fg] for _, ag, tg, fg in self.rows]
-        key = gather(base_points(group))
-        index = {k: i for i, k in enumerate(map(key, group.elements))}
-        images = [None] * group.order
+        successors = self._successors()
+        images = [None] * self.group.order
         images[0], consistent = tuple(starts), True
         queue = [0]
         for i in queue:
-            ahead, here = gather(key(group.elements[i])), gather(images[i])
-            for row, move in zip(self.rows, moves):
-                k, there = index[ahead(row[0])], here(move)
+            here = gather(images[i])
+            for succ, move in zip(successors, moves):
+                k, there = succ[i], here(move)
                 if images[k] is None:
                     images[k] = there
                     queue.append(k)
@@ -224,25 +240,17 @@ class EquivariantMorseSystem:
                     consistent = False
         return images, consistent
 
-    # -- access -----------------------------------------------------------
-
-    def crit_point(self, label: str) -> CritPoint:
-        return self.crit[self._index_of[label]]
-
-    def flow(self, label: str) -> Flow:
-        return self._flow_by_label[label]
-
     def manifold_complex(self) -> GradedComplex:
         """Chain complex of the ambient manifold's Morse data (no quotient),
         built once per system."""
         if "manifold" not in self._cache:
-            n = self.ambient_dim
-            labels = [[p.label for p in self.crit if p.index == k]
+            n, labels, index = self.ambient_dim, self.labels, self.index
+            levels = [[p for p, i in zip(labels, index) if i == k]
                       for k in range(n + 1)]
-            index = {p.label: p.index for p in self.crit}
-            self._cache["manifold"] = GradedComplex.from_entries(labels, (
-                (index[f.src], f.dst, f.src, f.sign) for f in self.flows
-                if 1 <= index[f.src] <= n and index[f.dst] == index[f.src] - 1))
+            self._cache["manifold"] = GradedComplex.from_entries(levels, (
+                (index[a], labels[b], labels[a], e)
+                for a, b, e in zip(self.src, self.dst, self.sign)
+                if 1 <= index[a] <= n and index[b] == index[a] - 1))
         return self._cache["manifold"]
 
 
@@ -284,9 +292,9 @@ def _scan(s: EquivariantMorseSystem) -> _Scan:
     """
     if "scan" in s._cache:
         return s._cache["scan"]
-    c = len(s.crit)
-    orbits, orbit = _partition([p.label for p in s.crit], [r[1] for r in s.rows])
-    flow_orbits, _ = _partition([f.label for f in s.flows], [r[3] for r in s.rows])
+    c = len(s.labels)
+    orbits, orbit = _partition(s.labels, [r[1] for r in s.rows])
+    flow_orbits, _ = _partition(s.flow_labels, [r[3] for r in s.rows])
     images, consistent = s._walk([2 * o[0] for o in orbits]
                                  + [2 * c + o[0] for o in flow_orbits])
 
@@ -323,25 +331,21 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     """
     if "report" in s._cache:
         return s._cache["report"]
-    labels = [p.label for p in s.crit]
-    flow_labels = [f.label for f in s.flows]
-    index = [p.index for p in s.crit]
-    value = [p.value for p in s.crit]
-    src, dst = s._src, s._dst
-    eps = [f.sign for f in s.flows]
+    labels, index, value = s.labels, s.index, s.value
+    flow_labels, src, dst, eps = s.flow_labels, s.src, s.dst, s.sign
     c, nf = len(labels), len(flow_labels)
     # column -> point or flow index: a lookup makes no new int per pair
     decode = [x for x in range(c) for _ in (0, 1)] + list(range(nf))
 
     index_range = [
         Violation("index_range",
-                  f"point {p.label!r} has index {p.index}, "
+                  f"point {p!r} has index {k}, "
                   f"ambient dimension {s.ambient_dim}")
-        for p in s.crit if not (0 <= p.index <= s.ambient_dim)]
+        for p, k in zip(labels, index) if not (0 <= k <= s.ambient_dim)]
     index_step = [
         Violation("flow_index_step",
-                  f"flow {f.label!r} goes from index {index[a]} to index {index[b]}")
-        for f, a, b in zip(s.flows, src, dst) if index[a] != index[b] + 1]
+                  f"flow {f!r} goes from index {index[a]} to index {index[b]}")
+        for f, a, b in zip(flow_labels, src, dst) if index[a] != index[b] + 1]
 
     compat, cocycle = s._action_laws()
     bad_points, bad_flows = set(), set()
@@ -423,7 +427,7 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
                 f"boundary squared has entry {val} from {col!r} to {row!r}"))
 
     self_indexing = (None if value.count(None) == len(value)
-                     else all(v == p.index for v, p in zip(value, s.crit)))
+                     else all(v == k for v, k in zip(value, index)))
 
     v = (index_range + index_eq + index_step + endpoint_eq + compat + cocycle
          + sign_eq + d_squared + value_eq)
@@ -447,8 +451,8 @@ def classify(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:
     if "classify" in s._cache:
         return s._cache["classify"]
     result = tuple(
-        CriticalOrbit(members=tuple(s.crit[m].label for m in members),
-                      index=s.crit[members[0]].index,
+        CriticalOrbit(members=tuple(s.labels[m] for m in members),
+                      index=s.index[members[0]],
                       iso_order=s.group.order // len(members),
                       orientable=orientable)
         for members, orientable in _scan(s).orbits)
@@ -466,8 +470,8 @@ def orbit_of(s: EquivariantMorseSystem, label: str) -> CriticalOrbit:
 
 @dataclass(frozen=True)
 class _Gauge:
-    sigma: dict          # point label -> +-1
-    eps: dict            # flow label -> canonical sign
+    sigma: tuple         # +-1 per point number
+    eps: tuple           # canonical sign per flow number
     classes: tuple       # (flow orbit, src, dst orbit number), both orientable
 
 
@@ -482,8 +486,8 @@ def _normalize(s: EquivariantMorseSystem) -> _Gauge:
         raise GaugeFailure("no G-invariant orientation: the rows do not "
                            "extend to an action of G")
     orbit, orientable = scan.orbit, [ok for _, ok in scan.orbits]
-    src, dst, sig = s._src, s._dst, scan.sigma
-    eps = [sig[a] * sig[b] * f.sign for f, a, b in zip(s.flows, src, dst)]
+    src, dst, sig = s.src, s.dst, scan.sigma
+    eps = [sig[a] * sig[b] * e for a, b, e in zip(src, dst, s.sign)]
 
     classes, adjacency = [], [{} for _ in orientable]
     for members in scan.flow_orbits:
@@ -493,7 +497,7 @@ def _normalize(s: EquivariantMorseSystem) -> _Gauge:
         signs = {eps[m] for m in members}
         if len(signs) != 1:
             raise SignNotOrbitConstant(
-                f"flow orbit of {s.flows[members[0]].label!r} carries signs "
+                f"flow orbit of {s.flow_labels[members[0]]!r} carries signs "
                 f"{sorted(signs)} after orientation normalization")
         classes.append((members, a, b))
         if a != b:
@@ -514,9 +518,9 @@ def _normalize(s: EquivariantMorseSystem) -> _Gauge:
 
     final = [sg * shift[k] for sg, k in zip(sig, orbit)]
     gauge = _Gauge(
-        sigma={p.label: sg for p, sg in zip(s.crit, final)},
-        eps={f.label: final[a] * final[b] * f.sign
-             for f, a, b in zip(s.flows, src, dst)},
+        sigma=tuple(final),
+        eps=tuple(final[a] * final[b] * e
+                  for a, b, e in zip(src, dst, s.sign)),
         classes=tuple(classes))
     s._cache["gauge"] = gauge
     return gauge
@@ -527,12 +531,13 @@ def regauge(s: EquivariantMorseSystem, sigma: dict) -> EquivariantMorseSystem:
     sigma(g.p) tau(g, p) sigma(p) and the flow signs follow.  The result
     describes the same geometry in a different gauge; used by the
     invariance test suites."""
-    sg = [sigma.get(p.label, 1) for p in s.crit]
+    sg = [sigma.get(p, 1) for p in s.labels]
     rows = [(g, ag, tuple(map(mul, map(mul, gather(ag)(sg), tg), sg)), fg)
             for g, ag, tg, fg in s.rows]
-    flows = [Flow(label=f.label, src=f.src, dst=f.dst, sign=sg[a] * sg[b] * f.sign)
-             for f, a, b in zip(s.flows, s._src, s._dst)]
-    return EquivariantMorseSystem(s.group, s.crit, flows, rows, s.ambient_dim)
+    flows = [(f, s.labels[a], s.labels[b], sg[a] * sg[b] * e)
+             for f, a, b, e in zip(s.flow_labels, s.src, s.dst, s.sign)]
+    return EquivariantMorseSystem(s.group, zip(s.labels, s.index, s.value),
+                                  flows, rows, s.ambient_dim)
 
 
 # -- derived complexes --------------------------------------------------------
@@ -551,10 +556,10 @@ def invariant_boundary(s: EquivariantMorseSystem, *,
     orbit_levels = [[(dict.fromkeys(o.members, 1), o.orientable)
                      for o in classify(s) if o.index == k]
                     for k in range(s.ambient_dim + 1)]
-    out_flows: dict = {}
-    for f in s.flows:
-        if 0 <= s.crit_point(f.dst).index <= s.ambient_dim:
-            out_flows.setdefault(f.src, []).append((f.dst, gauge.eps[f.label]))
+    labels, index, out_flows = s.labels, s.index, {}
+    for a, b, e in zip(s.src, s.dst, gauge.eps):
+        if 0 <= index[b] <= s.ambient_dim:
+            out_flows.setdefault(labels[a], []).append((labels[b], e))
     out = orbit_sum_complex(orbit_levels, lambda p: out_flows.get(p, ()))
     if check_valid:
         ok, witness = verify_complex(out)
@@ -579,10 +584,10 @@ def derive_intrinsic(s: EquivariantMorseSystem) -> OrbifoldMorseSystem:
             for o in cls if o.orientable]
     flows = []
     for members, a, b in gauge.classes:
-        rep = s.flows[members[0]].label
-        flows.append(IntrinsicFlow(label=rep, src=cls[a].rep, dst=cls[b].rep,
+        flows.append(IntrinsicFlow(label=s.flow_labels[members[0]],
+                                   src=cls[a].rep, dst=cls[b].rep,
                                    iso_order=s.group.order // len(members),
-                                   sign=gauge.eps[rep]))
+                                   sign=gauge.eps[members[0]]))
     return OrbifoldMorseSystem(ambient_dim=s.ambient_dim,
                                crit_points=crit, flows=flows)
 
@@ -619,16 +624,19 @@ def broken_weight(s: EquivariantMorseSystem, p: str, q: str, r: str, *,
         raise IndexMismatch("top and bottom orbits must be orientable")
     gauge = _normalize(s)
 
+    src, dst, eps, number = s.src, s.dst, gauge.eps, s._index_of
     ends = s._cache.get("ends")
     if ends is None:
-        ends = s._cache["ends"] = {c.label: ([], []) for c in s.crit}
-        for f in s.flows:
-            ends[f.dst][0].append(f)
-            ends[f.src][1].append(f)
-    top, bottom, results = set(P.members), set(R.members), []
+        ends = s._cache["ends"] = [([], []) for _ in s.labels]
+        for j, (a, b) in enumerate(zip(src, dst)):
+            ends[b][0].append(j)
+            ends[a][1].append(j)
+    top, bottom = ({number[m] for m in o.members} for o in (P, R))
+    results = []
     for m in Q.members:
-        into = sum(gauge.eps[f.label] for f in ends[m][0] if f.src in top)
-        outof = sum(gauge.eps[f.label] for f in ends[m][1] if f.dst in bottom)
+        flows_in, flows_out = ends[number[m]]
+        into = sum(eps[j] for j in flows_in if src[j] in top)
+        outof = sum(eps[j] for j in flows_out if dst[j] in bottom)
         results.append(Fraction(into * outof, Q.iso_order))
     assert len(set(results)) == 1, \
         f"broken weight depends on the representative: {results}"
@@ -638,8 +646,7 @@ def broken_weight(s: EquivariantMorseSystem, p: str, q: str, r: str, *,
         cls, nu_in, nu_out = classify(s), Fraction(0), Fraction(0)
         for members, a, b in gauge.classes:
             iso = s.group.order // len(members)
-            nu = Fraction(gauge.eps[s.flows[members[0]].label] * Q.iso_order,
-                          iso)
+            nu = Fraction(eps[members[0]] * Q.iso_order, iso)
             if cls[a].rep == P.rep and cls[b].rep == Q.rep:
                 nu_in += nu
             elif cls[a].rep == Q.rep and cls[b].rep == R.rep:

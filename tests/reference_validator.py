@@ -15,7 +15,8 @@ in the order of the element table, then of the points or flows.
 reference_classify, reference_gauge and reference_derive compute the orbit
 classification, the canonical gauge and the derived system by scanning
 stabilizers and the element table: the oracle for the orbit scan of
-orbimorse.quotient.
+orbimorse.quotient.  They read the system's points and flows as records,
+rebuilt from its columns by points(s) and flows(s).
 
 TableSystem is a system given by hand-written per-element tables, which
 nothing in the package builds; its rows come from generating_set, and its
@@ -28,11 +29,24 @@ from orbimorse.groups import (GroupAction, compose, generate_group, orbits,
                               stabilizer)
 from orbimorse.intrinsic import IntrinsicFlow, IntrinsicPoint
 from orbimorse.quotient import (
+    CritPoint,
     CriticalOrbit,
     EquivariantMorseSystem,
+    Flow,
     Violation,
     _is_sign,
 )
+
+
+def points(s) -> list:
+    """The system's critical points as CritPoint records, by number."""
+    return [CritPoint(*p) for p in zip(s.labels, s.index, s.value)]
+
+
+def flows(s) -> list:
+    """The system's flows as Flow records, endpoints by label, by number."""
+    return [Flow(f, s.labels[a], s.labels[b], e)
+            for f, a, b, e in zip(s.flow_labels, s.src, s.dst, s.sign)]
 
 
 def generating_set(group) -> tuple:
@@ -57,8 +71,8 @@ def tables(s):
     if isinstance(s, TableSystem):
         return s.tables
     e = s.group.identity
-    pts, taus = {e: tuple(range(len(s.crit)))}, {e: (1,) * len(s.crit)}
-    flws = {e: tuple(range(len(s.flows)))}
+    pts, taus = {e: tuple(range(len(s.labels)))}, {e: (1,) * len(s.labels)}
+    flws = {e: tuple(range(len(s.flow_labels)))}
     frontier = [e]
     while frontier:
         step = []
@@ -72,8 +86,8 @@ def tables(s):
                     step.append(gh)
         frontier = step
     assert set(pts) == set(s.group.elements)
-    return (GroupAction(s.group, [p.label for p in s.crit], pts), taus,
-            GroupAction(s.group, [f.label for f in s.flows], flws))
+    return (GroupAction(s.group, s.labels, pts), taus,
+            GroupAction(s.group, s.flow_labels, flws))
 
 
 def _action_witness(g, h, labels, agh, ag, ah, what):
@@ -119,15 +133,15 @@ class TableSystem(EquivariantMorseSystem):
     def __init__(self, group, crit_points, point_action, tau_table, flows,
                  flow_action, ambient_dim):
         self._setup(group, crit_points, flows, (), ambient_dim)
-        if point_action.points != tuple(p.label for p in self.crit):
+        if point_action.points != self.labels:
             raise MalformedSystem("point action must act on the critical labels in order")
-        if flow_action.points != tuple(f.label for f in self.flows):
+        if flow_action.points != self.flow_labels:
             raise MalformedSystem("flow action must act on the flow labels in order")
         tau = {tuple(g): tuple(row) for g, row in tau_table.items()}
         if set(tau) != set(group.elements):
             raise MalformedSystem("tau table must cover every group element")
         for row in tau.values():
-            if len(row) != len(self.crit) or not all(map(_is_sign, row)):
+            if len(row) != len(self.labels) or not all(map(_is_sign, row)):
                 raise MalformedSystem("tau rows must be +-1 per critical point")
         self.tables = (point_action, tau, flow_action)
         self.rows = tuple((g, point_action.image_array(g), tau[g],
@@ -140,7 +154,7 @@ class TableSystem(EquivariantMorseSystem):
     def _walk(self, starts):
         """The start columns' images read off the tables, which extend the
         rows to an action exactly when action_laws finds nothing."""
-        (pa, tau, fa), c, images = self.tables, len(self.crit), []
+        (pa, tau, fa), c, images = self.tables, len(self.labels), []
         for g in self.group:
             moves = [2 * y + ((t < 0) ^ e)
                      for y, t in zip(pa.image_array(g), tau[g]) for e in (0, 1)]
@@ -153,11 +167,12 @@ def reference_violations(s) -> list:
     v = []
     G, (pa, tau, fa) = s.group, tables(s)
     labels, flow_labels = pa.points, fa.points
-    index = [p.index for p in s.crit]
-    src = [pa.index_of[f.src] for f in s.flows]
-    dst = [pa.index_of[f.dst] for f in s.flows]
+    crit, flws = points(s), flows(s)
+    index = [p.index for p in crit]
+    src = [pa.index_of[f.src] for f in flws]
+    dst = [pa.index_of[f.dst] for f in flws]
 
-    for p in s.crit:
+    for p in crit:
         if not (0 <= p.index <= s.ambient_dim):
             v.append(Violation("index_range",
                                f"point {p.label!r} has index {p.index}, "
@@ -172,7 +187,7 @@ def reference_violations(s) -> list:
                     f"g={list(g)} sends {labels[i]!r} (index {index[i]}) to "
                     f"{labels[q]!r} (index {index[q]})"))
 
-    for f, a, b in zip(s.flows, src, dst):
+    for f, a, b in zip(flws, src, dst):
         if index[a] != index[b] + 1:
             v.append(Violation(
                 "flow_index_step",
@@ -192,9 +207,9 @@ def reference_violations(s) -> list:
 
     for g in G:
         fg, tg = fa.image_array(g), tau[g]
-        for j, f in enumerate(s.flows):
+        for j, f in enumerate(flws):
             want = tg[src[j]] * tg[dst[j]] * f.sign
-            gf = s.flows[fg[j]]
+            gf = flws[fg[j]]
             if gf.sign != want:
                 v.append(Violation(
                     "sign_equivariance",
@@ -209,8 +224,8 @@ def reference_violations(s) -> list:
                 "manifold_d_squared",
                 f"boundary squared has entry {val} from {col!r} to {row!r}"))
 
-    values_present = [i for i, p in enumerate(s.crit) if p.value is not None]
-    value = [p.value for p in s.crit]
+    values_present = [i for i, p in enumerate(crit) if p.value is not None]
+    value = [p.value for p in crit]
     for g in G:
         ag = pa.image_array(g)
         for i in values_present:
@@ -229,7 +244,7 @@ def reference_classify(s) -> tuple:
     """Orbits of the point table; an orbit is orientable when tau is +1 on
     the stabilizer of its least member, whose negative part is empty or
     exactly half by the cocycle law."""
-    (pa, tau, _), out = tables(s), []
+    (pa, tau, _), crit, out = tables(s), points(s), []
     for members in orbits(pa):
         rep = members[0]
         stab = stabilizer(pa, rep)
@@ -238,7 +253,7 @@ def reference_classify(s) -> tuple:
         assert len(neg) in (0, stab.order // 2), \
             f"tau is not a homomorphism on the stabilizer of {rep!r}"
         out.append(CriticalOrbit(members=tuple(members),
-                                 index=s.crit_point(rep).index,
+                                 index=crit[r].index,
                                  iso_order=stab.order, orientable=not neg))
     return tuple(out)
 
@@ -253,7 +268,8 @@ def reference_gauge(s):
     cls = reference_classify(s)
     orbit_of = {m: orb for orb in cls for m in orb.members}
     pa, tau, fa = tables(s)
-    sig = [1] * len(s.crit)
+    crit, by_label = points(s), {f.label: f for f in flows(s)}
+    sig = [1] * len(crit)
     for orb in cls:
         if not orb.orientable:
             continue
@@ -268,12 +284,13 @@ def reference_gauge(s):
             ag, tg = pa.image_array(g), tau[g]
             assert all(sig[ag[m]] * tg[m] * sig[m] == 1 for m in members)
     sigma = dict(zip(pa.points, sig))
-    eps = {f.label: sigma[f.src] * sigma[f.dst] * f.sign for f in s.flows}
+    eps = {f.label: sigma[f.src] * sigma[f.dst] * f.sign
+           for f in by_label.values()}
 
     flow_orbits = tuple(tuple(o) for o in orbits(fa))
     classes = {}
     for members in flow_orbits:
-        f = s.flow(members[0])
+        f = by_label[members[0]]
         a, b = orbit_of[f.src], orbit_of[f.dst]
         if a.orientable and b.orientable:
             assert len({eps[m] for m in members}) == 1
@@ -298,8 +315,9 @@ def reference_gauge(s):
                     queue.append(v)
     final = {p.label: sigma[p.label] * (shift[orbit_of[p.label].rep]
                                         if orbit_of[p.label].orientable else 1)
-             for p in s.crit}
-    eps = {f.label: final[f.src] * final[f.dst] * f.sign for f in s.flows}
+             for p in crit}
+    eps = {f.label: final[f.src] * final[f.dst] * f.sign
+           for f in by_label.values()}
     return final, eps, flow_orbits
 
 
@@ -309,15 +327,15 @@ def reference_derive(s):
     cls = reference_classify(s)
     orbit_of = {m: orb for orb in cls for m in orb.members}
     _, eps, flow_orbits = reference_gauge(s)
-    fa = tables(s)[2]
-    points = [IntrinsicPoint(o.rep, o.index, o.iso_order, True)
-              for o in cls if o.orientable]
-    flows = []
+    fa, by_label = tables(s)[2], {f.label: f for f in flows(s)}
+    crit = [IntrinsicPoint(o.rep, o.index, o.iso_order, True)
+            for o in cls if o.orientable]
+    classes = []
     for members in flow_orbits:
-        f = s.flow(members[0])
+        f = by_label[members[0]]
         a, b = orbit_of[f.src], orbit_of[f.dst]
         if a.orientable and b.orientable:
-            flows.append(IntrinsicFlow(
+            classes.append(IntrinsicFlow(
                 f.label, a.rep, b.rep,
                 stabilizer(fa, f.label).order, eps[f.label]))
-    return tuple(points), tuple(flows)
+    return tuple(crit), tuple(classes)

@@ -284,6 +284,55 @@ def test_malformed_entries_are_named(tmp_path, capsys):
             == EXIT_PARSE
         assert capsys.readouterr().err.startswith(f"error: {message}"), message
 
+    # heart bad in two places: the message names the first bad record,
+    # points before flows, and in it the first bad field; label checks come
+    # before endpoints, and a flow's endpoints before its sign
+    gone = object()     # the key is deleted
+    for edits, message in (
+            ([("crit_points", 1, "label", 7), ("crit_points", 2, "index", "x")],
+             "critical point label: expected a string, got 7"),
+            ([("crit_points", 1, "index", True),
+              ("crit_points", 3, "label", None)],
+             "point 'q': index: expected an integer, got True"),
+            ([("crit_points", 0, "value", "1e5"),
+              ("crit_points", 1, "label", 3)],
+             "point 'p': value: '1e5' is not a rational"),
+            ([("flows", 0, "sign", "x"), ("crit_points", 3, "value", "x")],
+             "point 's': value: 'x' is not a rational"),
+            ([("flows", 1, "label", 1), ("flows", 2, "src", 2)],
+             "flow label: expected a string, got 1"),
+            ([("flows", 0, "src", None), ("flows", 1, "label", None)],
+             "flow 'g1': src: expected a string, got None"),
+            ([("flows", 2, "dst", 0), ("flows", 3, "sign", "-")],
+             "flow 'd1': dst: expected a string, got 0"),
+            ([("flows", 1, "sign", 1.0), ("flows", 2, "dst", [])],
+             "flow 'g2': sign: expected an integer, got 1.0"),
+            ([("crit_points", 2, "index", gone), ("flows", 0, "label", gone)],
+             "point 'r': missing 'index'"),
+            ([("flows", 1, "src", gone), ("flows", 3, "label", gone)],
+             "flow 'g2': missing 'src'"),
+            ([("crit_points", 3, "label", "q"), ("flows", 0, "label", "g2")],
+             "global_quotient system: duplicate critical point 'q'"),
+            ([("flows", 0, "dst", "ghost"), ("flows", 2, "label", "g1")],
+             "global_quotient system: duplicate flow 'g1'"),
+            ([("flows", 1, "dst", "ghost"), ("flows", 2, "src", "nowhere")],
+             "global_quotient system: flow 'g2' references unknown point "
+             "'ghost'"),
+            ([("flows", 1, "sign", 2), ("flows", 2, "src", "ghost")],
+             "global_quotient system: flow 'g2' has sign 2"),
+            ([("flows", 1, "sign", 2), ("flows", 1, "dst", "ghost")],
+             "global_quotient system: flow 'g2' references unknown point "
+             "'ghost'")):
+        doc = corpus_doc("heart")
+        for key, i, field, value in edits:
+            if value is gone:
+                del doc["system"][key][i][field]
+            else:
+                doc["system"][key][i][field] = value
+        assert main(["validate", write_doc(tmp_path, "bad.json", doc)]) \
+            == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n", message
+
 
 def segment_doc(**flow):
     """Intrinsic interval: a flow from a to b, both of isotropy 2; the keys
@@ -441,10 +490,10 @@ def test_valid_global_quotients_close_the_ground_group_once(
         assert main([command, corpus_file(tmp_path, name)]) == EXIT_OK
         assert closures == [inst.body["system"]["degree"]], name
         [(s, starts)] = walks
-        point_at = {p.label: i for i, p in enumerate(s.crit)}
-        flow_at = {f.label: j for j, f in enumerate(s.flows)}
+        point_at = {p: i for i, p in enumerate(s.labels)}
+        flow_at = {f: j for j, f in enumerate(s.flow_labels)}
         assert starts == [2 * point_at[o.rep] for o in reference_classify(s)] + [
-            2 * len(s.crit) + flow_at[o[0]] for o in orbits(tables(s)[2])], name
+            2 * len(s.labels) + flow_at[o[0]] for o in orbits(tables(s)[2])], name
         checked += 1
     assert checked >= 8
 

@@ -4,7 +4,7 @@ Each example takes a packaged corpus instance, applies one mutation to its
 JSON tree and runs `validate` and `homology` in-process.  A mutation deletes
 a key, drops or duplicates a list item, or replaces a value with a small
 malformed one.  A mutation never plants a large integer: no size cap exists
-yet, and a large ambient_dim alone costs seconds (ROADMAP item 4).
+yet, and a large ambient_dim alone costs seconds (ROADMAP item 7).
 """
 
 import contextlib

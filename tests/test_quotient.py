@@ -83,7 +83,7 @@ def laws(report):
 def full_cocycle_failures(s):
     """Every (g, h, p) with tau(gh, p) != tau(g, h.p) tau(h, p)."""
     pa, tau, _ = tables(s)
-    return [(g, h, s.crit[p].label) for g in s.group for h in s.group
+    return [(g, h, s.labels[p]) for g in s.group for h in s.group
             for p, x in enumerate(pa.image_array(h))
             if tau[compose(g, h)][p] != tau[g][x] * tau[h][p]]
 
@@ -484,7 +484,7 @@ def sign_skew_heart():
     s = make_heart()
     return EquivariantMorseSystem.from_generator_data(
         generators=[(1, 0)], degree=2,
-        crit_points=[(p.label, p.index, None) for p in s.crit],
+        crit_points=[(p, k, None) for p, k in zip(s.labels, s.index)],
         crit_images=[[1, 0, 2, 3]], crit_signs=[[1, 1, -1, 1]],
         flows=[("g1", "p", "r", 1), ("g2", "q", "r", 1),
                ("d1", "r", "s", 1), ("d2", "r", "s", -1)],
@@ -825,10 +825,13 @@ def consistent_by_closure(data):
 
 def scanned_gauge(s):
     """(sigma, eps, flow orbits) of the canonical gauge, as reference_gauge
-    gives them: the flow orbits are the orbit scan's, by label."""
+    gives them: sigma and eps by label, and the flow orbits are the orbit
+    scan's, by label."""
     gauge = _normalize(s)
-    return gauge.sigma, gauge.eps, tuple(
-        tuple(s.flows[f].label for f in o) for o in _scan(s).flow_orbits)
+    return (dict(zip(s.labels, gauge.sigma)),
+            dict(zip(s.flow_labels, gauge.eps)),
+            tuple(tuple(s.flow_labels[f] for f in o)
+                  for o in _scan(s).flow_orbits))
 
 
 def assert_row_law(s):
@@ -846,9 +849,9 @@ def assert_row_law(s):
 @given(generator_data(), st.data())
 def test_generator_rows_match_the_table_scans(data, draw):
     s = EquivariantMorseSystem.from_generator_data(**data)
-    flips = draw.draw(st.lists(st.sampled_from([1, -1]), min_size=len(s.crit),
-                               max_size=len(s.crit)))
-    t = regauge(s, {p.label: e for p, e in zip(s.crit, flips)})
+    flips = draw.draw(st.lists(st.sampled_from([1, -1]), min_size=len(s.labels),
+                               max_size=len(s.labels)))
+    t = regauge(s, dict(zip(s.labels, flips)))
     derived = []
     for u in (s, t):
         assert classify(u) == reference_classify(u)
