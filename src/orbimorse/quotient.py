@@ -21,10 +21,10 @@ when no element of the stabilizer of k reverses its orientation, and then
 the signs on the orbit of (rep, +1) are a G-invariant orientation.
 Orientable orbits carry the quotient chain generators; non-orientable orbits
 are discarded, and the boundary of an orbit sum provably cancels on them.
-The same walk, started from any list of columns, lists every witness:
-the other laws are checked on the rows (validate_system), and where a
-generator breaks one, on the images the walk gives of the failing orbits'
-points and flows and of those flows' endpoints, for every element of G.
+The other laws are checked on the rows (validate_system); where a
+generator breaks one, the same walk carries the defect sets of the failing
+orbits, the members that differ from a reference the orbit implies, and
+every witness is listed from their images.
 
 Canonical gauge.  Orientation choices can be re-gauged (flip any subset of
 unstable-manifold orientations, transforming tau and eps accordingly) without
@@ -40,8 +40,10 @@ invariant under every generator, so nothing is re-checked on the rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -205,8 +207,8 @@ class EquivariantMorseSystem:
         """Per generator row s, the number of sg by the number of g; cached.
         Elements are keyed by their base point images, (sg)[b] = s[g[b]]."""
         if "successors" not in self._cache:
-            keys = list(map(gather(base_points(self.group)),
-                            self.group.elements))
+            base = self._cache["base"] = base_points(self.group)
+            keys = list(map(gather(base), self.group.elements))
             number = dict(zip(keys, range(len(keys))))
             aheads = list(map(gather, keys))
             self._cache["successors"] = tuple(
@@ -312,6 +314,15 @@ def _scan(s: EquivariantMorseSystem) -> _Scan:
 
 # -- validation -----------------------------------------------------------
 
+def _inverses(s: EquivariantMorseSystem) -> list:
+    """The number of g^-1 by the number of g, G nontrivial: g^-1 sends b to
+    b's position in g, and elements are keyed as in _successors."""
+    base, elements = s._cache.get("base") or base_points(s.group), s.group.elements
+    number = dict(zip(map(gather(base), elements), count()))
+    return list(map(number.__getitem__, zip(
+        *[map(tuple.index, elements, repeat(b)) for b in base])))
+
+
 def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     """Check every law, reporting each violation with a witness; never raises.
     The report is cached on the system.
@@ -323,11 +334,8 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     every generator s keeps on an orbit holds there for all g, by induction:
     index(sg.x) = index(s.(g.x)) = index(g.x) as g.x is in the orbit, the
     same for values and endpoints, and the sign law follows from the
-    endpoint and cocycle laws.  When one fails, the walk carries the points
-    and flows of the orbits where a generator failed (all when
-    _action_laws reports) and those flows' endpoints, and the four laws
-    are checked for every g in G on them, so every witness is listed, by
-    element-table order, then point or flow.
+    endpoint and cocycle laws.  Where a generator breaks one, _diagnose
+    lists the orbit's witnesses by element number, then point or flow.
     """
     if "report" in s._cache:
         return s._cache["report"]
@@ -352,70 +360,59 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
 
     def per_element(elements, points, point_at, flow_ids, flow_at, src_at,
                     dst_at):
-        """The four laws for each (g, images) of elements, images[m] being
-        the encoded image under g of the column at position m: point_at
-        gives the positions of points, flow_at, src_at and dst_at those of
-        flow_ids and of their endpoints."""
+        """Witnesses (n, x, g.x, the sign law's expected sign) of the four
+        laws, images[m] of each (n, images) of elements being the image under
+        g = element n of the column at position point_at, flow_at, src_at
+        or dst_at of points, flow_ids or the flows' endpoints."""
         index_eq, endpoint_eq, sign_eq, value_eq = [], [], [], []
-        for g, img in elements:
-            at = None       # the witness prefix, formatted once per element
+        for n, img in elements:
             for i, m in zip(points, point_at):
                 q = decode[img[m]]
                 if index[q] != index[i]:
-                    at = at or f"g={list(g)}"
                     bad_points.add(i)
-                    index_eq.append(Violation(
-                        "index_equivariance",
-                        f"{at} sends {labels[i]!r} (index {index[i]}) to "
-                        f"{labels[q]!r} (index {index[q]})"))
+                    index_eq.append((n, i, q, None))
                 if value[i] is not None and value[q] != value[i]:
-                    at = at or f"g={list(g)}"
                     bad_points.add(i)
-                    value_eq.append(Violation(
-                        "value_equivariance",
-                        f"{at} sends {labels[i]!r} (value {value[i]}) to "
-                        f"{labels[q]!r} (value {value[q]})"))
+                    value_eq.append((n, i, q, None))
             for j, m, a, b in zip(flow_ids, flow_at, src_at, dst_at):
                 k, ga, gb = decode[img[m]], img[a], img[b]
                 if src[k] != decode[ga] or dst[k] != decode[gb]:
-                    at = at or f"g={list(g)}"
                     bad_flows.add(j)
-                    endpoint_eq.append(Violation(
-                        "endpoint_equivariance",
-                        f"{at} sends flow {flow_labels[j]!r} to "
-                        f"{flow_labels[k]!r} but the endpoints do not match"))
+                    endpoint_eq.append((n, j, k, None))
                 want = -eps[j] if (ga & 1) != (gb & 1) else eps[j]
                 if eps[k] != want:
-                    at = at or f"g={list(g)}"
                     bad_flows.add(j)
-                    sign_eq.append(Violation(
-                        "sign_equivariance",
-                        f"{at}: flow {flow_labels[j]!r} maps to "
-                        f"{flow_labels[k]!r} with sign {eps[k]}, "
-                        f"expected {want}"))
+                    sign_eq.append((n, j, k, want))
         return index_eq, endpoint_eq, sign_eq, value_eq
 
     # the rows as the walk encodes them: the points signed +1, then the flows
-    rows = ((g, [2 * y + (t < 0) for y, t in zip(ag, tg)]
-             + [2 * c + h for h in fg]) for g, ag, tg, fg in s.rows)
-    laws = per_element(rows, range(c), range(c), range(nf), range(c, c + nf),
-                       src, dst)
+    rows = ([2 * y + (t < 0) for y, t in zip(ag, tg)] + [2 * c + h for h in fg]
+            for _, ag, tg, fg in s.rows)
+    laws = per_element(enumerate(rows), range(c), range(c), range(nf),
+                       range(c, c + nf), src, dst)
+    at = {}     # the witness prefix g=[...] by element number, made once
     if compat or cocycle or any(laws):
-        scan, every = _scan(s), compat or cocycle
-        points = sorted(x for o, _ in scan.orbits
-                        if every or not bad_points.isdisjoint(o) for x in o)
-        flow_ids = sorted(x for o in scan.flow_orbits
-                          if every or not bad_flows.isdisjoint(o) for x in o)
-        cols = sorted({*points, *(src[j] for j in flow_ids),
-                       *(dst[j] for j in flow_ids)})
-        pos = {x: m for m, x in enumerate(cols)}
-        images, _ = s._walk([2 * x for x in cols] + [2 * c + j for j in flow_ids])
-        laws = per_element(zip(s.group.elements, images), points,
-                           [pos[x] for x in points], flow_ids,
-                           list(range(len(cols), len(cols) + len(flow_ids))),
-                           [pos[src[j]] for j in flow_ids],
-                           [pos[dst[j]] for j in flow_ids])
-    index_eq, endpoint_eq, sign_eq, value_eq = laws
+        laws = _diagnose(s, bool(compat or cocycle), bad_points, bad_flows,
+                         per_element, decode)
+        name = list(map(str, range(s.group.degree))).__getitem__
+        at = {n: f"g=[{', '.join(map(name, s.group.elements[n]))}]"
+              for n in {w[0] for law in laws for w in law}}
+    index_eq = [Violation("index_equivariance",
+                          f"{at[n]} sends {labels[i]!r} (index {index[i]}) "
+                          f"to {labels[q]!r} (index {index[q]})")
+                for n, i, q, _ in laws[0]]
+    endpoint_eq = [Violation("endpoint_equivariance",
+                             f"{at[n]} sends flow {flow_labels[j]!r} to "
+                             f"{flow_labels[k]!r} but the endpoints do not "
+                             f"match") for n, j, k, _ in laws[1]]
+    sign_eq = [Violation("sign_equivariance",
+                         f"{at[n]}: flow {flow_labels[j]!r} maps to "
+                         f"{flow_labels[k]!r} with sign {eps[k]}, "
+                         f"expected {want}") for n, j, k, want in laws[2]]
+    value_eq = [Violation("value_equivariance",
+                          f"{at[n]} sends {labels[i]!r} (value {value[i]}) "
+                          f"to {labels[q]!r} (value {value[q]})")
+                for n, i, q, _ in laws[3]]
 
     d_squared = []
     if not (index_range or index_step):
@@ -434,6 +431,67 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     report = ValidationReport(violations=tuple(v), self_indexing=self_indexing)
     s._cache["report"] = report
     return report
+
+
+def _diagnose(s, every, bad_points, bad_flows, per_element, decode) -> tuple:
+    """validate_system's witnesses, sorted, on the orbits where a generator
+    broke a law (all when every), from their defect sets D: the members
+    unlike a reference, a point orbit's most common (index, value) or E,
+    the (src, dst, sign) of a flow f0 carried along the generator edges,
+    E(t.x) = (t.a, t.b, tau(t, a) tau(t, b) e) for E(x) = (a, b, e).  D is
+    the whole orbit when an edge disagrees (an element fixing f0 moves its
+    endpoints or reverses its sign).  By the action and cocycle laws
+    E(g.x) = g.E(x), so (g, x) breaks no law when x and g.x are outside D,
+    and for x outside D the verdict is y = g.x's alone: a law breaks when
+    y's index, value (unless the reference's is None), endpoints or sign
+    is not the reference's.  So one walk carries D's points, D's flows and
+    their endpoints; each (g, x) with x in D is checked, and each (h^-1,
+    h.y) with h.y outside D takes y's verdict."""
+    index, value, src, dst, eps = s.index, s.value, s.src, s.dst, s.sign
+    c, scan = len(s.labels), _scan(s)
+    # D; per y in a proper D: walk position, y, verdict, sign of E(y)
+    points, flow_ids, clean = [], [], []
+    for o, _ in scan.orbits:
+        if every or not bad_points.isdisjoint(o):
+            k, v = Counter((index[x], value[x]) for x in o).most_common(1)[0][0]
+            d = [y for y in o if every or index[y] != k or value[y] != v]
+            if len(d) < len(o):
+                clean += [(len(points) + m, y, (index[y] != k, False, False,
+                           v is not None and value[y] != v), None)
+                          for m, y in enumerate(d)]
+            points += d
+    for o in scan.flow_orbits:
+        if every or not bad_flows.isdisjoint(o):
+            f0 = next((x for x in o if x not in bad_flows), o[0])
+            ends, queue, whole = {f0: (src[f0], dst[f0], eps[f0])}, [f0], every
+            for x in queue:
+                a, b, e = ends[x]
+                for _, ag, tg, fg in s.rows:
+                    y, there = fg[x], (ag[a], ag[b], tg[a] * tg[b] * e)
+                    if y not in ends:
+                        ends[y] = there
+                        queue.append(y)
+                    whole |= ends[y] != there
+            d = [y for y in o if whole or (src[y], dst[y], eps[y]) != ends[y]]
+            if len(d) < len(o):
+                m = len(points) + len(flow_ids)
+                clean += [(m + i, y, (False, (src[y], dst[y]) != ends[y][:2],
+                                      eps[y] != ends[y][2], False), ends[y][2])
+                          for i, y in enumerate(d)]
+            flow_ids += d
+    n_p, n_f = len(points), len(flow_ids)
+    images, _ = s._walk([2 * x for x in points] + [2 * c + j for j in flow_ids]
+                        + [2 * end[j] for end in (src, dst) for j in flow_ids])
+    laws = per_element(enumerate(images), points, range(n_p), flow_ids, *(
+        range(n_p + i * n_f, n_p + (i + 1) * n_f) for i in (0, 1, 2)))
+    inverse, defects = None, (set(points), set(flow_ids))
+    for m, y, breaks, want in clean:
+        inverse, d = inverse or _inverses(s), defects[m >= n_p]
+        pairs = [(inverse[n], decode[img[m]]) for n, img in enumerate(images)
+                 if decode[img[m]] not in d]
+        for law in compress(laws, breaks):
+            law += [(n, x, y, want) for n, x in pairs]
+    return tuple(map(sorted, laws))
 
 
 def _require_valid(s: EquivariantMorseSystem, check_valid: bool = True) -> None:
@@ -661,14 +719,6 @@ def broken_weight(s: EquivariantMorseSystem, p: str, q: str, r: str, *,
 def admissible_triples(s: EquivariantMorseSystem):
     """All (top, middle, bottom) orbit triples broken_weight accepts."""
     cls = classify(s)
-    out = []
-    for P in cls:
-        if not P.orientable:
-            continue
-        for R in cls:
-            if not R.orientable or R.index != P.index - 2:
-                continue
-            for Q in cls:
-                if Q.index == P.index - 1:
-                    out.append((P, Q, R))
-    return out
+    return [(P, Q, R) for P in cls if P.orientable
+            for R in cls if R.orientable and R.index == P.index - 2
+            for Q in cls if Q.index == P.index - 1]

@@ -520,9 +520,17 @@ def test_dihedral_ring_sphere_of_order_800_stays_small(
 
 
 def test_dihedral_ring_sphere_of_order_400_diagnoses_small(
-        tmp_path, capsys, instances):
-    # D_200 with the flow c0 flipped: the walk carries the 400 flows of its
-    # orbit and their endpoints, so no table of every point and flow is made
+        tmp_path, capsys, monkeypatch, instances):
+    # D_200 with the flow c0 flipped: c0 is the defect set of its orbit, so
+    # after the construction's orbit scan one walk carries c0 and its two
+    # endpoints, not the 400 flows of the orbit and their endpoints
+    quotient = importlib.import_module("orbimorse.quotient")
+    real_walk, walks = quotient.EquivariantMorseSystem._walk, []
+
+    def walk(s, starts):
+        walks.append(len(starts))
+        return real_walk(s, starts)
+    monkeypatch.setattr(quotient.EquivariantMorseSystem, "_walk", walk)
     doc = {"kind": "global_quotient", "metadata": {"name": "dp200_flip"},
            "system": instances.plant(instances.dp_sphere(200), "flip")}
     instance = write_doc(tmp_path, "dp200_flip.json", doc)
@@ -537,7 +545,8 @@ def test_dihedral_ring_sphere_of_order_400_diagnoses_small(
                    for line in capsys.readouterr().out.splitlines()
                    if line.startswith("violation: "))
     assert laws == instances.ring_violations(400, "flip")
-    assert peak < 7.5e6
+    assert len(walks) == 2 and walks[1] <= 3
+    assert peak < 5e6
 
 
 def test_group_cap_environment_variable(tmp_path, monkeypatch, capsys):

@@ -930,6 +930,95 @@ def test_defects_on_several_orbits_match_the_full_scan(data, draw):
     assert list(report.violations) == reference_violations(t)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(generator_data(), st.data())
+def test_several_defects_in_one_orbit_match_the_full_scan(data, draw):
+    """Each point orbit draws a value or none.  One orbit of more than one
+    member gets two or three defects, one at its least member: a point's
+    index changed or its value changed, dropped or set, a flow flipped or
+    re-aimed.  Or a flow orbit has its least member and that flow's images
+    under the generators flipped together: no generator then flags the
+    least member, so the reference flow of the diagnosis is a defect too.
+    Then one flow is flipped or re-aimed and the index of one of its
+    endpoints changed.  The report lists every witness as the full scan
+    does."""
+    s = EquivariantMorseSystem.from_generator_data(**data)
+    points = [list(p) for p in data["crit_points"]]
+    flows = [list(f) for f in data["flows"]]
+    at = {p[0]: i for i, p in enumerate(points)}
+    for orb in classify(s):
+        value = draw.draw(st.one_of(st.none(), st.integers(0, 3)))
+        for m in orb.members:
+            points[at[m]][2] = None if value is None else Fraction(value)
+    flow_at = {f[0]: j for j, f in enumerate(flows)}
+    targets = [("point", [at[m] for m in o.members]) for o in classify(s)]
+    targets += [("flow", [flow_at[f] for f in o]) for o in orbits(tables(s)[2])]
+    targets = [t for t in targets if len(t[1]) > 1]
+    assume(targets)
+    where, members = draw.draw(st.sampled_from(targets))
+
+    def flip_or_reaim(f):
+        others = [p[0] for p in points if p[1] == points[at[f[2]]][1]
+                  and p[0] != f[2]]
+        if others and draw.draw(st.booleans()):
+            f[2] = draw.draw(st.sampled_from(others))
+        else:
+            f[3] = -f[3]
+
+    if where == "flow" and draw.draw(st.booleans()):
+        for x in {members[0], *(row[members[0]] for row in data["flow_images"])}:
+            flows[x][3] = -flows[x][3]
+    else:
+        rest = draw.draw(st.lists(st.sampled_from(members[1:]), min_size=1,
+                                  max_size=2, unique=True))
+        for x in [members[0]] + rest:
+            if where == "flow":
+                flip_or_reaim(flows[x])
+            elif draw.draw(st.booleans()):
+                points[x][1] = (points[x][1] + draw.draw(st.integers(1, 2))) % 3
+            else:
+                points[x][2] = Fraction(7) if points[x][2] is None \
+                    else draw.draw(st.sampled_from([None, points[x][2] + 1]))
+    if flows:
+        f = flows[draw.draw(st.integers(0, len(flows) - 1))]
+        flip_or_reaim(f)
+        p = points[at[f[draw.draw(st.sampled_from([1, 2]))]]]
+        p[1] = (p[1] + draw.draw(st.integers(1, 2))) % 3
+    t = EquivariantMorseSystem.from_generator_data(**dict(
+        data, crit_points=[tuple(p) for p in points],
+        flows=[tuple(f) for f in flows]))
+    assert list(validate_system(t).violations) == reference_violations(t)
+
+
+def test_a_flow_orbit_its_stabilizer_reverses_is_read_whole(monkeypatch):
+    # Z2 x Z2 = <s, t>: s swaps p0, p1, q0, q1 and the flows f0 = p0 -> q0,
+    # f1 = p1 -> q1; t fixes them all and reverses p0 and p1 only.  So t
+    # fixes f0 and reverses its signed endpoints: transport from f0
+    # disagrees with itself, and the diagnosis walk carries the whole flow
+    # orbit and its endpoints.  f1's sign is flipped besides, and q1 alone
+    # has a value, so q1 is the defect set of its orbit
+    walks = []
+    real_walk = EquivariantMorseSystem._walk
+
+    def walk(s, starts):
+        walks.append(list(starts))
+        return real_walk(s, starts)
+    monkeypatch.setattr(EquivariantMorseSystem, "_walk", walk)
+    s = EquivariantMorseSystem.from_generator_data(
+        generators=[(1, 0, 2, 3), (0, 1, 3, 2)], degree=4,
+        crit_points=[("p0", 1, None), ("p1", 1, None), ("q0", 0, None),
+                     ("q1", 0, Fraction(1))],
+        crit_images=[[1, 0, 3, 2], [0, 1, 2, 3]],
+        crit_signs=[[1, 1, 1, 1], [-1, -1, 1, 1]],
+        flows=[("f0", "p0", "q0", 1), ("f1", "p1", "q1", -1)],
+        flow_images=[[1, 0], [0, 1]], ambient_dim=1)
+    report = validate_system(s)
+    assert list(report.violations) == reference_violations(s)
+    assert Counter(v.law for v in report.violations) == {
+        "sign_equivariance": 4, "value_equivariance": 2}
+    assert set(walks[-1]) == {0, 2, 4, 6, 8, 9}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(generator_data(), st.sampled_from(["sign", "flow"]), st.data())
 def test_inconsistent_generator_rows_are_rejected(data, change, draw):

@@ -15,8 +15,9 @@ BENCH_gq.json   homology on the ring sphere under Z_p (order p) or D_p
                 (order 2p), for p in 50, 100, 200, 400 and 800; sphere and
                 quotient have Betti numbers 1,0,1.  validate on the same
                 spheres with one planted defect, the flow c0 re-aimed
-                (Z_p, "endpoint") or its sign flipped (D_p, "flip"): exit 2
-                and the violation counts of instances.ring_violations.
+                (Z_p, "endpoint") or its sign flipped (D_p, "flip"), for
+                the same p and p = 2500: exit 2 and the violation counts
+                of instances.ring_violations.
 BENCH_tri.json  homology on torus(n) under negation, n in 8, 16, 24, and
                 bipyramid(p) under the rotation of order p, p in 32, 64,
                 128: no subdivision, quotient S^2; polygon(1, k) under the
@@ -52,6 +53,8 @@ from orbimorse import cli  # noqa: E402
 RUNS = 5
 
 GQ_SIZES = (50, 100, 200, 400, 800)
+#: validate also runs at the size the diagnosis targets are stated for.
+DIAGNOSE_SIZES = GQ_SIZES + (2500,)
 SPHERE = ["betti_manifold: 1,0,1", "betti_invariant: 1,0,1"]
 
 
@@ -91,10 +94,10 @@ BENCHES = (
         ("zp_endpoint", "validate",
          lambda i, p: i.plant(i.zp_sphere(p), "endpoint"),
          lambda i, p: (p, _violations(i.ring_violations(p, "endpoint"))),
-         GQ_SIZES),
+         DIAGNOSE_SIZES),
         ("dp_flip", "validate", lambda i, p: i.plant(i.dp_sphere(p), "flip"),
          lambda i, p: (2 * p, _violations(i.ring_violations(2 * p, "flip"))),
-         GQ_SIZES),
+         DIAGNOSE_SIZES),
     ]),
     ("tri", "simplicial", [
         ("torus", "homology", lambda i, n: i.torus(n),

@@ -11,9 +11,10 @@ a ``diff`` of two runs.
 The instances are every corpus file; every gq-sphere, gq-diagnose and
 tri-quotient instance of seeds 1-3, built by perfbench/instances.py; the
 ring sphere under Z_800 with the flow c0 re-aimed and under D_800 with c0's
-sign flipped; and the documents tests/test_fuzz.py draws.  Every instance
-gets each command below; one that does not apply to the instance's kind
-exits 4 with a message, which is digested too.  Each run is one in-process
+sign flipped; ring spheres with several defects (multi_defects); and the
+documents tests/test_fuzz.py draws.  Every instance gets each command
+below; one that does not apply to the instance's kind exits 4 with a
+message, which is digested too.  Each run is one in-process
 ``orbimorse`` call in a temporary directory, on relative file names, so no
 path of the host reaches the output.  The program is imported from the src/
 next to this directory.
@@ -95,12 +96,39 @@ def instances():
                        json.dumps(case.doc, indent=2, sort_keys=True) + "\n")
     for name, system in (
             ("zp800_endpoint", bench.plant(bench.zp_sphere(800), "endpoint")),
-            ("dp800_flip", bench.plant(bench.dp_sphere(800), "flip"))):
+            ("dp800_flip", bench.plant(bench.dp_sphere(800), "flip")),
+            *multi_defects(bench)):
         yield f"planted/{name}", json.dumps(
             {"kind": "global_quotient", "metadata": {"name": name},
              "system": system})
     for i, text in enumerate(fuzz_documents()):
         yield f"fuzz/{i:03d}", text
+
+
+def _edit(system, **changes):
+    """A copy of a ring sphere with flows edited: label -> "flip" negates
+    the sign, label -> point label re-aims the flow there."""
+    out = json.loads(json.dumps(system))
+    for f in out["flows"]:
+        change = changes.get(f["label"])
+        if change == "flip":
+            f["sign"] = -f["sign"]
+        elif change is not None:
+            f["dst"] = change
+    return out
+
+
+def multi_defects(bench):
+    """(name, system) of ring spheres with several defects: two in the
+    orbit of c0, the flows c0 and c1 = rho.c0 flipped together (so the least
+    flow of the orbit that no generator flags is itself a defect), the
+    least-label flow a0 flipped, and a flip beside a re-aimed flow of the
+    same orbit (c and e flows share one under D_p)."""
+    zp, dp = bench.zp_sphere(60), bench.dp_sphere(30)
+    return (("zp60_c0_c7", _edit(zp, c0="flip", c7="m9")),
+            ("zp60_c0_c1", _edit(zp, c0="flip", c1="flip")),
+            ("dp30_a0", _edit(dp, a0="flip")),
+            ("dp30_c0_e2", _edit(dp, c0="flip", e2="m5")))
 
 
 def run(argv) -> tuple:
