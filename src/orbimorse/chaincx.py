@@ -2,18 +2,24 @@
 
 A RationalMatrix is stored by columns, each a {row: value} dict without
 zeros; values are ints, or Fractions where not integral, never floats.
-Boundaries built here are integral: sums of signs, or intrinsic weights
-iso(q)/iso(flow), which must divide.  Rank and kernel come from one
-fraction-free reduction keyed on the lowest nonzero row, as in PHAT
-(Bauer, Kerber, Reininghaus, Wagner 2017): a column scaled by the lcm of
-its denominators, whose lowest row r an earlier column p owns, becomes
+Boundaries built here are integral (sums of signs, or intrinsic weights
+iso(q)/iso(flow), which must divide) and stay int columns from
+from_entries to rank.  Rank and kernel come from one fraction-free
+reduction keyed on the lowest nonzero row, as in PHAT (Bauer, Kerber,
+Reininghaus, Wagner 2017): a column (a Fraction one scaled by the lcm of
+its denominators) whose lowest row r an earlier column p owns becomes
 b*col - a*p (a, b = col[r], p[r] over their gcd) divided by its content.
+verify_complex squares a complex once and keeps the verdict on it; betti
+then reduces top down with clearing (Chen & Kerber, Persistent homology
+computation with a twist, 2011): a column of d_k that is the lowest row of
+a reduced column of d_(k+1) reduces to zero, as d^2 = 0, and is skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import (
@@ -31,6 +37,21 @@ def _column(pairs) -> dict:
         acc[i] = acc.get(i, 0) + v
     return {i: v.numerator if v.denominator == 1 else v
             for i, v in acc.items() if v}
+
+
+def _is_int_column(col: dict) -> bool:
+    return 0 not in col.values() and {*map(type, col.values())} <= {int}
+
+
+def _products(left, right):
+    """Columns of the product of two matrices' column lists, as summed dicts
+    that may hold zeros."""
+    for col in right:
+        acc: dict = {}
+        for m, b in col.items():
+            for i, a in left[m].items():
+                acc[i] = acc.get(i, 0) + a * b
+        yield acc
 
 
 class RationalMatrix:
@@ -86,9 +107,7 @@ class RationalMatrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return RationalMatrix.of_columns(self.rows, (
-            _column((i, a * b) for k, b in bcol.items()
-                    for i, a in self.columns[k].items())
-            for bcol in other.columns))
+            _column(acc.items()) for acc in _products(self.columns, other.columns)))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -126,31 +145,44 @@ class RationalMatrix:
 
     # -- elimination -----------------------------------------------------
 
-    def _reduce(self, track: bool) -> list[dict]:
-        """Reduced integer columns, nonzero ones with distinct lowest rows;
+    def _reduce(self, track: bool, clear=()) -> tuple[list[dict], dict]:
+        """Reduced integer columns, nonzero ones with distinct lowest rows,
+        and the column owning each such row; columns in clear are left zero;
         with track, column j holds its coefficient of column i under -1-i."""
         owner, reduced = {}, []
         for j, col in enumerate(self.columns):
-            s = lcm(*(v.denominator for v in col.values()))
-            col = {i: int(v * s) for i, v in col.items()}
-            if track:
-                col[-1 - j] = s
+            col = {} if j in clear else dict(col)
+            if track or not _is_int_column(col):
+                s = lcm(*(v.denominator for v in col.values()))
+                col = {i: int(v * s) for i, v in col.items()}
+                if track:
+                    col[-1 - j] = s
             while col and (low := max(col)) >= 0:
                 p = owner.setdefault(low, j)
                 if p == j:
                     break
-                g = gcd(col[low], reduced[p][low])
-                a, b = col[low] // g, reduced[p][low] // g
-                col = {i: b * v for i, v in col.items()}
-                for i, v in reduced[p].items():
-                    col[i] = col.get(i, 0) - a * v
-                c = gcd(*col.values()) or 1
-                col = {i: v // c for i, v in col.items() if v}
+                pivot = reduced[p]
+                g = gcd(col[low], pivot[low])
+                a, b = col[low] // g, pivot[low] // g
+                if b != 1:
+                    col = {i: b * v for i, v in col.items()}
+                for i, v in pivot.items():
+                    if w := col.get(i, 0) - a * v:
+                        col[i] = w
+                    else:
+                        del col[i]
+                if (c := gcd(*col.values())) > 1:
+                    col = {i: v // c for i, v in col.items()}
             reduced.append(col)
-        return reduced
+        return reduced, owner
 
-    def rank(self) -> int:
-        return sum(1 for col in self._reduce(track=False) if col)
+    def rank(self, clear=(), pivots=None) -> int:
+        """Rank, skipping the columns in clear as reducing to zero; the lowest
+        rows of the nonzero reduced columns go into the set pivots if given."""
+        owner = self._reduce(False, clear)[1]
+        if pivots is not None:
+            pivots.update(owner)
+        return len(owner)
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -158,7 +190,7 @@ class RationalMatrix:
     def nullspace(self) -> list[list[Fraction]]:
         """Kernel basis, one vector per column spanned by the ones before it."""
         return [[Fraction(col.get(-1 - i, 0), col[-1 - j]) for i in range(self.cols)]
-                for j, col in enumerate(self._reduce(track=True)) if max(col) < 0]
+                for j, col in enumerate(self._reduce(True)[0]) if max(col) < 0]
 
     # -- display ---------------------------------------------------------
 
@@ -203,11 +235,14 @@ class GradedComplex:
         cells are summed.  The only place a boundary matrix is allocated."""
         labels = [tuple(level) for level in labels]
         pos = [{lab: i for i, lab in enumerate(level)} for level in labels]
-        columns = [[[] for _ in labels[k]] for k in range(1, len(labels))]
+        columns = [[{} for _ in labels[k]] for k in range(1, len(labels))]
         for k, row, col, coeff in entries:
-            columns[k - 1][pos[k][col]].append((pos[k - 1][row], coeff))
+            column, i = columns[k - 1][pos[k][col]], pos[k - 1][row]
+            column[i] = column.get(i, 0) + coeff
         return cls.build(labels, [
-            RationalMatrix.of_columns(len(labels[k - 1]), map(_column, cols))
+            RationalMatrix.of_columns(len(labels[k - 1]), (
+                col if _is_int_column(col) else _column(col.items())
+                for col in cols))
             for k, cols in enumerate(columns, 1)])
 
     def dim(self, k: int) -> int:
@@ -224,21 +259,36 @@ class GradedComplex:
     def dims(self) -> tuple[int, ...]:
         return tuple(self.dim(k) for k in range(self.max_degree + 1))
 
+    @cached_property
+    def verdict(self) -> tuple:
+        """verify_complex's result, computed on first use."""
+        for k in range(2, self.max_degree + 1):
+            if cells := _square_cells(self, k):
+                i, j, v = min(cells)
+                labels = self.basis_labels
+                return False, (k, labels[k - 2][i], labels[k][j], Fraction(v))
+        return True, None
+
+
+def _square_cells(c: GradedComplex, k: int) -> list:
+    """Nonzero (row, col, value) of boundary_(k-1) boundary_k, by columns."""
+    return [(i, j, v) for j, acc in enumerate(
+                _products(c.boundary[k - 2].columns, c.boundary[k - 1].columns))
+            if any(acc.values()) for i, v in acc.items() if v]
+
 
 def square_entries(c: GradedComplex):
     """Nonzero entries (degree, row_label, col_label, value) of the boundary
-    squared, where degree is the top degree of the composition."""
+    squared, row by row, where degree is the top degree of the composition."""
     for k in range(2, c.max_degree + 1):
-        sq = c.boundary_at(k - 1) * c.boundary_at(k)
-        for i, j, v in sq.cells():
-            yield k, c.basis_labels[k - 2][i], c.basis_labels[k][j], v
+        for i, j, v in sorted(_square_cells(c, k)):
+            yield k, c.basis_labels[k - 2][i], c.basis_labels[k][j], Fraction(v)
 
 
 def verify_complex(c: GradedComplex):
     """(True, None) when boundary squared is zero, else (False, its first
-    entry from square_entries)."""
-    witness = next(square_entries(c), None)
-    return witness is None, witness
+    entry from square_entries); the complex keeps it, so it is squared once."""
+    return c.verdict
 
 
 def orbit_sum_complex(orbits, faces) -> GradedComplex:
@@ -287,16 +337,18 @@ def orbit_sum_complex(orbits, faces) -> GradedComplex:
 def betti(c: GradedComplex) -> tuple[int, ...]:
     """Exact Betti numbers b_0..b_n.
 
-    b_k = dim ker boundary_k - rank boundary_(k+1).  The alternating sums
-    of dimensions and of betti numbers are asserted equal (Euler check).
+    b_k = dim ker boundary_k - rank boundary_(k+1), the ranks taken top down
+    with clearing.  The alternating sums of dimensions and of betti numbers
+    are asserted equal (Euler check).
     """
     ok, witness = verify_complex(c)
     if not ok:
         raise NotAComplex(f"boundary squared is nonzero, witness {witness}")
-    ranks = [c.boundary_at(k).rank() for k in range(c.max_degree + 2)]
-    out = []
-    for k in range(c.max_degree + 1):
-        out.append(c.dim(k) - ranks[k] - ranks[k + 1])
+    ranks, pivots = [0] * (c.max_degree + 2), set()
+    for k in range(c.max_degree, 0, -1):
+        cleared, pivots = pivots, set()
+        ranks[k] = c.boundary[k - 1].rank(cleared, pivots)
+    out = [c.dim(k) - ranks[k] - ranks[k + 1] for k in range(c.max_degree + 1)]
     euler_dims = sum((-1) ** k * c.dim(k) for k in range(c.max_degree + 1))
     euler_betti = sum((-1) ** k * b for k, b in enumerate(out))
     assert euler_dims == euler_betti, (euler_dims, euler_betti)

@@ -347,7 +347,7 @@ def load_corpus(name: str) -> InstanceFile:
 class Report:
     """Ordered key/value rows, printable as text lines or CSV.  Values keep
     their types until printed: booleans print as yes/no and Betti tuples as
-    comma-joined numbers."""
+    comma-joined numbers; rows are formatted one at a time as written."""
 
     def __init__(self, *rows):
         self.rows: list[tuple[str, object]] = list(rows)
@@ -364,10 +364,11 @@ class Report:
         return str(value)
 
     def emit(self, fmt: str):
-        rows = [(k, self.text(v)) for k, v in self.rows]
+        rows = ((k, self.text(v)) for k, v in self.rows)
         if fmt == "csv":
-            csv.writer(sys.stdout, lineterminator="\n").writerows(
-                [("key", "value"), *rows])
+            out = csv.writer(sys.stdout, lineterminator="\n")
+            out.writerow(("key", "value"))
+            out.writerows(rows)
         else:
             sys.stdout.writelines(f"{k}: {v}\n" for k, v in rows)
 
@@ -391,7 +392,7 @@ def _validate_global(rep, s, self_indexing=True) -> int:
     if self_indexing and r.self_indexing is not None:
         rep.add("self_indexing", r.self_indexing)
     for v in r.violations:
-        rep.add("violation", f"{v.law}: {v.detail}")
+        rep.add("violation", v)
     return EXIT_OK if r.ok else EXIT_INVALID
 
 def _homology_global(rep, conv, s) -> int:

@@ -95,6 +95,9 @@ class Violation:
     law: str
     detail: str
 
+    def __str__(self):
+        return f"{self.law}: {self.detail}"
+
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -48,10 +48,13 @@ def _close_downward(maximal):
     return simplices
 
 
+_SIGNS = (1, -1) * 32  # (-1)**i; _close_downward lists all 2**n faces, so n < 64
+
+
 def _faces(s, skip):
     """Codimension-one faces of an oriented simplex outside skip, with signs."""
-    faces = ((s[:i] + s[i + 1:], (-1) ** i) for i in range(len(s)))
-    return [(face, sign) for face, sign in faces if face not in skip]
+    faces = [(s[:i] + s[i + 1:], sign) for i, sign in zip(range(len(s)), _SIGNS)]
+    return [f for f in faces if f[0] not in skip] if skip else faces
 
 
 class SimplicialComplex:

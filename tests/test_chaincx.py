@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,13 +192,13 @@ ENTRIES = st.one_of(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
 
 
 @st.composite
-def grids(draw, rows=None, cols=None):
+def grids(draw, rows=None, cols=None, entries=ENTRIES):
     """A rows x cols list of rational rows, some rows and columns all zero."""
     rows = draw(st.integers(0, 8)) if rows is None else rows
     cols = draw(st.integers(0, 8)) if cols is None else cols
     zero_rows = draw(st.sets(st.integers(0, 7), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, 7), max_size=2))
-    return [[0 if i in zero_rows or j in zero_cols else draw(ENTRIES)
+    return [[0 if i in zero_rows or j in zero_cols else draw(entries)
              for j in range(cols)] for i in range(rows)]
 
 
@@ -268,6 +269,71 @@ def test_complexes_match_dense_oracle(c, data):
     f = ChainMap(source=c, target=c, matrices=tuple(maps))
     witness = dense_oracle.chain_map_witness(f)
     assert verify_chain_map(f) == (witness is None, witness)
+
+
+#: Mostly ints up to 6 in size, some Fractions.
+CHAIN_ENTRIES = st.one_of(st.integers(-6, 6), st.integers(-6, 6),
+                          st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def chains(draw):
+    """A complex with three or four boundaries built from the top down as in
+    boundary_pairs: the top one has rank at most 3 and the rows of each
+    lower one lie in the left kernel of the one above, some scaled to
+    integers.  Half of them then get one entry changed, which may break d^2."""
+    n = draw(st.integers(3, 4))
+    dims = [draw(st.integers(1, 5)) for _ in range(n + 1)]
+    r = draw(st.integers(1, 3))
+    ds = [(DenseMatrix(draw(grids(dims[n - 1], r, CHAIN_ENTRIES)), r)
+           * DenseMatrix(draw(grids(r, dims[n], CHAIN_ENTRIES)), dims[n])).entries]
+    for k in range(n - 1, 0, -1):
+        left = DenseMatrix(ds[0], dims[k + 1]).transpose().nullspace()
+        rows = []
+        for _ in range(dims[k - 1]):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(left),
+                                   max_size=len(left)))
+            row = [sum((c * u[j] for c, u in zip(coeffs, left)), Fraction(0))
+                   for j in range(dims[k])]
+            if draw(st.booleans()):
+                row = [x * lcm(*(y.denominator for y in row)) for x in row]
+            rows.append(row)
+        ds.insert(0, rows)
+    ds = [[list(row) for row in d] for d in ds]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        i, j = draw(st.integers(0, dims[k] - 1)), draw(st.integers(0, dims[k + 1] - 1))
+        ds[k][i][j] += draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+    return GradedComplex.build(
+        [level("abcde"[k], dims[k]) for k in range(n + 1)],
+        [sparse(d, dims[k], dims[k + 1]) for k, d in enumerate(ds)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(chains())
+def test_deeper_complexes_match_dense_oracle(c):
+    for k in range(1, c.max_degree + 1):
+        assert c.boundary_at(k).rank() == DenseMatrix.of(c.boundary_at(k)).rank()
+    witnesses = dense_oracle.square_entries(c)
+    assert list(square_entries(c)) == witnesses
+    if witnesses:
+        assert verify_complex(c) == (False, witnesses[0])
+        with pytest.raises(NotAComplex):
+            betti(c)
+    else:
+        assert verify_complex(c) == (True, None)
+        assert betti(c) == dense_oracle.betti(c)
+
+
+def test_rank_clears_the_columns_it_is_given():
+    # d1 d2 = 0 and d2's column has its lowest entry in row 1, so column 1
+    # of d1 is spanned by column 0 and clearing it keeps the rank
+    d1 = RationalMatrix([[1, 1, 0], [-1, -1, 2]])
+    d2 = RationalMatrix([[1], [-1], [0]])
+    pivots = set()
+    assert d2.rank(pivots=pivots) == 1 and pivots == {1}
+    assert d1.rank(pivots) == d1.rank() == 2
+    assert d1.rank({2}) == 1  # column 2 is not spanned by the ones before it
 
 
 def test_witnesses_are_scanned_row_by_row():

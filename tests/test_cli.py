@@ -28,8 +28,9 @@ from orbimorse.cli import (
     load_instance,
     main,
 )
-from orbimorse import betti, boundary_plus
+from orbimorse import betti, boundary_plus, chaincx
 from orbimorse.groups import orbits
+from orbimorse.quotient import EquivariantMorseSystem
 
 from conftest import grid_torus
 from reference_validator import reference_classify, tables
@@ -162,6 +163,35 @@ def test_homology_of_heart(tmp_path, capsys):
     assert "betti_invariant: 1,0,1" in out
     assert main(["homology", path, "--convention", "minus"]) == EXIT_OK
     assert "betti_invariant: 1,0,1" in capsys.readouterr().out
+
+
+def test_global_homology_squares_each_boundary_pair_once(
+        tmp_path, capsys, monkeypatch):
+    # validate_system and betti both check the manifold complex; the
+    # verdict kept on the complex makes that one product per degree
+    squared, manifold = [], []
+    square_cells = chaincx._square_cells
+    manifold_complex = EquivariantMorseSystem.manifold_complex
+
+    def counted(c, k):
+        squared.append((c, k))
+        return square_cells(c, k)
+
+    def recorded(s):
+        manifold.append(manifold_complex(s))
+        return manifold[-1]
+
+    monkeypatch.setattr(chaincx, "_square_cells", counted)
+    monkeypatch.setattr(EquivariantMorseSystem, "manifold_complex", recorded)
+    assert main(["homology", corpus_file(tmp_path, "heart")]) == EXIT_OK
+    assert "betti_manifold: 1,0,1" in capsys.readouterr().out
+    counts = Counter((id(c), k) for c, k in squared)
+    assert set(counts.values()) == {1}
+    m = manifold[0]
+    assert {id(c) for c in manifold} == {id(m)}
+    assert [counts[id(m), k] for k in range(2, m.max_degree + 1)] == [1] * (
+        m.max_degree - 1)
+    assert len(counts) == 2  # the manifold and the invariant plus complex
 
 
 def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):

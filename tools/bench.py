@@ -18,16 +18,19 @@ BENCH_gq.json   homology on the ring sphere under Z_p (order p) or D_p
                 (Z_p, "endpoint") or its sign flipped (D_p, "flip"), for
                 the same p and p = 2500: exit 2 and the violation counts
                 of instances.ring_violations.
-BENCH_tri.json  homology on torus(n) under negation, n in 8, 16, 24, and
+BENCH_tri.json  homology on torus(n) under negation, n in 8, 16, 24, 32, 40
+                (torus labels carry two-digit coordinates, so they sort
+                in order past 1,000 vertices), and
                 bipyramid(p) under the rotation of order p, p in 32, 64,
                 128: no subdivision, quotient S^2; polygon(1, k) under the
                 rotation of order k, k in 30, 60, 120, 240, 480: two
                 subdivision rounds, quotient S^1; wheel(k), a disc under the
                 rotation of order k, relative to its rim, k in 20, 40, 80:
                 no subdivision, quotient a disc, relative Betti numbers
-                0,0,1.  Every instance has fewer than 1,000 vertices:
-                instances.py labels them v000, v001, ..., so beyond that
-                the sorted vertex list no longer follows the rotation.
+                0,0,1.  Every bipyramid, polygon and wheel has fewer than
+                1,000 vertices: instances.py labels them v000, v001, ...,
+                so beyond that the sorted vertex list no longer follows the
+                rotation.
 """
 
 import contextlib
@@ -101,7 +104,7 @@ BENCHES = (
     ]),
     ("tri", "simplicial", [
         ("torus", "homology", lambda i, n: i.torus(n),
-         lambda i, n: (2, _quotient_rows(0, "1,0,1")), (8, 16, 24)),
+         lambda i, n: (2, _quotient_rows(0, "1,0,1")), (8, 16, 24, 32, 40)),
         ("bipyramid", "homology", lambda i, p: i.bipyramid(p),
          lambda i, p: (p, _quotient_rows(0, "1,0,1")), (32, 64, 128)),
         ("polygon", "homology", lambda i, k: i.polygon(1, k),
