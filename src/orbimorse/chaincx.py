@@ -9,6 +9,11 @@ reduction keyed on the lowest nonzero row, as in PHAT (Bauer, Kerber,
 Reininghaus, Wagner 2017): a column (a Fraction one scaled by the lcm of
 its denominators) whose lowest row r an earlier column p owns becomes
 b*col - a*p (a, b = col[r], p[r] over their gcd) divided by its content.
+nullspace reduces augmented integer columns: column j is scaled by the lcm
+s of its denominators and gets s in row -1-j.  Rows below 0 are never
+pivots; they record how much of each column a reduced column holds.  A
+column whose rows from 0 up all cancel is a kernel vector, with column i's
+coefficient in row -1-i.
 verify_complex squares a complex once and keeps the verdict on it; betti
 then reduces top down with clearing (Chen & Kerber, Persistent homology
 computation with a twist, 2011): a column of d_k that is the lowest row of
@@ -80,27 +85,12 @@ class RationalMatrix:
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls.of_columns(rows, ({} for _ in range(cols)))
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.diagonal([1] * n)
-
-    @classmethod
-    def diagonal(cls, diag) -> "RationalMatrix":
-        return cls.of_columns(len(diag), (_column([ix]) for ix in enumerate(diag)))
-
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "RationalMatrix":
-        return cls.of_columns(rows, (_column(zip(range(rows), c)) for c in columns))
-
     # -- algebra ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
                 and (self.rows, self.cols) == (other.rows, other.cols)
                 and self.columns == other.columns)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.cells())))
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -109,54 +99,18 @@ class RationalMatrix:
         return RationalMatrix.of_columns(self.rows, (
             _column(acc.items()) for acc in _products(self.columns, other.columns)))
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("addition shape mismatch")
-        return RationalMatrix.of_columns(self.rows, (
-            _column([*a.items(), *b.items()])
-            for a, b in zip(self.columns, other.columns)))
-
-    def scale(self, c) -> "RationalMatrix":
-        return RationalMatrix.of_columns(self.rows, (
-            _column((i, c * v) for i, v in col.items()) for col in self.columns))
-
-    def transpose(self) -> "RationalMatrix":
-        out = [{} for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                out[i][j] = v
-        return RationalMatrix.of_columns(self.cols, out)
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
-    def column(self, j: int) -> list[Fraction]:
-        return [Fraction(self.columns[j].get(i, 0)) for i in range(self.rows)]
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense rows of Fractions."""
-        return tuple(zip(*map(self.column, range(self.cols)))) or ((),) * self.rows
-
-    def cells(self) -> list[tuple[int, int, Fraction]]:
-        """Nonzero (row, col, value) entries in row-major order."""
-        return sorted((i, j, Fraction(v)) for j, col in enumerate(self.columns)
-                      for i, v in col.items())
-
     # -- elimination -----------------------------------------------------
 
-    def _reduce(self, track: bool, clear=()) -> tuple[list[dict], dict]:
+    def _reduce(self, clear=()) -> tuple[list[dict], dict]:
         """Reduced integer columns, nonzero ones with distinct lowest rows,
-        and the column owning each such row; columns in clear are left zero;
-        with track, column j holds its coefficient of column i under -1-i."""
+        and the column owning each such row; columns in clear are left zero.
+        Rows below 0 are never pivots (nullspace's bookkeeping rows)."""
         owner, reduced = {}, []
         for j, col in enumerate(self.columns):
             col = {} if j in clear else dict(col)
-            if track or not _is_int_column(col):
+            if not _is_int_column(col):
                 s = lcm(*(v.denominator for v in col.values()))
                 col = {i: int(v * s) for i, v in col.items()}
-                if track:
-                    col[-1 - j] = s
             while col and (low := max(col)) >= 0:
                 p = owner.setdefault(low, j)
                 if p == j:
@@ -179,18 +133,21 @@ class RationalMatrix:
     def rank(self, clear=(), pivots=None) -> int:
         """Rank, skipping the columns in clear as reducing to zero; the lowest
         rows of the nonzero reduced columns go into the set pivots if given."""
-        owner = self._reduce(False, clear)[1]
+        owner = self._reduce(clear)[1]
         if pivots is not None:
             pivots.update(owner)
         return len(owner)
 
-    def nullity(self) -> int:
-        return self.cols - self.rank()
-
     def nullspace(self) -> list[list[Fraction]]:
-        """Kernel basis, one vector per column spanned by the ones before it."""
+        """Kernel basis, one vector per column spanned by the ones before it,
+        read off the augmented columns of the module docstring."""
+        augmented = []
+        for j, col in enumerate(self.columns):
+            s = lcm(*(v.denominator for v in col.values()))
+            augmented.append({**{i: int(v * s) for i, v in col.items()}, -1 - j: s})
+        reduced = RationalMatrix.of_columns(self.rows, augmented)._reduce()[0]
         return [[Fraction(col.get(-1 - i, 0), col[-1 - j]) for i in range(self.cols)]
-                for j, col in enumerate(self._reduce(True)[0]) if max(col) < 0]
+                for j, col in enumerate(reduced) if max(col) < 0]
 
     # -- display ---------------------------------------------------------
 
@@ -255,9 +212,6 @@ class GradedComplex:
         if 1 <= k <= self.max_degree:
             return self.boundary[k - 1]
         return RationalMatrix.zeros(self.dim(k - 1), self.dim(k))
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.dim(k) for k in range(self.max_degree + 1))
 
     @cached_property
     def verdict(self) -> tuple:
@@ -382,12 +336,16 @@ def verify_chain_map(f: ChainMap):
     """Check commutation with the boundaries.
 
     Returns (True, None) or (False, (degree, row, col, value)) for the first
-    entry where target_boundary * f differs from f * source_boundary.
+    entry, row by row, where target_boundary * f differs from f *
+    source_boundary; the products are taken column by column as in the d^2
+    check.
     """
     for k in range(1, f.source.max_degree + 1):
-        lhs = f.target.boundary_at(k) * f.at(k)
-        rhs = f.at(k - 1) * f.source.boundary_at(k)
-        diff = (lhs + rhs.scale(-1)).cells()
+        lhs = _products(f.target.boundary_at(k).columns, f.at(k).columns)
+        rhs = _products(f.at(k - 1).columns, f.source.boundary_at(k).columns)
+        diff = [(i, j, v) for j, (a, b) in enumerate(zip(lhs, rhs))
+                for i in {*a, *b} if (v := a.get(i, 0) - b.get(i, 0))]
         if diff:
-            return False, (k, *diff[0])
+            i, j, v = min(diff)
+            return False, (k, i, j, Fraction(v))
     return True, None

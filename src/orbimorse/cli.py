@@ -41,7 +41,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, NamedTuple
 
-from .chaincx import betti
+from .chaincx import betti, verify_complex
 from .errors import (
     MalformedPermutation,
     MalformedSystem,
@@ -415,9 +415,13 @@ def _validate_intrinsic(rep, s) -> int:
     return EXIT_OK if d.ok else EXIT_INVALID
 
 def _homology_intrinsic(rep, conv, s) -> int:
-    d = verify_d_squared(s)
-    if not d.ok:
-        return _invalid(rep, "witness", _witness(*d.witnesses[0]))
+    """Each convention's kept complex is squared once, for its verdict here
+    and for betti; the first witness is verify_d_squared's first."""
+    for c in ("plus", "minus"):
+        ok, witness = verify_complex(_boundary(s, c))
+        if not ok:
+            _, bot, top, val = witness
+            return _invalid(rep, "witness", _witness(c, top, bot, val))
     rep.add("convention", conv)
     rep.add("betti", betti(_boundary(s, conv)))
     return EXIT_OK

@@ -27,10 +27,6 @@ class ActionNotWellDefined(OrbimorseError):
     """Generator images do not extend to an action of the group."""
 
 
-class WeightNotOrbitConstant(OrbimorseError):
-    """Weight function differs within a single orbit."""
-
-
 # -- chain complexes ---------------------------------------------------------
 
 class ShapeMismatch(OrbimorseError):
@@ -69,11 +65,6 @@ class GaugeFailure(OrbimorseError):
 class SignNotOrbitConstant(OrbimorseError):
     """Flow signs differ within one flow orbit after gauge
     normalization; signals inconsistent input data."""
-
-
-class IndexMismatch(OrbimorseError):
-    """Orbit triple does not have consecutive Morse indices, or an end
-    orbit is not orientable."""
 
 
 # -- intrinsic systems -------------------------------------------------------

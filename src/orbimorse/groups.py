@@ -1,7 +1,7 @@
-"""Finite permutation groups, group actions, and weighted orbit counts.
+"""Finite permutation groups and group actions.
 
 Permutations are 0-based image tuples: g maps i to g[i].  Composition is
-function composition, compose(g, h)[i] = g[h[i]].  Groups store their full
+function composition, (g h)[i] = g[h[i]].  Groups store their full
 element table with the identity at index 0; element order is the breadth-first
 closure order from the generators with lexicographic tie-break, so every
 construction is deterministic.
@@ -10,7 +10,6 @@ construction is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
@@ -20,7 +19,6 @@ from .errors import (
     ClosureExceedsCap,
     MalformedPermutation,
     UnknownPoint,
-    WeightNotOrbitConstant,
 )
 
 Perm = tuple[int, ...]
@@ -45,18 +43,6 @@ def gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
         i = idx[0]
         return lambda seq: (seq[i],)
     return lambda seq: ()
-
-
-def compose(g: Perm, h: Perm) -> Perm:
-    """g after h: (g*h)(i) = g(h(i))."""
-    return gather(h)(g)
-
-
-def invert(g: Perm) -> Perm:
-    out = [0] * len(g)
-    for i, gi in enumerate(g):
-        out[gi] = i
-    return tuple(out)
 
 
 def is_perm(p: Sequence[int], degree: int) -> bool:
@@ -216,25 +202,3 @@ def orbits(action: GroupAction) -> list[list[Hashable]]:
     out.sort(key=lambda o: o[0])
     return out
 
-
-def weighted_orbit_count(action: GroupAction, weight: dict) -> Fraction:
-    """Sum of one weight per orbit, computed two independent ways.
-
-    Direct: sum the common weight over the orbit list.  Averaged: sum
-    weight(x) * |Stab(x)| over all points and divide by |G|.  The two results
-    are asserted equal before returning.  Raises WeightNotOrbitConstant when
-    the weight differs within an orbit.
-    """
-    direct = Fraction(0)
-    for orb in orbits(action):
-        vals = {Fraction(weight[x]) for x in orb}
-        if len(vals) != 1:
-            raise WeightNotOrbitConstant(
-                f"weights differ on class {orb!r}: {sorted(vals)}")
-        direct += vals.pop()
-    averaged = Fraction(0)
-    for x in action.points:
-        averaged += Fraction(weight[x]) * stabilizer(action, x).order
-    averaged /= action.group.order
-    assert direct == averaged, (direct, averaged)
-    return direct

@@ -42,16 +42,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count, repeat
-from operator import mul
 from typing import NamedTuple, Optional
 
 from .chaincx import GradedComplex, orbit_sum_complex, verify_complex
 from .errors import (
     ActionNotWellDefined,
     GaugeFailure,
-    IndexMismatch,
     MalformedSystem,
     SignNotOrbitConstant,
     SystemNotValid,
@@ -73,21 +70,6 @@ from .intrinsic import (IntrinsicFlow, IntrinsicPoint, OrbifoldMorseSystem,
 def _is_sign(x) -> bool:
     """True for the integers +1 and -1 only (a JSON true is not +1)."""
     return type(x) is int and x in (1, -1)
-
-
-class CritPoint(NamedTuple):
-    """A critical point row of the constructors' input."""
-    label: str
-    index: int
-    value: Optional[Fraction] = None
-
-
-class Flow(NamedTuple):
-    """A flow row of the constructors' input; src and dst are point labels."""
-    label: str
-    src: str
-    dst: str
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -131,13 +113,12 @@ class EquivariantMorseSystem:
     """Critical points, flows, orientation cocycle, and the group actions.
 
     Point rows (label, index, value) and flow rows (label, src label, dst
-    label, sign), as CritPoint and Flow name them, are kept as the columns
-    of the module docstring, and rows holds (g, point images, tau(g, .),
-    flow images) per generator g of G.  Construction raises
-    ActionNotWellDefined unless the rows extend to an action of G (the
-    orbit scan) and otherwise checks structure only (labels resolve, signs
-    are +-1).  The remaining laws are the validator's job, so defective
-    systems can be built and diagnosed.
+    label, sign) are kept as the columns of the module docstring, and rows
+    holds (g, point images, tau(g, .), flow images) per generator g of G.
+    Construction raises ActionNotWellDefined unless the rows extend to an
+    action of G (the orbit scan) and otherwise checks structure only
+    (labels resolve, signs are +-1).  The remaining laws are the
+    validator's job, so defective systems can be built and diagnosed.
     """
 
     def __init__(self, group: FiniteGroup, crit_points, flows, rows,
@@ -587,20 +568,6 @@ def _normalize(s: EquivariantMorseSystem) -> _Gauge:
     return gauge
 
 
-def regauge(s: EquivariantMorseSystem, sigma: dict) -> EquivariantMorseSystem:
-    """Flip unstable-manifold orientations by sigma: the rows' tau becomes
-    sigma(g.p) tau(g, p) sigma(p) and the flow signs follow.  The result
-    describes the same geometry in a different gauge; used by the
-    invariance test suites."""
-    sg = [sigma.get(p, 1) for p in s.labels]
-    rows = [(g, ag, tuple(map(mul, map(mul, gather(ag)(sg), tg), sg)), fg)
-            for g, ag, tg, fg in s.rows]
-    flows = [(f, s.labels[a], s.labels[b], sg[a] * sg[b] * e)
-             for f, a, b, e in zip(s.flow_labels, s.src, s.dst, s.sign)]
-    return EquivariantMorseSystem(s.group, zip(s.labels, s.index, s.value),
-                                  flows, rows, s.ambient_dim)
-
-
 # -- derived complexes --------------------------------------------------------
 
 def invariant_boundary(s: EquivariantMorseSystem, *,
@@ -656,72 +623,3 @@ def derive_intrinsic(s: EquivariantMorseSystem) -> OrbifoldMorseSystem:
 def discarded_orbits(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:
     """Non-orientable orbits, the ones carrying no quotient generator."""
     return tuple(o for o in classify(s) if not o.orientable)
-
-
-# -- broken flow weights ------------------------------------------------------
-
-def broken_weight(s: EquivariantMorseSystem, p: str, q: str, r: str, *,
-                  check_valid: bool = True) -> Fraction:
-    """Weight of the broken flows through the middle orbit, canonical gauge.
-
-    Arguments name the three orbits by any member.  With a fixed
-    representative m of the middle orbit, the weight is
-
-        (1 / iso(m)) * sum(eps over flows top -> m) * sum(eps over m -> bottom)
-
-    The result is recomputed at every representative, from the flows at
-    each endpoint (indexed once per system), and asserted equal.  When the
-    middle orbit is orientable the result is asserted to match the
-    flow-class formula sum nu(a) nu(b) / iso(middle), a flow class having
-    isotropy |G| / |flow orbit|; when it is not, the result is asserted to
-    be zero.
-    """
-    _require_valid(s, check_valid)
-    P, Q, R = orbit_of(s, p), orbit_of(s, q), orbit_of(s, r)
-    if not (P.index == Q.index + 1 == R.index + 2):
-        raise IndexMismatch(
-            f"orbit indices {P.index}, {Q.index}, {R.index} are not consecutive")
-    if not P.orientable or not R.orientable:
-        raise IndexMismatch("top and bottom orbits must be orientable")
-    gauge = _normalize(s)
-
-    src, dst, eps, number = s.src, s.dst, gauge.eps, s._index_of
-    ends = s._cache.get("ends")
-    if ends is None:
-        ends = s._cache["ends"] = [([], []) for _ in s.labels]
-        for j, (a, b) in enumerate(zip(src, dst)):
-            ends[b][0].append(j)
-            ends[a][1].append(j)
-    top, bottom = ({number[m] for m in o.members} for o in (P, R))
-    results = []
-    for m in Q.members:
-        flows_in, flows_out = ends[number[m]]
-        into = sum(eps[j] for j in flows_in if src[j] in top)
-        outof = sum(eps[j] for j in flows_out if dst[j] in bottom)
-        results.append(Fraction(into * outof, Q.iso_order))
-    assert len(set(results)) == 1, \
-        f"broken weight depends on the representative: {results}"
-    w = results[0]
-
-    if Q.orientable:
-        cls, nu_in, nu_out = classify(s), Fraction(0), Fraction(0)
-        for members, a, b in gauge.classes:
-            iso = s.group.order // len(members)
-            nu = Fraction(eps[members[0]] * Q.iso_order, iso)
-            if cls[a].rep == P.rep and cls[b].rep == Q.rep:
-                nu_in += nu
-            elif cls[a].rep == Q.rep and cls[b].rep == R.rep:
-                nu_out += nu
-        expected = nu_in * nu_out / Q.iso_order
-        assert w == expected, (w, expected)
-    else:
-        assert w == 0, f"weight through non-orientable orbit is {w}, not 0"
-    return w
-
-
-def admissible_triples(s: EquivariantMorseSystem):
-    """All (top, middle, bottom) orbit triples broken_weight accepts."""
-    cls = classify(s)
-    return [(P, Q, R) for P in cls if P.orientable
-            for R in cls if R.orientable and R.index == P.index - 2
-            for Q in cls if Q.index == P.index - 1]

@@ -20,8 +20,9 @@ class DenseMatrix:
 
     @classmethod
     def of(cls, m) -> "DenseMatrix":
-        """Dense copy of a RationalMatrix."""
-        return cls(m.entries, m.cols)
+        """Dense copy of a RationalMatrix, read off its {row: value} columns."""
+        return cls([[col.get(i, 0) for col in m.columns] for i in range(m.rows)],
+                   m.cols)
 
     def __mul__(self, other: "DenseMatrix") -> "DenseMatrix":
         assert self.cols == other.rows

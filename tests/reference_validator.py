@@ -16,26 +16,48 @@ reference_classify, reference_gauge and reference_derive compute the orbit
 classification, the canonical gauge and the derived system by scanning
 stabilizers and the element table: the oracle for the orbit scan of
 orbimorse.quotient.  They read the system's points and flows as records,
-rebuilt from its columns by points(s) and flows(s).
+CritPoint and Flow, rebuilt from its columns by points(s) and flows(s);
+tests build systems from the same rows.  compose(g, h) is g after h.
 
 TableSystem is a system given by hand-written per-element tables, which
 nothing in the package builds; its rows come from generating_set, and its
 walk reads the tables.
 """
 
+from fractions import Fraction
+from typing import NamedTuple, Optional
+
 from orbimorse.chaincx import verify_complex
 from orbimorse.errors import MalformedSystem
-from orbimorse.groups import (GroupAction, compose, generate_group, orbits,
+from orbimorse.groups import (GroupAction, gather, generate_group, orbits,
                               stabilizer)
 from orbimorse.intrinsic import IntrinsicFlow, IntrinsicPoint
 from orbimorse.quotient import (
-    CritPoint,
     CriticalOrbit,
     EquivariantMorseSystem,
-    Flow,
     Violation,
     _is_sign,
 )
+
+
+class CritPoint(NamedTuple):
+    """A critical point row of a system's input."""
+    label: str
+    index: int
+    value: Optional[Fraction] = None
+
+
+class Flow(NamedTuple):
+    """A flow row of a system's input; src and dst are point labels."""
+    label: str
+    src: str
+    dst: str
+    sign: int
+
+
+def compose(g, h):
+    """g after h: (g h)[i] = g[h[i]]."""
+    return gather(h)(g)
 
 
 def points(s) -> list:

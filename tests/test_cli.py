@@ -128,6 +128,50 @@ def test_benchmark_tracer_wraps_every_named_function_and_restores_it():
     assert _package_namespaces() == before
 
 
+def _code_objects(cls):
+    """The code of each function, method and property defined on cls."""
+    for value in vars(cls).values():
+        value = getattr(value, "__func__", value)
+        value = getattr(value, "fget", None) or getattr(value, "func", value)
+        if isinstance(value, types.FunctionType):
+            yield value.__code__
+
+
+def test_every_export_is_reached_by_a_command(tmp_path, capsys):
+    # the corpus, and the heart with a flow sign flipped, for a violation
+    flipped = corpus_doc("heart")
+    flipped["system"]["flows"][0]["sign"] *= -1
+    paths = [corpus_file(tmp_path, name) for name in corpus_names()]
+    paths.append(write_doc(tmp_path, "flipped.json", flipped))
+    derived = str(tmp_path / "derived.json")
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for path in paths:
+            for argv in (["validate", path], ["homology", path],
+                         ["homology", path, "--convention", "minus"],
+                         ["compare", path], ["derive", path, derived]):
+                main(argv)
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    missed = []
+    for name in orbimorse.__all__:
+        obj = getattr(orbimorse, name)
+        if isinstance(obj, type) and not issubclass(obj, BaseException):
+            if entered.isdisjoint(_code_objects(obj)):
+                missed.append(name)
+        elif isinstance(obj, types.FunctionType) and obj.__code__ not in entered:
+            missed.append(name)
+    assert not missed, f"exported, reached by no command: {missed}"
+
+
 def test_validate_heart(tmp_path, capsys):
     assert main(["validate", corpus_file(tmp_path, "heart")]) == EXIT_OK
     out = capsys.readouterr().out
@@ -192,6 +236,23 @@ def test_global_homology_squares_each_boundary_pair_once(
     assert [counts[id(m), k] for k in range(2, m.max_degree + 1)] == [1] * (
         m.max_degree - 1)
     assert len(counts) == 2  # the manifold and the invariant plus complex
+
+
+def test_intrinsic_homology_squares_each_convention_once(
+        tmp_path, capsys, monkeypatch):
+    # the system keeps its plus and minus complexes: homology squares each
+    # once for its verdict, and betti reads the verdict kept on plus
+    squared = []
+    square_cells = chaincx._square_cells
+
+    def counted(c, k):
+        squared.append(c)
+        return square_cells(c, k)
+
+    monkeypatch.setattr(chaincx, "_square_cells", counted)
+    assert main(["homology", corpus_file(tmp_path, "heart_naive")]) == EXIT_OK
+    assert "betti: 1,1,1" in capsys.readouterr().out
+    assert len(squared) == 2 and squared[0] is not squared[1]
 
 
 def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):

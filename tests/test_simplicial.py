@@ -25,10 +25,10 @@ from orbimorse import (
     regularize,
 )
 from orbimorse.chaincx import betti, orbit_sum_complex
-from orbimorse.groups import compose
 from orbimorse.simplicial import _close_downward
 
 from conftest import grid_torus
+from reference_validator import compose
 
 
 def gcomplex(vertices, maximal, gens):

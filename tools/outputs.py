@@ -1,12 +1,16 @@
 """A digest of every command's output on a fixed set of instances.
 
     python3 tools/outputs.py > outputs.txt
+    python3 tools/outputs.py --write
 
 Prints one line per run: the command, the instance, the exit code and a
 sha256 of the run's stdout, its stderr and the file ``derive`` writes.  Two
 checkouts print the same lines exactly when every run gives the same bytes
 and exit code, so checking that a change keeps the output of its parent is
-a ``diff`` of two runs.
+a ``diff`` of two runs.  With --write the lines go to tests/outputs.txt
+instead, after a header naming the Python and Hypothesis versions that made
+them; tests/test_outputs.py compares a fresh run with that file.  A change
+that alters output on purpose regenerates it.
 
 The instances are every corpus file; every gq-sphere, gq-diagnose and
 tri-quotient instance of seeds 1-3, built by perfbench/instances.py; the
@@ -20,6 +24,7 @@ path of the host reaches the output.  The program is imported from the src/
 next to this directory.
 """
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -27,8 +32,11 @@ import io
 import json
 import os
 import pathlib
+import platform
 import sys
 import tempfile
+
+import hypothesis
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -36,6 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from orbimorse import cli  # noqa: E402
 
 INSTANCE, DERIVED = "instance.json", "derived.json"
+DIGEST = ROOT / "tests" / "outputs.txt"
 
 COMMANDS = (
     ["validate", INSTANCE],
@@ -150,7 +159,16 @@ def run(argv) -> tuple:
     return code, digest.hexdigest()
 
 
-def main() -> int:
+def header() -> list:
+    """The digest file's first lines: how to remake it, and the versions the
+    fuzz documents and the parse errors quoting json depend on."""
+    return ["# made by: python3 tools/outputs.py --write",
+            f"# python {platform.python_version()}",
+            f"# hypothesis {hypothesis.__version__}"]
+
+
+def lines():
+    """The digest, one line per run, then the number of runs."""
     runs = 0
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name, text in instances():
@@ -159,9 +177,22 @@ def main() -> int:
                 code, digest = run(argv)
                 command = " ".join(a for a in argv
                                    if a not in (INSTANCE, DERIVED))
-                print(f"{command}\t{name}\t{code}\t{digest}", flush=True)
+                yield f"{command}\t{name}\t{code}\t{digest}"
                 runs += 1
-    print(f"runs\t{runs}")
+    yield f"runs\t{runs}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digest of every command's "
+                                     "output on a fixed set of instances.")
+    parser.add_argument("--write", action="store_true",
+                        help="write tests/outputs.txt, with its header")
+    if parser.parse_args(argv).write:
+        text = "\n".join([*header(), *lines()]) + "\n"
+        DIGEST.write_text(text, encoding="utf-8")
+        return 0
+    for line in lines():
+        print(line, flush=True)
     return 0
 
 
