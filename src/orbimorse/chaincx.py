@@ -22,7 +22,6 @@ a reduced column of d_(k+1) reduces to zero, as d^2 = 0, and is skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -155,20 +154,19 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
 class GradedComplex:
     """Chain complex graded 0..max_degree with ordered labeled bases.
 
     boundary[k] maps degree k to degree k-1, shape dim(k-1) x dim(k), for
     k in 1..max_degree.  The square-zero law is checked by verify_complex,
     not on construction, so defective complexes can be built and diagnosed.
+    Two complexes are equal when their gradings, bases and boundaries are.
     """
 
-    max_degree: int
-    basis_labels: tuple[tuple, ...]
-    boundary: tuple[RationalMatrix, ...]
-
-    def __post_init__(self):
+    def __init__(self, max_degree: int, basis_labels: tuple[tuple, ...],
+                 boundary: tuple[RationalMatrix, ...]):
+        self.max_degree, self.basis_labels = max_degree, basis_labels
+        self.boundary = boundary
         n = self.max_degree
         if len(self.basis_labels) != n + 1 or len(self.boundary) != n:
             raise ShapeMismatch("grading length mismatch")
@@ -178,6 +176,12 @@ class GradedComplex:
             if (b.rows, b.cols) != want:
                 raise ShapeMismatch(
                     f"boundary at degree {k} is {b.rows}x{b.cols}, expected {want}")
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedComplex):
+            return NotImplemented
+        return ((self.max_degree, self.basis_labels, self.boundary)
+                == (other.max_degree, other.basis_labels, other.boundary))
 
     @classmethod
     def build(cls, labels, boundaries) -> "GradedComplex":
@@ -309,15 +313,12 @@ def betti(c: GradedComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class ChainMap:
     """Degree-preserving map between graded complexes, one matrix per degree."""
 
-    source: GradedComplex
-    target: GradedComplex
-    matrices: tuple[RationalMatrix, ...]
-
-    def __post_init__(self):
+    def __init__(self, source: GradedComplex, target: GradedComplex,
+                 matrices: tuple[RationalMatrix, ...]):
+        self.source, self.target, self.matrices = source, target, matrices
         if self.source.max_degree != self.target.max_degree:
             raise ShapeMismatch("source and target gradings differ")
         if len(self.matrices) != self.source.max_degree + 1:

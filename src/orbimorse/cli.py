@@ -19,6 +19,10 @@ build, validate and take the homology of each kind:
 
 Rational values are strings like "3/2" (or plain integers), no exponent
 and no decimal point.
+A command holds only what its next step reads: load_instance reads each
+payload into plain rows (its kind's reader) and returns the kind, the name
+and the rows, so the document is dropped before anything is built; the
+builders make the systems from the rows, which are dropped in turn.
 Serialization is canonical: sorted keys, two-space indent, trailing
 newline, so instance files round-trip byte for byte.
 
@@ -36,7 +40,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, NamedTuple
@@ -145,15 +148,25 @@ def _parsing(ctx):
 
 # -- instance files ----------------------------------------------------------
 
-@dataclass
-class InstanceFile:
+class InstanceFile(NamedTuple):
+    """An instance document: its kind, metadata and payload objects by key."""
     kind: str
     metadata: dict
-    body: dict = field(default_factory=dict)
+    body: dict
 
     @property
     def name(self) -> str:
         return self.metadata.get("name", "?")
+
+class Instance(NamedTuple):
+    """What a command keeps of an instance file: its kind, its name and each
+    payload read into rows by the kind's reader."""
+    kind: str
+    name: str
+    rows: list
+
+#: The one kind each of these commands takes.
+ACCEPTS = {"compare": "comparison", "derive": "global_quotient"}
 
 def instance_from_dict(doc, ctx="instance") -> InstanceFile:
     if not isinstance(doc, dict):
@@ -172,14 +185,25 @@ def instance_from_dict(doc, ctx="instance") -> InstanceFile:
         body[key] = payload
     return InstanceFile(kind=kind, metadata=metadata, body=body)
 
-def load_instance(path) -> InstanceFile:
+def read_rows(inst: InstanceFile) -> list:
+    """Each payload of the instance read into rows by its kind's reader."""
+    return [read(inst.body[key]) for key, read in KINDS[inst.kind].payload.items()]
+
+def load_instance(path, command=None) -> Instance:
+    """The instance file at path read into rows, after a command named in
+    ACCEPTS has refused any other kind.  The document is dropped when this
+    returns, so no command holds it while it builds."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         # ValueError also covers bad UTF-8 and integers beyond 4,300 digits
         except (ValueError, RecursionError) as e:
             raise ParseError(f"{path}: not valid JSON ({e})") from None
-    return instance_from_dict(doc, ctx=str(path))
+    inst = instance_from_dict(doc, ctx=str(path))
+    want = ACCEPTS.get(command, inst.kind)
+    if inst.kind != want:
+        raise ParseError(f"{command} expects a {want} instance")
+    return Instance(inst.kind, inst.name, read_rows(inst))
 
 def instance_to_text(inst: InstanceFile) -> str:
     doc = {"kind": inst.kind, "metadata": inst.metadata}
@@ -191,7 +215,7 @@ def save_instance(inst: InstanceFile, path) -> None:
         fh.write(instance_to_text(inst))
 
 
-# -- builders: payload dict -> objects ---------------------------------------
+# -- readers: payload dict -> rows; builders: rows -> objects ----------------
 
 def _point(c) -> tuple:
     """A critical point entry read field by field: (label, index, value), or
@@ -212,9 +236,10 @@ def _flow(f) -> tuple:
     sign = _as_int(_req(f, "sign", "flow %r", label), "flow %r: sign", label)
     return label, src, dst, sign
 
-def build_global(payload) -> EquivariantMorseSystem:
-    """The system of a global_quotient payload, points and flows passed as
-    plain rows; _point and _flow name the first bad field of an entry."""
+def read_global(payload) -> dict:
+    """The keyword arguments of EquivariantMorseSystem.from_generator_data
+    in a global_quotient payload, points and flows as plain rows; _point and
+    _flow name the first bad field of an entry."""
     ctx = "global_quotient system"
     ambient = _as_int(_req(payload, "ambient_dim", ctx), f"{ctx}: ambient_dim")
     degree = _as_int(_req(payload, "degree", ctx), f"{ctx}: degree")
@@ -247,17 +272,18 @@ def build_global(payload) -> EquivariantMorseSystem:
             raise ParseError(f"{ctx}: {key} needs one entry per generator")
         return [tuple(_as_list(a, "%s: %s[%d]", ctx, key, i)) for i, a in enumerate(arr)]
 
-    crit_images = per_generator("crit_images")
-    crit_signs = per_generator("crit_signs")
-    flow_images = per_generator("flow_images")
-    with _parsing(ctx):
-        return EquivariantMorseSystem.from_generator_data(
-            generators=gens, degree=degree,
-            cap=_group_cap(), crit_points=crit, crit_images=crit_images,
-            crit_signs=crit_signs, flows=flows, flow_images=flow_images,
-            ambient_dim=ambient)
+    return dict(generators=gens, degree=degree, crit_points=crit,
+                crit_images=per_generator("crit_images"),
+                crit_signs=per_generator("crit_signs"), flows=flows,
+                flow_images=per_generator("flow_images"), ambient_dim=ambient)
 
-def build_intrinsic(payload) -> OrbifoldMorseSystem:
+def build_global(rows) -> EquivariantMorseSystem:
+    with _parsing("global_quotient system"):
+        return EquivariantMorseSystem.from_generator_data(
+            cap=_group_cap(), **rows)
+
+def read_intrinsic(payload) -> dict:
+    """The keyword arguments of OrbifoldMorseSystem in an intrinsic payload."""
     ctx = "intrinsic system"
     ambient = _as_int(_req(payload, "ambient_dim", ctx), f"{ctx}: ambient_dim")
     points = []
@@ -285,14 +311,16 @@ def build_intrinsic(payload) -> OrbifoldMorseSystem:
                               "flow %r: iso_order", label),
             sign=_as_int(_req(f, "sign", "flow %r", label),
                          "flow %r: sign", label)))
-    with _parsing(ctx):
-        return OrbifoldMorseSystem(ambient_dim=ambient, crit_points=points,
-                                   flows=flows)
+    return dict(ambient_dim=ambient, crit_points=points, flows=flows)
+
+def build_intrinsic(rows) -> OrbifoldMorseSystem:
+    with _parsing("intrinsic system"):
+        return OrbifoldMorseSystem(**rows)
 
 def intrinsic_payload(s: OrbifoldMorseSystem) -> dict:
     return {"ambient_dim": s.ambient_dim,
-            "points": [asdict(p) for p in s.crit],
-            "flows": [asdict(f) for f in s.flows]}
+            "points": [p._asdict() for p in s.crit],
+            "flows": [f._asdict() for f in s.flows]}
 
 def _vertex_lists(payload, ctx, known=()):
     """Vertices and maximal simplices, labels all integers or all strings."""
@@ -304,22 +332,27 @@ def _vertex_lists(payload, ctx, known=()):
         raise ParseError(f"{ctx}: vertex labels must be all integers or all strings")
     return vertices, maximal
 
-def build_simplicial(payload):
-    """Returns (GSimplicialComplex, subcomplex or None)."""
+def read_simplicial(payload) -> tuple:
+    """(vertices, maximal simplices, generators, the subcomplex's vertices
+    and maximal simplices or None) of a simplicial payload."""
     ctx = "simplicial system"
     vertices, maximal = _vertex_lists(payload, ctx)
-    K = SimplicialComplex(vertices, maximal)
     gens = [tuple(_as_list(g, "%s: generator", ctx))
             for g in _as_list(payload.get("generators", []), f"{ctx}: generators")]
-    with _parsing(ctx):
+    sub = None
+    if payload.get("subcomplex") is not None:
+        sub = _vertex_lists(payload["subcomplex"], "subcomplex", vertices)
+    return vertices, maximal, gens, sub
+
+def build_simplicial(rows):
+    """Returns (GSimplicialComplex, subcomplex or None)."""
+    vertices, maximal, gens, sub = rows
+    K = SimplicialComplex(vertices, maximal)
+    with _parsing("simplicial system"):
         # closed only to check the generators and bound |G|
         generate_group(gens, degree=len(K.vertices), cap=_group_cap())
     gk = GSimplicialComplex(K, [(g, g) for g in gens])
-    sub = None
-    if payload.get("subcomplex") is not None:
-        sub = SimplicialComplex(
-            *_vertex_lists(payload["subcomplex"], "subcomplex", vertices))
-    return gk, sub
+    return gk, None if sub is None else SimplicialComplex(*sub)
 
 
 # -- the packaged corpus ------------------------------------------------------
@@ -467,8 +500,8 @@ def _orbit_counts(rows) -> dict:
             "discarded": status.count("discarded")}
 
 class Kind(NamedTuple):
-    payload: tuple        # keys of the JSON objects an instance carries
-    build: Callable       # body -> tuple of built objects
+    payload: dict         # key of each JSON object an instance carries -> reader
+    build: Callable       # one rows argument per payload -> tuple of objects
     validate: Callable    # (report, *objects) -> exit code
     homology: Callable    # (report, convention, *objects) -> exit code
     aliases: dict = {}    # corpus expectation key -> report row key
@@ -478,19 +511,18 @@ class Kind(NamedTuple):
 # one (as perfbench/tracer.py does) reaches every kind that uses it.
 KINDS = {
     "global_quotient": Kind(
-        ("system",), lambda b: (build_global(b["system"]),),
+        {"system": read_global}, lambda r: (build_global(r),),
         _validate_global, _homology_global, counts=_orbit_counts),
     "intrinsic": Kind(
-        ("system",), lambda b: (build_intrinsic(b["system"]),),
+        {"system": read_intrinsic}, lambda r: (build_intrinsic(r),),
         _validate_intrinsic, _homology_intrinsic,
         {"dsq_ok": "valid", "betti_plus": "betti"}),
     "simplicial": Kind(
-        ("system",), lambda b: build_simplicial(b["system"]),
+        {"system": read_simplicial}, lambda r: build_simplicial(r),
         _validate_simplicial, _homology_simplicial),
     "comparison": Kind(
-        ("morse", "triangulation"),
-        lambda b: (build_global(b["morse"]),
-                   build_simplicial(b["triangulation"])[0]),
+        {"morse": read_global, "triangulation": read_simplicial},
+        lambda m, t: (build_global(m), build_simplicial(t)[0]),
         _validate_comparison, _homology_comparison,
         {"betti": "betti_quotient"}),
 }
@@ -498,25 +530,24 @@ KINDS = {
 
 # -- subcommands ---------------------------------------------------------------
 
+def _built(path, command=None) -> tuple:
+    """(kind, name, built objects) of the instance file at path.  The
+    document is dropped as load_instance returns, and the rows as this does."""
+    kind, name, rows = load_instance(path, command)
+    return kind, name, KINDS[kind].build(*rows)
+
 def cmd_report(args) -> int:
     """validate, homology and compare (homology of comparisons only): build
     the instance once, run the step its kind gives and print the rows."""
-    inst = load_instance(args.path)
-    if args.command == "compare" and inst.kind != "comparison":
-        raise ParseError("compare expects a comparison instance")
-    kind = KINDS[inst.kind]
-    objs = kind.build(inst.body)
-    rep = Report(("kind", inst.kind), ("name", inst.name))
-    code = (kind.validate(rep, *objs) if args.command == "validate" else
-            kind.homology(rep, getattr(args, "convention", "plus"), *objs))
+    kind, name, objs = _built(args.path, args.command)
+    rep = Report(("kind", kind), ("name", name))
+    code = (KINDS[kind].validate(rep, *objs) if args.command == "validate" else
+            KINDS[kind].homology(rep, getattr(args, "convention", "plus"), *objs))
     rep.emit(args.format)
     return code
 
 def cmd_derive(args) -> int:
-    inst = load_instance(args.path)
-    if inst.kind != "global_quotient":
-        raise ParseError("derive expects a global_quotient instance")
-    (s,) = KINDS[inst.kind].build(inst.body)
+    _, name, (s,) = _built(args.path, "derive")
     r = validate_system(s)
     if not r.ok:
         print(f"error: {r.summary()}", file=sys.stderr)
@@ -524,8 +555,8 @@ def cmd_derive(args) -> int:
     derived = derive_intrinsic(s)
     out = InstanceFile(
         kind="intrinsic",
-        metadata={"name": f"{inst.name}_derived",
-                  "description": f"invariant system of {inst.name}"},
+        metadata={"name": f"{name}_derived",
+                  "description": f"invariant system of {name}"},
         body={"system": intrinsic_payload(derived)})
     save_instance(out, args.out)
     rep = Report(("written", args.out), ("points", len(derived.crit)),
@@ -539,7 +570,7 @@ def run_expectations(inst: InstanceFile) -> list[str]:
     """Check the instance's expected results against the rows validate and
     homology (plus convention) report for it; returns failure strings."""
     kind = KINDS[inst.kind]
-    objs = kind.build(inst.body)
+    objs = kind.build(*read_rows(inst))
     rep = Report()
     kind.validate(rep, *objs)
     kind.homology(rep, "plus", *objs)

@@ -9,8 +9,6 @@ construction is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -59,16 +57,18 @@ def check_perm(p: Sequence[int], degree: int) -> Perm:
     return t
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """Permutation group of fixed degree with its full element table.
 
     elements[0] is the identity.  Closure under composition and inverse is
-    guaranteed by the generate_group constructor.
+    guaranteed by the generate_group constructor.  Equal, and hashed, by
+    degree and element table.
     """
 
-    degree: int
-    elements: tuple[Perm, ...]
+    __slots__ = ("degree", "elements")
+
+    def __init__(self, degree: int, elements: tuple[Perm, ...]):
+        self.degree, self.elements = degree, elements
 
     @property
     def order(self) -> int:
@@ -78,15 +78,19 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return self.elements[0]
 
-    @cached_property
-    def _element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    def __contains__(self, g) -> bool:
-        return tuple(g) in self._element_set
-
     def __iter__(self):
         return iter(self.elements)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return (self.degree, self.elements) == (other.degree, other.elements)
+
+    def __hash__(self):
+        return hash((self.degree, self.elements))
+
+    def __repr__(self):
+        return f"FiniteGroup(degree={self.degree!r}, elements={self.elements!r})"
 
 
 def check_generators(generators: Iterable[Sequence[int]],
@@ -161,21 +165,6 @@ class GroupAction:
         if len(self.index_of) != len(self.points):
             raise ActionNotWellDefined("duplicate points in acted-on set")
         self._images = images
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def natural(cls, group: FiniteGroup) -> "GroupAction":
-        """The group acting on [0, degree) by its own permutations."""
-        pts = range(group.degree)
-        return cls(group, pts, {g: g for g in group.elements})
-
-    # -- the action ----------------------------------------------------
-
-    def image(self, g: Perm, x: Hashable) -> Hashable:
-        if x not in self.index_of:
-            raise UnknownPoint(f"{x!r} is not an acted-on point")
-        return self.points[self._images[tuple(g)][self.index_of[x]]]
 
     def image_array(self, g: Perm) -> tuple[int, ...]:
         return self._images[tuple(g)]

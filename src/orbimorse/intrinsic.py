@@ -15,7 +15,7 @@ each convention's complex once and keeps it, with its d^2 verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chaincx import GradedComplex, square_entries
 from .errors import (
@@ -35,16 +35,14 @@ def label_map(labels, items, what) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class IntrinsicPoint:
+class IntrinsicPoint(NamedTuple):
     label: str
     index: int
     iso_order: int
     orientable: bool = True
 
 
-@dataclass(frozen=True)
-class IntrinsicFlow:
+class IntrinsicFlow(NamedTuple):
     label: str
     src: str
     dst: str
@@ -129,8 +127,7 @@ def boundary_minus(s: OrbifoldMorseSystem) -> GradedComplex:
     return _boundary(s, "minus")
 
 
-@dataclass(frozen=True)
-class DSquaredReport:
+class DSquaredReport(NamedTuple):
     ok: bool
     witnesses: tuple  # (convention, top_label, bottom_label, value)
 

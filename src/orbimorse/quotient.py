@@ -24,7 +24,9 @@ are discarded, and the boundary of an orbit sum provably cancels on them.
 The other laws are checked on the rows (validate_system); where a
 generator breaks one, the same walk carries the defect sets of the failing
 orbits, the members that differ from a reference the orbit implies, and
-every witness is listed from their images.
+every witness is listed from their images.  A witness is kept as numbers,
+(element, point or flow, its image, expected sign), and its text, which
+names the element as g=[...], is made only when it is read or written.
 
 Canonical gauge.  Orientation choices can be re-gauged (flip any subset of
 unstable-manifold orientations, transforming tau and eps accordingly) without
@@ -41,7 +43,6 @@ invariant under every generator, so nothing is re-checked on the rows.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from typing import NamedTuple, Optional
 
@@ -72,17 +73,39 @@ def _is_sign(x) -> bool:
     return type(x) is int and x in (1, -1)
 
 
-@dataclass(frozen=True)
 class Violation:
-    law: str
-    detail: str
+    """A broken law and its witness.  The detail is text, or a formatter and
+    the witness tuple it turns into text each time the detail is read, so a
+    report of many witnesses holds numbers until it is written.  Equality
+    and hash go by (law, detail) either way."""
+
+    __slots__ = ("law", "_detail", "_witness")
+
+    def __init__(self, law: str, detail, witness=None):
+        self.law, self._detail, self._witness = law, detail, witness
+
+    @property
+    def detail(self) -> str:
+        w = self._witness
+        return self._detail if w is None else self._detail(*w)
 
     def __str__(self):
-        return f"{self.law}: {self.detail}"
+        w = self._witness   # detail, inlined: emit writes each row through here
+        return f"{self.law}: {self._detail if w is None else self._detail(*w)}"
+
+    def __repr__(self):
+        return f"Violation(law={self.law!r}, detail={self.detail!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, Violation):
+            return NotImplemented
+        return (self.law, self.detail) == (other.law, other.detail)
+
+    def __hash__(self):
+        return hash((self.law, self.detail))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
     self_indexing: Optional[bool]
 
@@ -97,8 +120,7 @@ class ValidationReport:
         return f"{len(self.violations)} violation(s), first: {first.law}: {first.detail}"
 
 
-@dataclass(frozen=True)
-class CriticalOrbit:
+class CriticalOrbit(NamedTuple):
     members: tuple[str, ...]
     index: int
     iso_order: int
@@ -307,6 +329,22 @@ def _inverses(s: EquivariantMorseSystem) -> list:
         *[map(tuple.index, elements, repeat(b)) for b in base])))
 
 
+def _prefixes(group: FiniteGroup):
+    """n -> the witness prefix g=[...] of element n.  Only the last one is
+    kept: witnesses come sorted by element within a law, so each prefix is
+    made once per law it appears in, and one is alive at a time."""
+    elements = group.elements
+    name = list(map(str, range(group.degree))).__getitem__
+    last, text = None, ""
+
+    def at(n):
+        nonlocal last, text
+        if last != n:
+            last, text = n, f"g=[{', '.join(map(name, elements[n]))}]"
+        return text
+    return at
+
+
 def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     """Check every law, reporting each violation with a witness; never raises.
     The report is cached on the system.
@@ -319,7 +357,8 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
     index(sg.x) = index(s.(g.x)) = index(g.x) as g.x is in the orbit, the
     same for values and endpoints, and the sign law follows from the
     endpoint and cocycle laws.  Where a generator breaks one, _diagnose
-    lists the orbit's witnesses by element number, then point or flow.
+    lists the orbit's witnesses by element number, then point or flow;
+    each violation keeps its witness tuple and one formatter per law.
     """
     if "report" in s._cache:
         return s._cache["report"]
@@ -374,29 +413,34 @@ def validate_system(s: EquivariantMorseSystem) -> ValidationReport:
             for _, ag, tg, fg in s.rows)
     laws = per_element(enumerate(rows), range(c), range(c), range(nf),
                        range(c, c + nf), src, dst)
-    at = {}     # the witness prefix g=[...] by element number, made once
+    at = None   # the witness prefixes, made only where a law breaks
     if compat or cocycle or any(laws):
         laws = _diagnose(s, bool(compat or cocycle), bad_points, bad_flows,
                          per_element, decode)
-        name = list(map(str, range(s.group.degree))).__getitem__
-        at = {n: f"g=[{', '.join(map(name, s.group.elements[n]))}]"
-              for n in {w[0] for law in laws for w in law}}
-    index_eq = [Violation("index_equivariance",
-                          f"{at[n]} sends {labels[i]!r} (index {index[i]}) "
-                          f"to {labels[q]!r} (index {index[q]})")
-                for n, i, q, _ in laws[0]]
-    endpoint_eq = [Violation("endpoint_equivariance",
-                             f"{at[n]} sends flow {flow_labels[j]!r} to "
-                             f"{flow_labels[k]!r} but the endpoints do not "
-                             f"match") for n, j, k, _ in laws[1]]
-    sign_eq = [Violation("sign_equivariance",
-                         f"{at[n]}: flow {flow_labels[j]!r} maps to "
-                         f"{flow_labels[k]!r} with sign {eps[k]}, "
-                         f"expected {want}") for n, j, k, want in laws[2]]
-    value_eq = [Violation("value_equivariance",
-                          f"{at[n]} sends {labels[i]!r} (value {value[i]}) "
-                          f"to {labels[q]!r} (value {value[q]})")
-                for n, i, q, _ in laws[3]]
+        at = _prefixes(s.group)
+
+    # one formatter per law; a witness is formatted when it is read
+    def index_text(n, i, q, _):
+        return (f"{at(n)} sends {labels[i]!r} (index {index[i]}) "
+                f"to {labels[q]!r} (index {index[q]})")
+
+    def endpoint_text(n, j, k, _):
+        return (f"{at(n)} sends flow {flow_labels[j]!r} to "
+                f"{flow_labels[k]!r} but the endpoints do not match")
+
+    def sign_text(n, j, k, want):
+        return (f"{at(n)}: flow {flow_labels[j]!r} maps to "
+                f"{flow_labels[k]!r} with sign {eps[k]}, expected {want}")
+
+    def value_text(n, i, q, _):
+        return (f"{at(n)} sends {labels[i]!r} (value {value[i]}) "
+                f"to {labels[q]!r} (value {value[q]})")
+
+    index_eq, endpoint_eq, sign_eq, value_eq = (
+        [Violation(law, text, w) for w in witnesses] for law, text, witnesses
+        in zip(("index_equivariance", "endpoint_equivariance",
+                "sign_equivariance", "value_equivariance"),
+               (index_text, endpoint_text, sign_text, value_text), laws))
 
     d_squared = []
     if not (index_range or index_step):
@@ -510,8 +554,7 @@ def orbit_of(s: EquivariantMorseSystem, label: str) -> CriticalOrbit:
 
 # -- canonical gauge ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Gauge:
+class _Gauge(NamedTuple):
     sigma: tuple         # +-1 per point number
     eps: tuple           # canonical sign per flow number
     classes: tuple       # (flow orbit, src, dst orbit number), both orientable

@@ -23,9 +23,8 @@ invariance of a relative part and invariant homology read that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .chaincx import GradedComplex, betti as complex_betti, orbit_sum_complex
 from .errors import ActionNotSimplicial, NotASubcomplex, NotRegular
@@ -216,8 +215,7 @@ def _require_invariant_sub(gk, sub) -> None:
                     f"relative part is not invariant: g={list(g)} moves {s!r} out")
 
 
-@dataclass
-class QuotientComplex:
+class QuotientComplex(NamedTuple):
     """Quotient simplicial complex with a representative per simplex orbit."""
 
     complex: SimplicialComplex
@@ -304,8 +302,7 @@ def invariant_homology(gk: GSimplicialComplex,
     return complex_betti(orbit_sum_complex(levels, lambda s: _faces(s, in_sub)))
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     morse_betti: tuple[int, ...]
     quotient_betti: tuple[int, ...]
     rounds: int

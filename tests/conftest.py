@@ -7,7 +7,22 @@ from pathlib import Path
 
 import pytest
 
+from orbimorse import cli
 from orbimorse.quotient import EquivariantMorseSystem
+
+
+def build_global(payload):
+    """cli.build_global of a global_quotient payload, read into rows first
+    as the commands read it; likewise the two below."""
+    return cli.build_global(cli.read_global(payload))
+
+
+def build_intrinsic(payload):
+    return cli.build_intrinsic(cli.read_intrinsic(payload))
+
+
+def build_simplicial(payload):
+    return cli.build_simplicial(cli.read_simplicial(payload))
 
 
 def make_heart():

@@ -17,7 +17,8 @@ classification, the canonical gauge and the derived system by scanning
 stabilizers and the element table: the oracle for the orbit scan of
 orbimorse.quotient.  They read the system's points and flows as records,
 CritPoint and Flow, rebuilt from its columns by points(s) and flows(s);
-tests build systems from the same rows.  compose(g, h) is g after h.
+tests build systems from the same rows.  compose(g, h) is g after h;
+natural_action and image are the group actions the tests read.
 
 TableSystem is a system given by hand-written per-element tables, which
 nothing in the package builds; its rows come from generating_set, and its
@@ -58,6 +59,17 @@ class Flow(NamedTuple):
 def compose(g, h):
     """g after h: (g h)[i] = g[h[i]]."""
     return gather(h)(g)
+
+
+def natural_action(group) -> GroupAction:
+    """The group acting on [0, degree) by its own permutations."""
+    return GroupAction(group, range(group.degree),
+                       {g: g for g in group.elements})
+
+
+def image(action, g, x):
+    """g.x for a point x of the action."""
+    return action.points[action.image_array(g)[action.index_of[x]]]
 
 
 def points(s) -> list:

@@ -23,21 +23,19 @@ from orbimorse import (
     verify_complex,
     verify_d_squared,
 )
-from orbimorse.groups import GroupAction, orbits, stabilizer
+from orbimorse.groups import orbits, stabilizer
 from orbimorse.quotient import invariant_boundary
 from orbimorse.cli import (
-    build_global,
-    build_intrinsic,
-    build_simplicial,
     corpus_names,
     instance_to_text,
     load_corpus,
     main,
 )
-from conftest import make_dented, make_heart, make_torus, make_wedge
+from conftest import (build_global, build_intrinsic, build_simplicial,
+                      make_dented, make_heart, make_torus, make_wedge)
 from paper_identities import (admissible_triples, broken_weight,
                               pairing_check, psi, regauge)
-from reference_validator import flows, tables
+from reference_validator import flows, image, natural_action, tables
 
 
 def corpus_by_kind():
@@ -99,7 +97,7 @@ def test_criterion_01_heart_example(tmp_path, capsys):
     pa, tau, _ = tables(s)
     for m in top.members:
         for g in s.group:
-            if pa.image(g, top.rep) == m:
+            if image(pa, g, top.rep) == m:
                 sigma[m] = tau[g][pa.index_of[top.rep]]
                 break
     coeff = sum(sigma[f.src] * f.sign for f in flows(s) if f.dst == "r")
@@ -175,7 +173,7 @@ def test_criterion_05_burnside_identity():
             group = generate_group(gens, degree=degree, cap=5040)
         except ClosureExceedsCap:
             continue
-        act = GroupAction.natural(group)
+        act = natural_action(group)
         weight = {}
         for orb in orbits(act):
             w = Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))

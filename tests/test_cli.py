@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from orbimorse.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
-    build_intrinsic,
     corpus_names,
+    instance_from_dict,
     instance_to_text,
     load_corpus,
     load_instance,
@@ -30,9 +31,11 @@ from orbimorse.cli import (
 )
 from orbimorse import betti, boundary_plus, chaincx
 from orbimorse.groups import orbits
+from orbimorse.intrinsic import OrbifoldMorseSystem
 from orbimorse.quotient import EquivariantMorseSystem
+from orbimorse.simplicial import SimplicialComplex
 
-from conftest import grid_torus
+from conftest import build_intrinsic, grid_torus
 from reference_validator import reference_classify, tables
 
 
@@ -79,7 +82,7 @@ def test_corpus_run_single(capsys):
 
 def test_corpus_tool_builds_the_packaged_corpus_and_every_instance_passes(
         capsys):
-    from orbimorse.cli import _corpus_root, instance_from_dict
+    from orbimorse.cli import _corpus_root
     tool_path = Path(__file__).resolve().parent.parent / "tools" / "build_corpus.py"
     spec = importlib.util.spec_from_file_location("build_corpus", tool_path)
     tool = importlib.util.module_from_spec(spec)
@@ -640,6 +643,37 @@ def test_dihedral_ring_sphere_of_order_400_diagnoses_small(
     assert peak < 5e6
 
 
+def test_the_document_is_dropped_before_anything_is_built(
+        tmp_path, monkeypatch, capsys):
+    """Each command reads the instance file into rows and drops every JSON
+    object of it before the first constructor runs.  The objects are made
+    as a dict subclass, which can be weakly referenced."""
+    class Node(dict):
+        pass
+
+    nodes, live = [], []
+
+    def node(d):
+        d = Node(d)
+        nodes.append(weakref.ref(d))
+        return d
+    monkeypatch.setattr(json, "load",
+                        lambda fh: json.loads(fh.read(), object_hook=node))
+    for cls in (EquivariantMorseSystem, OrbifoldMorseSystem, SimplicialComplex):
+        def init(self, *args, _real=cls.__init__, **kwargs):
+            live.append(sum(ref() is not None for ref in nodes))
+            _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    for name, command in (("heart", "validate"), ("heart_naive", "homology"),
+                          ("disc_rot_2", "homology"), ("compare_heart", "compare")):
+        path = corpus_file(tmp_path, name)
+        nodes.clear()
+        live.clear()
+        assert main([command, path]) == EXIT_OK, name
+        assert nodes and live and not any(live), (name, len(nodes), live)
+    capsys.readouterr()
+
+
 def test_group_cap_environment_variable(tmp_path, monkeypatch, capsys):
     path = corpus_file(tmp_path, "football_p2")
     monkeypatch.setenv("ORBIMORSE_GROUP_CAP", "1")
@@ -660,12 +694,11 @@ def test_derive_writes_canonical_intrinsic(tmp_path, capsys):
     assert "points: 2" in out and "flows: 0" in out
     assert "discarded: r index=1 iso=2" in out
 
-    inst = load_instance(out_path)
-    assert inst.kind == "intrinsic"
-    assert inst.name == "heart_derived"
+    assert load_instance(out_path)[:2] == ("intrinsic", "heart_derived")
+    raw = (tmp_path / "heart_derived.json").read_text(encoding="utf-8")
+    inst = instance_from_dict(json.loads(raw))
     derived = build_intrinsic(inst.body["system"])
     assert betti(boundary_plus(derived)) == (1, 0, 1)
-    raw = (tmp_path / "heart_derived.json").read_text(encoding="utf-8")
     assert instance_to_text(inst) == raw
 
 

@@ -1,5 +1,6 @@
 """Equivariant systems: validation laws, classification, gauge, weights."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -25,11 +26,11 @@ from orbimorse import (
     generate_group,
     validate_system,
 )
-from orbimorse.cli import build_global, corpus_names, load_corpus
+from orbimorse.cli import corpus_names, load_corpus
 from orbimorse.groups import GroupAction, orbits
 from orbimorse.quotient import _normalize, _scan, invariant_boundary, orbit_of
 
-from conftest import make_heart, make_ring_sphere
+from conftest import build_global, make_heart, make_ring_sphere
 from dense_oracle import DenseMatrix
 from paper_identities import (IndexMismatch, admissible_triples, broken_weight,
                               regauge)
@@ -38,6 +39,8 @@ from reference_validator import (
     Flow,
     TableSystem,
     compose,
+    image,
+    natural_action,
     reference_classify,
     reference_derive,
     reference_gauge,
@@ -89,8 +92,28 @@ def full_compatibility_failures(s):
     pa, _, fa = tables(s)
     return [(g, h) for g in s.group for h in s.group
             for act in (pa, fa)
-            if any(act.image(compose(g, h), x)
-                   != act.image(g, act.image(h, x)) for x in act.points)]
+            if any(image(act, compose(g, h), x)
+                   != image(act, g, image(act, h, x)) for x in act.points)]
+
+
+def test_witnesses_are_held_as_numbers_until_read():
+    # D_128 with c0 flipped: 511 sign witnesses, each detail opening with
+    # the g=[...] of an element of degree 128, about 300 KB of text in all
+    s = make_ring_sphere(128, defect="flip", reflect=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = validate_system(s)
+        grown = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    text = sum(len(v.detail) for v in report.violations)
+    assert len(report.violations) == 511 and grown < text / 2
+    want = reference_violations(s)
+    assert list(report.violations) == want
+    assert list(map(str, report.violations)) == list(map(str, want))
+    assert report.summary() == f"511 violation(s), first: {want[0]}"
+    assert hash(report.violations[0]) == hash(want[0])
 
 
 def test_heart_validates_and_is_self_indexing(heart):
@@ -730,7 +753,7 @@ def generator_data(draw):
     are listed and labeled in drawn orders."""
     name = draw(st.sampled_from(sorted(SMALL_GENERATORS)))
     gens, G = SMALL_GENERATORS[name], SMALL_GROUPS[name]
-    ground = orbits(GroupAction.natural(G))
+    ground = orbits(natural_action(G))
 
     kinds = draw(st.lists(st.sampled_from(["ground", "regular", "fixed"]),
                           min_size=2, max_size=4))

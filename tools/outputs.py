@@ -15,7 +15,8 @@ that alters output on purpose regenerates it.
 The instances are every corpus file; every gq-sphere, gq-diagnose and
 tri-quotient instance of seeds 1-3, built by perfbench/instances.py; the
 ring sphere under Z_800 with the flow c0 re-aimed and under D_800 with c0's
-sign flipped; ring spheres with several defects (multi_defects); and the
+sign flipped; ring spheres with several defects (multi_defects); an
+intrinsic system with a flow that skips an index (index_jump); and the
 documents tests/test_fuzz.py draws.  Every instance gets each command
 below; one that does not apply to the instance's kind exits 4 with a
 message, which is digested too.  Each run is one in-process
@@ -110,6 +111,9 @@ def instances():
         yield f"planted/{name}", json.dumps(
             {"kind": "global_quotient", "metadata": {"name": name},
              "system": system})
+    yield "planted/index_jump", json.dumps(
+        {"kind": "intrinsic", "metadata": {"name": "index_jump"},
+         "system": index_jump()})
     for i, text in enumerate(fuzz_documents()):
         yield f"fuzz/{i:03d}", text
 
@@ -138,6 +142,16 @@ def multi_defects(bench):
             ("zp60_c0_c1", _edit(zp, c0="flip", c1="flip")),
             ("dp30_a0", _edit(dp, a0="flip")),
             ("dp30_c0_e2", _edit(dp, c0="flip", e2="m5")))
+
+
+def index_jump():
+    """An intrinsic system whose one flow goes from index 2 to index 0, so
+    it does not drop its index by one."""
+    return {"ambient_dim": 2,
+            "points": [{"label": "n", "index": 2, "iso_order": 1},
+                       {"label": "s", "index": 0, "iso_order": 1}],
+            "flows": [{"label": "f", "src": "n", "dst": "s", "iso_order": 1,
+                       "sign": 1}]}
 
 
 def run(argv) -> tuple:
