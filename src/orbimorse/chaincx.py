@@ -4,7 +4,7 @@ A RationalMatrix is stored by columns, each a {row: value} dict without
 zeros; values are ints, or Fractions where not integral, never floats.
 Boundaries built here are integral (sums of signs, or intrinsic weights
 iso(q)/iso(flow), which must divide) and stay int columns from
-from_entries to rank.  Rank and kernel come from one fraction-free
+construction to rank.  Rank and kernel come from one fraction-free
 reduction keyed on the lowest nonzero row, as in PHAT (Bauer, Kerber,
 Reininghaus, Wagner 2017): a column (a Fraction one scaled by the lcm of
 its denominators) whose lowest row r an earlier column p owns becomes
@@ -18,6 +18,7 @@ verify_complex squares a complex once and keeps the verdict on it; betti
 then reduces top down with clearing (Chen & Kerber, Persistent homology
 computation with a twist, 2011): a column of d_k that is the lowest row of
 a reduced column of d_(k+1) reduces to zero, as d^2 = 0, and is skipped.
+orbit_sum_complex reads an orbit table of arrays: cells are numbers.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class GradedComplex:
     def from_entries(cls, labels, entries) -> "GradedComplex":
         """Complex with bases labels[k] from (k, row_label, col_label, coeff)
         entries, coeff times row_label in the boundary of col_label; repeated
-        cells are summed.  The only place a boundary matrix is allocated."""
+        cells are summed."""
         labels = [tuple(level) for level in labels]
         pos = [{lab: i for i, lab in enumerate(level)} for level in labels]
         columns = [[{} for _ in labels[k]] for k in range(1, len(labels))]
@@ -249,47 +250,53 @@ def verify_complex(c: GradedComplex):
     return c.verdict
 
 
-def orbit_sum_complex(orbits, faces) -> GradedComplex:
+def orbit_sum_complex(orbits, orbit, sign, faces, names) -> GradedComplex:
     """Complex on the orbit sums of the orientable orbits of a signed action.
 
-    orbits[k] lists the degree-k orbits as (members, orientable) pairs;
-    members maps each cell to its sign relative to the first member, the
-    representative, which labels the orbit sum.  faces(cell) yields (face,
-    coeff).  Over Q the orbit sums span the invariant chains C^G, and
-    H(C^G) = H(C)^G.  The boundary of an orbit sum must vanish on
-    non-orientable orbits (CancellationFailure), and sign times its
-    coefficient must be constant on each face orbit (InvarianceFailure).
-    """
-    rep_of, info = {}, {}
-    for k, level in enumerate(orbits):
-        for members, orientable in level:
-            rep = next(iter(members))
-            info[rep] = (k, members, orientable)
-            rep_of.update(dict.fromkeys(members, rep))
-    labels = [[next(iter(members)) for members, orientable in level if orientable]
-              for level in orbits]
-    entries = []
-    for k in range(1, len(orbits)):
-        for rep in labels[k]:
-            coeff: dict = {}
-            for cell, sign in info[rep][1].items():
-                for face, c in faces(cell):
-                    coeff[face] = coeff.get(face, 0) + sign * c
-            for frep in dict.fromkeys(rep_of[q] for q in coeff):
-                fk, members, orientable = info[frep]
-                vals = {coeff.get(q, 0) * sign for q, sign in members.items()}
-                if not orientable and vals != {0}:
-                    q = next(q for q in members if coeff.get(q, 0))
+    orbits[o] = (k, members, orientable): orbit o's degree (out of range, it
+    is left out and no cell's face), its cells, the first naming it, and
+    whether it is orientable.  The k-cell c is in orbit orbit[k][c] with sign
+    sign[k][c], has the (face, coeff) pairs faces(k, c) and the label
+    names[k][c].  Over Q the orbit sums span C^G, and H(C^G) = H(C)^G.  The
+    boundary of an orbit sum must vanish on non-orientable orbits
+    (CancellationFailure), and sign times its coefficient must be constant on
+    each face orbit (InvarianceFailure)."""
+    basis = [[] for _ in orbit]
+    for o, (k, _, orientable) in enumerate(orbits):
+        if orientable and 0 <= k < len(orbit):
+            basis[k].append(o)
+    row, matrices = {o: i for level in basis for i, o in enumerate(level)}, []
+    for k in range(1, len(orbit)):
+        columns, signs, down, down_signs = [], sign[k], orbit[k - 1], sign[k - 1]
+        for o in basis[k]:
+            members, coeff, column, touched = orbits[o][1], {}, {}, {}
+            for c in members:
+                s = signs[c]
+                for face, v in faces(k, c):
+                    coeff[face] = coeff.get(face, 0) + s * v
+            for q, v in coeff.items():  # signed values by face orbit; untouched are 0
+                touched.setdefault(down[q], []).append(v * down_signs[q])
+            for fo, vals in touched.items():
+                fk, fmembers, orientable = orbits[fo]
+                if not any(vals) or orientable and vals.count(vals[0]) == len(fmembers):
+                    if vals[0] and fk == k - 1:
+                        column[row[fo]] = vals[0]
+                    continue
+                rep = names[k][members[0]]
+                if not orientable:
+                    q = next(q for q in fmembers if coeff.get(q, 0))
                     raise CancellationFailure(
-                        f"boundary of the orbit sum of {rep!r} has "
-                        f"coefficient {coeff[q]} at non-orientable point {q!r}")
-                if len(vals) != 1:
-                    raise InvarianceFailure(
-                        f"boundary of the orbit sum of {rep!r} is not "
-                        f"constant on the orbit of {frep!r}: {sorted(vals)}")
-                if orientable and fk == k - 1 and vals != {0}:
-                    entries.append((k, frep, rep, vals.pop()))
-    return GradedComplex.from_entries(labels, entries)
+                        f"boundary of the orbit sum of {rep!r} has coefficient "
+                        f"{coeff[q]} at non-orientable point {names[k - 1][q]!r}")
+                vals = sorted({coeff.get(q, 0) * down_signs[q] for q in fmembers})
+                raise InvarianceFailure(
+                    f"boundary of the orbit sum of {rep!r} is not constant "
+                    f"on the orbit of {names[fk][fmembers[0]]!r}: {vals}")
+            columns.append(column)
+        matrices.append(RationalMatrix.of_columns(len(basis[k - 1]), columns))
+    return GradedComplex.build(
+        [[names[k][orbits[o][1][0]] for o in level] for k, level in enumerate(basis)],
+        matrices)
 
 
 def betti(c: GradedComplex) -> tuple[int, ...]:

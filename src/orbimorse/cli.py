@@ -474,7 +474,7 @@ def _homology_simplicial(rep, conv, gk, sub) -> int:
     rep.add("betti", homology(q.complex))
     rep.add("betti_invariant", invariant_homology(gk))
     if sub is not None:
-        rep.add("betti_rel", homology(q.complex, q.sub))
+        rep.add("betti_rel", homology(q.complex, q.part))
         rep.add("betti_invariant_rel", invariant_homology(gk, sub))
     return EXIT_OK
 

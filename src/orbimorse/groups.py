@@ -23,6 +23,8 @@ Perm = tuple[int, ...]
 
 #: Largest group the closure routine will build unless told otherwise.
 DEFAULT_CAP = 10080
+#: Most cells a simplicial closure may count (see simplicial._cap).
+CELL_CAP = 2_000_000
 
 
 def identity_perm(degree: int) -> Perm:

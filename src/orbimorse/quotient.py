@@ -623,15 +623,16 @@ def invariant_boundary(s: EquivariantMorseSystem, *,
     orbit_sum_complex signal inconsistent input data.
     """
     _require_valid(s, check_valid)
-    gauge = _normalize(s)
-    orbit_levels = [[(dict.fromkeys(o.members, 1), o.orientable)
-                     for o in classify(s) if o.index == k]
-                    for k in range(s.ambient_dim + 1)]
-    labels, index, out_flows = s.labels, s.index, {}
+    gauge, scan, index = _normalize(s), _scan(s), s.index
+    out_flows = [[] for _ in s.labels]
     for a, b, e in zip(s.src, s.dst, gauge.eps):
         if 0 <= index[b] <= s.ambient_dim:
-            out_flows.setdefault(labels[a], []).append((labels[b], e))
-    out = orbit_sum_complex(orbit_levels, lambda p: out_flows.get(p, ()))
+            out_flows[a].append((b, e))
+    degrees = s.ambient_dim + 1
+    out = orbit_sum_complex(
+        [(index[m[0]], m, orientable) for m, orientable in scan.orbits],
+        [scan.orbit] * degrees, [[1] * len(index)] * degrees,
+        lambda k, p: out_flows[p], [s.labels] * degrees)
     if check_valid:
         ok, witness = verify_complex(out)
         assert ok, f"invariant boundary fails to square to zero at {witness}"

@@ -1,34 +1,31 @@
 """Simplicial complexes with group actions: subdivision, quotients, homology.
 
-Simplices are stored as tuples sorted by label; boundary orientations come
-from that global order.  Barycentric subdivision labels its vertices by the
-simplices they subdivide (tuples), so a group action on the original vertices
-extends canonically.
-
-Regularity here means: a group element fixing a simplex setwise fixes it
-vertex-wise.  That predicate alone does not guarantee a simplicial quotient
-(distinct orbits can land on one vertex set, or a simplex can collapse), so
-quotient() also rejects those collisions, and regularize() subdivides until
-the quotient goes through; two subdivisions always suffice.
-
-Invariant homology needs no regularity: it is the homology of the orbit sums
-of simplices (chaincx.orbit_sum_complex, shared with the Morse side), where
-an orbit flipped by its stabilizer cancels like a non-orientable critical
-point.  A G-complex is its complex and one vertex image array per ground
-generator; the constructor walks each simplex orbit once, breadth first
-through the generators, checking that the action is simplicial, and keeps
-the rows as the complex's orbit table; regularity, the quotient, the
-invariance of a relative part and invariant homology read that table.
+A complex keeps its sorted vertex labels once and each cell as a sorted
+tuple of vertex ranks, numbered per dimension in lexicographic order (rank
+order is label order, so bases, signs and witnesses are the labels'), and
+the faces of the k-cells as one flat list, k + 1 per cell, face i (vertex i
+dropped) with sign (-1)**i.  A subdivision numbers each vertex by the rank
+of the cell it subdivides; labels, nested once per round, are built only
+where a message or a reader asks.  Regularity (an element fixing a simplex
+setwise fixes it vertex-wise) is not enough for a simplicial quotient, so
+quotient() also rejects shared vertex sets and collapses, and regularize()
+subdivides until it goes through (two rounds always do).  Invariant homology
+is that of the orbit sums (chaincx.orbit_sum_complex), where an orbit its
+stabilizer flips cancels like a non-orientable critical point.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from functools import cached_property, partial
+from itertools import combinations, starmap, zip_longest
+from math import factorial
+from operator import gt, itemgetter
 from typing import NamedTuple, Optional
 
-from .chaincx import GradedComplex, betti as complex_betti, orbit_sum_complex
-from .errors import ActionNotSimplicial, NotASubcomplex, NotRegular
-from .groups import gather, is_perm
+from .chaincx import (GradedComplex, RationalMatrix, betti as complex_betti,
+                      orbit_sum_complex)
+from .errors import ActionNotSimplicial, ClosureExceedsCap, NotASubcomplex, NotRegular
+from .groups import CELL_CAP, gather, is_perm
 from .intrinsic import boundary_plus
 from .quotient import derive_intrinsic
 
@@ -47,244 +44,278 @@ def _close_downward(maximal):
     return simplices
 
 
-_SIGNS = (1, -1) * 32  # (-1)**i; _close_downward lists all 2**n faces, so n < 64
+_SIGNS = (1, -1) * 32  # (-1)**i; CELL_CAP admits no simplex on 64 vertices
 
 
-def _faces(s, skip):
-    """Codimension-one faces of an oriented simplex outside skip, with signs."""
-    faces = [(s[:i] + s[i + 1:], sign) for i, sign in zip(range(len(s)), _SIGNS)]
-    return [f for f in faces if f[0] not in skip] if skip else faces
+def _cap(sizes, label) -> None:
+    """Count the (simplex, cells) pairs a closure is about to list: 2^n - 1
+    faces of an n-vertex simplex, times n! flags when it is subdivided."""
+    total = 0
+    for s, cells in sizes:
+        if (total := total + cells) > CELL_CAP:
+            raise ClosureExceedsCap(
+                f"closure passes the cap of {CELL_CAP} cells at simplex {label(s)!r}")
+
+
+def _labels(parent, cells, pick=tuple) -> tuple:
+    """pick of each cell's vertex labels, from a parent's (or its partial)."""
+    points = parent() if callable(parent) else parent
+    return tuple(pick([points[r] for r in c]) for c in cells)
 
 
 class SimplicialComplex:
-    """Finite abstract simplicial complex, downward closed by construction."""
+    """Finite abstract simplicial complex, downward closed by construction;
+    ranked: by labels in rank order (or a partial) and cells by dimension."""
 
-    def __init__(self, vertices, maximal_simplices):
-        self.vertices = tuple(sorted(set(vertices)))
-        maximal_simplices = list(maximal_simplices)
-        closed = _close_downward(maximal_simplices)
-        declared = set(self.vertices)
-        for s in maximal_simplices:
-            if not declared.issuperset(s):
-                raise NotASubcomplex(
-                    "simplex %r uses undeclared vertex %r"
-                    % (tuple(sorted(s)), min(set(s) - declared)))
-        closed.update((vtx,) for vtx in self.vertices)
-        # each simplex maps to itself, so an image can share the stored tuple
-        self._closed = dict(zip(closed, closed))
-        by_len: dict[int, list] = {}
-        for s in closed:
-            by_len.setdefault(len(s), []).append(s)
-        self.by_dim = {k: tuple(sorted(by_len.get(k + 1, ())))
-                       for k in range(max(by_len, default=1))}
+    def __init__(self, vertices, maximal_simplices, ranked=False):
+        if not ranked:  # by labels: checked, counted, then closed on ranks
+            declared, maximal = set(vertices), list(maximal_simplices)
+            for s in (s for s in maximal if len(set(s)) != len(s)):  # the first
+                raise ActionNotSimplicial(f"simplex {s!r} repeats a vertex")
+            for s in (s for s in maximal if not declared.issuperset(s)):
+                raise NotASubcomplex("simplex %r uses undeclared vertex %r"
+                                     % (tuple(sorted(s)), min(set(s) - declared)))
+            _cap(((s, 2 ** len(s) - 1) for s in maximal), tuple)
+            vertices = tuple(sorted(declared))
+            rank = dict(zip(vertices, range(len(vertices))))
+            closed = _close_downward([[rank[v] for v in s] for s in maximal]
+                                     + [[i] for i in range(len(vertices))])
+            maximal_simplices = [sorted(c for c in closed if len(c) == n)
+                                 for n in range(1, max(map(len, closed), default=1) + 1)]
+        self._names, self.cells = vertices, maximal_simplices
+        self._index = [dict(zip(cells, range(len(cells)))) for cells in self.cells]
+        drops = [list(map(gather, combinations(range(k + 1), k)))[::-1]  # face i drops i
+                 for k in range(len(self.cells))]
+        self.faces = [[]] + [[self._index[k - 1][d(c)] for c in self.cells[k]
+                              for d in drops[k]] for k in range(1, len(self.cells))]
+
+    @cached_property
+    def vertices(self) -> tuple:  # built from the parent's when first read
+        return self._names() if callable(self._names) else self._names
+
+    def label(self, cell) -> tuple:
+        return tuple([self.vertices[r] for r in cell])
 
     @property
     def dim(self) -> int:
-        return max(self.by_dim)
+        return len(self.cells) - 1
 
     def simplices(self, k: int) -> tuple:
-        return self.by_dim.get(k, ())
+        return tuple(map(self.label, self.cells[k])) if 0 <= k <= self.dim else ()
 
     def all_simplices(self):
-        for k in sorted(self.by_dim):
-            yield from self.by_dim[k]
+        return (s for k in range(self.dim + 1) for s in self.simplices(k))
+
+    @cached_property
+    def _rank(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
 
     def has(self, s) -> bool:
-        return tuple(sorted(s)) in self._closed
+        t = tuple(sorted(self._rank.get(v, -1) for v in s))
+        return 0 < len(t) <= len(self.cells) and t in self._index[len(t) - 1]
 
     def contains(self, other: "SimplicialComplex") -> bool:
         return all(self.has(s) for s in other.all_simplices())
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(self.by_dim[k]) for k in sorted(self.by_dim))
+        return tuple(map(len, self.cells))
 
-    def chain_complex(self, sub: Optional["SimplicialComplex"] = None) -> GradedComplex:
-        """Simplicial chain complex, relative to sub when given."""
-        if sub is not None and not self.contains(sub):
+    def part(self, sub) -> frozenset:
+        """A relative part's cells: sub by labels, or already a set of cells."""
+        if sub is None or isinstance(sub, frozenset):
+            return sub or frozenset()
+        rank, index = self._rank, self._index
+        part = frozenset(tuple(sorted(rank.get(v, -1) for v in s))
+                         for s in sub.all_simplices())
+        if not all(len(c) <= len(index) and c in index[len(c) - 1] for c in part):
             raise NotASubcomplex("relative part is not a subcomplex")
-        in_sub = set(sub.all_simplices()) if sub is not None else set()
-        labels = [[s for s in self.simplices(k) if s not in in_sub]
-                  for k in range(self.dim + 1)]
-        return GradedComplex.from_entries(labels, (
-            (k, face, s, sign) for k in range(1, self.dim + 1)
-            for s in labels[k] for face, sign in _faces(s, in_sub)))
+        return part
+
+    def chain_complex(self, sub=None) -> GradedComplex:
+        """Simplicial chain complex, relative to sub (see part); bases number cells."""
+        part, matrices = self.part(sub), []
+        kept = [[j for j, c in enumerate(cells) if c not in part] if part
+                else range(len(cells)) for cells in self.cells]
+        rows = [dict(zip(ids, range(len(ids)))) if part else ids for ids in kept]
+        for k in range(1, len(kept)):
+            groups, row = enumerate(zip(*[iter(self.faces[k])] * (k + 1))), rows[k - 1]
+            matrices.append(RationalMatrix.of_columns(len(row), [
+                {row[f]: sign for f, sign in zip(faces, _SIGNS) if f in row} if part
+                else dict(zip(faces, _SIGNS)) for j, faces in groups if j in rows[k]]))
+        return GradedComplex.build(kept, matrices)
 
 
-def homology(K: SimplicialComplex,
-             sub: Optional[SimplicialComplex] = None) -> tuple[int, ...]:
+def homology(K: SimplicialComplex, sub=None) -> tuple[int, ...]:
     """Betti numbers of K, or of the pair (K, sub)."""
     return complex_betti(K.chain_complex(sub))
 
 
 def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
-    """First barycentric subdivision; vertices are the simplices of K, and the
-    maximal simplices are the full flags of those of K (no facet of another)."""
-    facets = {s[:i] + s[i + 1:] for s in K.all_simplices() for i in range(len(s))}
-    flags = [tuple(tuple(sorted(order[:i + 1])) for i in range(len(s)))
-             for s in K.all_simplices() if s not in facets
-             for order in permutations(s)]
-    return SimplicialComplex(vertices=list(K.all_simplices()),
-                             maximal_simplices=flags)
+    """First barycentric subdivision: vertices are K's cells in lexicographic
+    order (kept as _lex), cells their chains, each a shorter one extended past
+    its greatest vertex by one comparable with all its own, so each comes sorted."""
+    faces_of = [set(f) for f in K.faces[1:]] + [set()]
+    _cap(((c, factorial(len(c)) * (2 ** len(c) - 1)) for k, cells in enumerate(K.cells)
+          for j, c in enumerate(cells) if j not in faces_of[k]), K.label)
+    lex = sorted(c for cells in K.cells for c in cells)
+    number = dict(zip(lex, range(len(lex))))
+    up, below = [[] for _ in lex], [set() for _ in lex]
+    for v, c in enumerate(lex):
+        for w in (number[t] for r in range(1, len(c)) for t in combinations(c, r)):
+            up[min(v, w)].append(max(v, w))
+            below[max(v, w)].add(min(v, w))
+    cells, up = [[(v,) for v in range(len(lex))]], [sorted(above) for above in up]
+    for _ in range(K.dim):
+        cells.append([p + (w,) for p in cells[-1] for w in up[p[-1]]
+                      if below[w].issuperset(p[:-1])])
+    sd = SimplicialComplex(partial(_labels, K._names, lex), cells, ranked=True)
+    sd._lex = lex
+    return sd
 
 
 class GSimplicialComplex:
     """Simplicial complex with a vertex action mapping simplices to simplices,
-    kept as rows (g, image array over the vertex list), one per ground
-    generator g, which names the row in witnesses."""
+    kept as rows (g, image array over the vertex ranks), one per ground
+    generator g, which names the row in witnesses; see _orbit_scan."""
 
     def __init__(self, complex_: SimplicialComplex, rows):
         self.complex, self.rows = complex_, tuple(rows)
-        if not all(is_perm(arr, len(complex_.vertices)) for _, arr in self.rows):
+        if not all(is_perm(arr, len(complex_.cells[0])) for _, arr in self.rows):
             raise ActionNotSimplicial(
                 "vertex action must act on the complex's vertex list")
-        self.orbit_table = tuple(_orbit_scan(self))
+        self.orbit, self.sign, self.orbits, self.irregular = _orbit_scan(self)
 
     def subdivided(self) -> "GSimplicialComplex":
         """Each row lifted to the subdivision: g sends the vertex s to g.s."""
-        sd, index = barycentric_subdivide(self.complex), _index(self.complex)
-        position = {tuple([index[vtx] for vtx in s]): i
-                    for i, s in enumerate(sd.vertices)}
-        gathers = list(map(gather, position))
+        sd = barycentric_subdivide(self.complex)
+        number = dict(zip(sd._lex, range(len(sd._lex))))
         return GSimplicialComplex(sd, [
-            (g, tuple([position[tuple(sorted(at(arr)))] for at in gathers]))
+            (g, tuple([number[tuple(sorted([arr[r] for r in c]))] for c in sd._lex]))
             for g, arr in self.rows])
 
 
-def _index(K: SimplicialComplex) -> dict:
-    return {vtx: i for i, vtx in enumerate(K.vertices)}
-
-
-def _perm_sign(values) -> int:
-    return -1 if sum(a > b for a, b in combinations(values, 2)) % 2 else 1
-
-
 def _orbit_scan(gk: GSimplicialComplex):
-    """(s, members, flipped, irregular) per simplex orbit, by dimension and
-    least member s, walked breadth first through the generators from the
-    vertex-index tuple of s.  members maps the simplex of each tuple t
-    reached to the sign of the permutation sorting t; flipped: a simplex is
-    reached with both signs, so Stab(s) reverses s; irregular: more tuples
-    than simplices are reached, so Stab(s) moves a vertex.  Raises
-    ActionNotSimplicial naming a generator, a reached simplex and its image."""
-    closed, points, index = gk.complex._closed, gk.complex.vertices, _index(gk.complex)
-    seen = set()
-    for s in gk.complex.all_simplices():
-        if s in seen:
-            continue
-        members, flipped = {s: 1}, False
-        queue = [tuple([index[vtx] for vtx in s])]
-        reached = set(queue)
-        for t in queue:  # breadth first: the queue grows behind the loop
-            at = gather(t)
-            for g, arr in gk.rows:
-                u = at(arr)
-                if u in reached:
-                    continue
-                img = tuple([points[i] for i in sorted(u)])
-                if img not in closed:
-                    raise ActionNotSimplicial(
-                        f"g={list(g)} sends simplex "
-                        f"{tuple([points[i] for i in sorted(t)])!r} to {img!r}")
-                sign = _perm_sign(u)
-                # closed[img]: the table keeps the complex's own tuple
-                flipped |= members.setdefault(closed[img], sign) != sign
-                reached.add(u)
-                queue.append(u)
-        seen.update(members)
-        yield s, members, flipped, len(reached) > len(members)
+    """The orbit table: orbit[k] and sign[k] per k-cell, (k, members,
+    orientable) and irregular per orbit, walked from its least member through
+    the generators over the rank tuples t reached.  t's cell gets t's parity;
+    both parities make the orbit flipped, more tuples than cells irregular."""
+    def parity(u):  # the sign of the permutation sorting u
+        return -1 if sum(starmap(gt, combinations(u, 2))) % 2 else 1
+    K, orbits, irregular = gk.complex, [], []
+    orbit, sign = [[-1] * len(c) for c in K.cells], [[1] * len(c) for c in K.cells]
+    for k, cells in enumerate(K.cells):
+        index, number, signs = K._index[k], orbit[k], sign[k]
+        for j in (j for j in range(len(cells)) if number[j] < 0):
+            o = number[j] = len(orbits)
+            members, flipped, queue, reached = [j], False, [cells[j]], {cells[j]}
+            for t in queue:  # breadth first: the queue grows behind the loop
+                at = gather(t)
+                for g, arr in gk.rows:
+                    if (u := at(arr)) in reached:
+                        continue
+                    if (i := index.get(tuple(sorted(u)))) is None:
+                        raise ActionNotSimplicial(
+                            f"g={list(g)} sends simplex {K.label(sorted(t))!r} "
+                            f"to {K.label(sorted(u))!r}")
+                    if number[i] < 0:
+                        number[i], signs[i] = o, parity(u)
+                        members.append(i)
+                    else:
+                        flipped |= signs[i] != parity(u)
+                    reached.add(u)
+                    queue.append(u)
+            orbits.append((k, members, not flipped))
+            irregular.append(len(reached) > len(members))
+    return orbit, sign, orbits, irregular
 
 
 def is_regular(gk: GSimplicialComplex) -> bool:
     """True when every setwise-fixed simplex is fixed vertex-wise."""
-    return not any(irregular for *_, irregular in gk.orbit_table)
+    return not any(gk.irregular)
 
 
-def _require_invariant_sub(gk, sub) -> None:
-    """Reject a relative part that is not an invariant subcomplex, one that
-    a generator moves; the witness is the least such generator and the
-    first simplex it moves out."""
-    if sub is None:
-        return
-    if not gk.complex.contains(sub):
-        raise NotASubcomplex("relative part is not a subcomplex")
-    points, index = gk.complex.vertices, _index(gk.complex)
+def _invariant_part(gk, sub) -> frozenset:
+    """The cells of a relative part, unless a generator moves one out: then
+    the least such generator and the first such cell are the witness."""
+    part = gk.complex.part(sub)
     for g, arr in sorted(gk.rows):
-        for s in sub.all_simplices():
-            if tuple(sorted([points[arr[index[vtx]]] for vtx in s])) not in sub._closed:
-                raise NotASubcomplex(
-                    f"relative part is not invariant: g={list(g)} moves {s!r} out")
+        for c in sorted(part, key=lambda c: (len(c), c)):
+            if tuple(sorted([arr[r] for r in c])) not in part:
+                raise NotASubcomplex(f"relative part is not invariant: "
+                                     f"g={list(g)} moves {gk.complex.label(c)!r} out")
+    return part
 
 
 class QuotientComplex(NamedTuple):
-    """Quotient simplicial complex with a representative per simplex orbit."""
-
+    """Quotient complex, and its relative part as cells (None without)."""
     complex: SimplicialComplex
-    sub: Optional[SimplicialComplex] = None
+    part: Optional[frozenset] = None
+
+    @property
+    def sub(self) -> Optional[SimplicialComplex]:
+        label = self.complex.label
+        return None if self.part is None else SimplicialComplex(
+            {v for c in self.part for v in label(c)}, map(label, self.part))
 
 
-def quotient(gk: GSimplicialComplex,
-             sub: Optional[SimplicialComplex] = None) -> QuotientComplex:
+def quotient(gk: GSimplicialComplex, sub=None) -> QuotientComplex:
     """Quotient by the action; simplices are orbits, faces via representatives.
-
-    Raises NotRegular when a setwise-fixed simplex moves vertex-wise, when a
-    simplex collapses in the quotient (two vertices sharing an orbit), or when
-    two distinct orbits land on the same quotient vertex set; the first of
-    these before NotASubcomplex for a relative part, the others after it.
-    """
+    Raises NotRegular when a setwise-fixed simplex moves vertex-wise (before
+    NotASubcomplex for a relative part), or after it when a simplex collapses
+    or two orbits land on one quotient vertex set."""
     if not is_regular(gk):
         raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
-    # an orbit is labelled by its least member, the representative of its row
-    vertex_label = {vtx: s[0] for s, members, *_ in gk.orbit_table
-                    if len(s) == 1 for (vtx,) in members}
+    K, label = gk.complex, gk.complex.label
+    rep = [gk.orbits[o][1][0] for o in gk.orbit[0]]  # least vertex of each orbit
     seen, reason = {}, None
-    for s, *_ in gk.orbit_table:
-        down = tuple(sorted({vertex_label[vtx] for vtx in s}))
+    for k, members, _ in gk.orbits:
+        s = K.cells[k][members[0]]
+        down = tuple(sorted({rep[v] for v in s}))
         if len(down) != len(s):
-            reason = f"simplex {s!r} collapses onto {down!r} in the quotient"
+            reason = (f"simplex {label(s)!r} collapses onto {label(down)!r} "
+                      "in the quotient")
             break
         if down in seen:
-            reason = (f"orbits of {seen[down]!r} and {s!r} share the quotient "
-                      f"vertex set {down!r}")
+            reason = (f"orbits of {label(seen[down])!r} and {label(s)!r} share "
+                      f"the quotient vertex set {label(down)!r}")
             break
         seen[down] = s
-    _require_invariant_sub(gk, sub)
+    part = _invariant_part(gk, sub)
     if reason is not None:
         # raised, not kept: an exception in a local of this frame would tie
         # the frame, and the complex, into a cycle through its traceback
         raise NotRegular(reason)
-    qc = SimplicialComplex(vertices=sorted({vertex_label[v] for v in gk.complex.vertices}),
-                           maximal_simplices=reversed(seen))  # longest first
-    qsub = None if sub is None else SimplicialComplex(
-        vertices=sorted({vertex_label[v] for v in sub.vertices}),
-        maximal_simplices=[tuple(sorted({vertex_label[v] for v in s}))
-                           for k in sorted(sub.by_dim, reverse=True)
-                           for s in sub.by_dim[k]])
-    return QuotientComplex(complex=qc, sub=qsub)
+    reps = sorted(set(rep))
+    new, cells = dict(zip(reps, range(len(reps)))), [[] for _ in K.cells]
+    for down in seen:
+        cells[len(down) - 1].append(tuple([new[r] for r in down]))
+    names = partial(_labels, K._names, [(r,) for r in reps], itemgetter(0))
+    qc = SimplicialComplex(names, [sorted(level) for level in cells], ranked=True)
+    return QuotientComplex(qc, None if sub is None else frozenset(
+        tuple(sorted({new[rep[v]] for v in c})) for c in part))
 
 
 #: Subdivision rounds regularize tries; one is usually enough, two always are.
 MAX_ROUNDS = 2
 
 
-def regularize(gk: GSimplicialComplex, sub: Optional[SimplicialComplex] = None):
+def regularize(gk: GSimplicialComplex, sub=None):
     """Subdivide until the quotient is simplicial; returns (rounds, q), q the
-    quotient of the complex (and sub) subdivided that many times."""
-    rounds = 0
-    current, cur_sub = gk, sub
+    quotient of the complex (and sub, as cells: chains of cells) so subdivided."""
+    rounds, current, part = 0, gk, None if sub is None else gk.complex.part(sub)
     while True:
         try:
-            return rounds, quotient(current, cur_sub)
+            return rounds, quotient(current, part)
         except NotRegular:
             if rounds >= MAX_ROUNDS:
                 raise
-        current = current.subdivided()
-        if cur_sub is not None:
-            cur_sub = barycentric_subdivide(cur_sub)
-        rounds += 1
+        current, rounds = current.subdivided(), rounds + 1
+        if part is not None:
+            part = frozenset(c for cells in current.complex.cells for c in cells
+                             if all(current.complex._lex[v] in part for v in c))
 
 
-def invariant_homology(gk: GSimplicialComplex,
-                       sub: Optional[SimplicialComplex] = None) -> tuple[int, ...]:
+def invariant_homology(gk: GSimplicialComplex, sub=None) -> tuple[int, ...]:
     """Dimensions of the invariant part of (relative) homology.
 
     Over Q, H(C)^G = H(C^G), and C^G has a basis of orbit sums: g carries
@@ -293,13 +324,15 @@ def invariant_homology(gk: GSimplicialComplex,
     sums to zero, as the paper's critical points whose isotropy reverses the
     orientation of their unstable manifold are discarded.
     """
-    _require_invariant_sub(gk, sub)
-    in_sub = sub._closed if sub is not None else {}
-    levels = [[] for _ in range(gk.complex.dim + 1)]
-    for s, members, flipped, _ in gk.orbit_table:
-        if s not in in_sub:
-            levels[len(s) - 1].append((members, not flipped))
-    return complex_betti(orbit_sum_complex(levels, lambda s: _faces(s, in_sub)))
+    K, part = gk.complex, _invariant_part(gk, sub)
+
+    def faces(k, j):
+        pairs = zip(K.faces[k][j * (k + 1):j * (k + 1) + k + 1], _SIGNS)
+        return [p for p in pairs if K.cells[k - 1][p[0]] not in part] if part else pairs
+    return complex_betti(orbit_sum_complex(
+        [(-1 if K.cells[k][m[0]] in part else k, m, ok)  # a relative part left out
+         for k, m, ok in gk.orbits],
+        gk.orbit, gk.sign, faces, K.cells))
 
 
 class CompareReport(NamedTuple):
@@ -317,9 +350,6 @@ def compare(system, gk: GSimplicialComplex) -> CompareReport:
     """
     morse = complex_betti(boundary_plus(derive_intrinsic(system)))
     rounds, q = regularize(gk)
-    simp = homology(q.complex)
-    width = max(len(morse), len(simp))
-    morse_p = tuple(morse) + (0,) * (width - len(morse))
-    simp_p = tuple(simp) + (0,) * (width - len(simp))
+    morse_p, simp_p = zip(*zip_longest(morse, homology(q.complex), fillvalue=0))
     return CompareReport(morse_betti=morse_p, quotient_betti=simp_p,
                          rounds=rounds, equal=morse_p == simp_p)

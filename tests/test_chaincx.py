@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
+import label_oracle
 from dense_oracle import DenseMatrix
 from orbimorse import (
     CancellationFailure,
@@ -21,6 +22,7 @@ from orbimorse import (
 )
 from orbimorse.chaincx import (ChainMap, orbit_sum_complex, square_entries,
                                verify_chain_map)
+from orbimorse.errors import OrbimorseError
 
 
 def interval_complex():
@@ -147,13 +149,15 @@ def test_chain_map_shape_checks():
 
 
 def test_orbit_sum_complex_signs_and_failures():
-    # a circle of two vertices and two edges, both pairs exchanged
-    faces = {"e": [("b", 1), ("a", -1)], "f": [("a", 1), ("b", -1)]}.get
+    # a circle of two vertices a, b and two edges e, f (cells 0 and 1 of
+    # their degrees), both pairs exchanged
+    faces = [[(1, 1), (0, -1)], [(0, 1), (1, -1)]]
 
     def orbit_sums(vertex_signs, vertex_orientable, edge_signs):
         return orbit_sum_complex(
-            [[(dict(zip("ab", vertex_signs)), vertex_orientable)],
-             [(dict(zip("ef", edge_signs)), True)]], faces)
+            [(0, [0, 1], vertex_orientable), (1, [0, 1], True)],
+            [[0, 0], [1, 1]], [vertex_signs, edge_signs],
+            lambda k, c: faces[c], ["ab", "ef"])
 
     rotation = orbit_sums((1, 1), True, (1, 1))
     assert rotation.basis_labels == (("a",), ("e",))
@@ -164,6 +168,58 @@ def test_orbit_sum_complex_signs_and_failures():
         orbit_sums((1, 1), True, (1, -1))
     with pytest.raises(CancellationFailure, match="non-orientable"):
         orbit_sums((1, -1), False, (1, -1))
+
+
+@st.composite
+def orbit_tables(draw):
+    """Up to three degrees of up to five cells, each split into orbits with
+    random signs (+1 on the first member) and orientability, and random
+    faces, so most tables break a law: (orbits, orbit, sign, faces, names)."""
+    orbits, orbit, sign, names = [], [], [], []
+    for k in range(draw(st.integers(1, 3))):
+        cells = draw(st.permutations(range(draw(st.integers(1, 5)))))
+        cuts = draw(st.sets(st.integers(1, len(cells) - 1))) if len(cells) > 1 else set()
+        bounds = [0, *sorted(cuts), len(cells)]
+        orbit.append([0] * len(cells))
+        sign.append([draw(st.sampled_from((1, -1))) for _ in cells])
+        names.append([f"c{k}.{i}" for i in range(len(cells))])
+        for a, b in zip(bounds, bounds[1:]):
+            members = sorted(cells[a:b])
+            sign[k][members[0]] = 1
+            for c in members:
+                orbit[k][c] = len(orbits)
+            orbits.append((k, members, draw(st.booleans())))
+    faces = [[[]]] + [[draw(st.lists(st.tuples(st.integers(0, len(orbit[k - 1]) - 1),
+                                               st.sampled_from((1, -1, 2))), max_size=3))
+                       for _ in orbit[k]] for k in range(1, len(orbit))]
+    return orbits, orbit, sign, faces, names
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OrbimorseError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(orbit_tables())
+@example(([(0, [0, 1], False), (0, [2, 3], True), (1, [0], True)],
+          [[0, 0, 1, 1], [2]], [[1, 1, 1, 1], [1]],
+          [[[]], [[(0, 1), (0, -1), (2, 1), (1, 1)]]], ["abcd", ["e"]]))
+def test_orbit_sums_match_the_label_keyed_oracle(table):
+    # the same complex, or the same CancellationFailure or InvarianceFailure
+    # text, as the label-keyed builder on members-to-sign dicts; in the
+    # example both face orbits fail, and the first to appear (through a
+    # cancelled coefficient) is the witness
+    orbits, orbit, sign, faces, names = table
+    levels = [[({names[k][c]: sign[k][c] for c in members}, orientable)
+               for d, members, orientable in orbits if d == k] for k in range(len(orbit))]
+    by_name = {names[k][c]: [(names[k - 1][q], v) for q, v in faces[k][c]]
+               for k in range(1, len(orbit)) for c in range(len(orbit[k]))}
+    assert outcome(orbit_sum_complex, orbits, orbit, sign,
+                   lambda k, c: faces[k][c], names) \
+        == outcome(label_oracle.orbit_sum_complex, levels, lambda c: by_name.get(c, []))
 
 
 # -- the sparse kernel against the dense oracle -------------------------------

@@ -13,6 +13,7 @@ import types
 import weakref
 from collections import Counter
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -305,6 +306,24 @@ def test_homology_of_relative_simplicial(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "betti_rel: 0,0" in out
     assert "betti_invariant_rel: 0,0" in out
+
+
+def test_closures_past_the_cell_cap_exit_2_within_a_second(tmp_path, capsys):
+    # one simplex on 40 vertices counts 2^40 - 1 faces; one on 10 vertices
+    # under a swap of two is irregular, and its subdivision round counts
+    # 10! flags of 2^10 - 1 faces each
+    labels = ["v%02d" % i for i in range(40)]
+    for name, vertices, gens in (("simplex_40", labels, []),
+                                 ("swapped_10", labels[:10],
+                                  [[1, 0] + list(range(2, 10))])):
+        path = simplicial_file(tmp_path, name, {
+            "vertices": vertices, "maximal": [vertices], "generators": gens})
+        start = perf_counter()
+        assert main(["homology", path]) == EXIT_INVALID, name
+        assert perf_counter() - start < 1, name
+        assert capsys.readouterr().err == (
+            "error: closure passes the cap of 2000000 cells at simplex "
+            f"{tuple(vertices)!r}\n")
 
 
 def test_homology_of_five_by_five_torus(tmp_path, capsys):

@@ -31,6 +31,18 @@ BENCH_tri.json  homology on torus(n) under negation, n in 8, 16, 24, 32, 40
                 1,000 vertices: instances.py labels them v000, v001, ...,
                 so beyond that the sorted vertex list no longer follows the
                 rotation.
+                Then the library calls on subdivided G-complexes:
+                subdivided() (the round that makes it), homology and
+                invariant_homology of torus(4) under negation after 0 to 5
+                rounds (Betti numbers 1,2,1 and 1,0,1), and of bipyramid(48)
+                after 3 rounds (1,0,1 both).  These rows repeat while the
+                runs take under 10 s in all, so the largest run two or
+                three times, and record no heap peak.
+
+Host speed changes between sittings by up to 1.5x, so before each row a
+fixed pure-Python loop is timed (reference_s, the best of three) and
+written beside the walls: compare rows of two sittings by wall_s /
+reference_s.
 """
 
 import contextlib
@@ -50,10 +62,13 @@ from time import perf_counter
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from orbimorse import cli  # noqa: E402
+from orbimorse import (GSimplicialComplex, SimplicialComplex, cli,  # noqa: E402
+                       homology, invariant_homology)
 
 #: Timed runs per row; a row records their median, fastest and slowest.
 RUNS = 5
+#: A subdivision row stops repeating once its runs take this long.
+BUDGET_S = 10
 
 GQ_SIZES = (50, 100, 200, 400, 800)
 #: validate also runs at the size the diagnosis targets are stated for.
@@ -115,6 +130,27 @@ BENCHES = (
 )
 
 
+#: (family, size, system, rounds timed, Betti numbers of the complex and of
+#: its invariant part) for the rows of library calls on subdivisions.
+SUBDIVIDED = (
+    ("torus", 4, lambda i: i.torus(4), range(6), ((1, 2, 1), (1, 0, 1))),
+    ("bipyramid", 48, lambda i: i.bipyramid(48), (3,), ((1, 0, 1), (1, 0, 1))),
+)
+
+
+def reference_s() -> float:
+    """Seconds a fixed loop of tuple keys, dict updates and int arithmetic
+    (the program's inner loops in miniature) takes, the best of three."""
+    best = float("inf")
+    for _ in range(3):
+        start, acc = perf_counter(), {}
+        for i in range(200_000):
+            key = (i & 1023, i % 7)
+            acc[key] = acc.get(key, 0) + i
+        best = min(best, perf_counter() - start)
+    return best
+
+
 def _instances():
     spec = importlib.util.spec_from_file_location(
         "perfbench_instances", ROOT / "perfbench" / "instances.py")
@@ -134,6 +170,7 @@ def _run(command, path, check) -> None:
 
 def row(kind, family, command, system, order, check, size, workdir) -> dict:
     path = str(workdir / f"{family}{size}.json")
+    reference = reference_s()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"kind": kind, "metadata": {"name": f"{family}{size}"},
                    "system": system}, fh)
@@ -155,9 +192,55 @@ def row(kind, family, command, system, order, check, size, workdir) -> dict:
     else:
         out.update(vertices=len(system["vertices"]),
                    maximal=len(system["maximal"]))
-    out.update(wall_s=round(median(walls), 4), wall_min_s=round(min(walls), 4),
-               wall_max_s=round(max(walls), 4), peak_heap_mb=round(peak / 1e6, 2))
+    out.update(_walls(walls), peak_heap_mb=round(peak / 1e6, 2),
+               reference_s=round(reference, 4))
     return out
+
+
+def _walls(walls) -> dict:
+    return {"wall_s": round(median(walls), 4), "wall_min_s": round(min(walls), 4),
+            "wall_max_s": round(max(walls), 4)}
+
+
+def _repeated(call, want=None):
+    """(walls, result) of call, repeated up to RUNS times while the runs
+    take under BUDGET_S in all; the result must be want unless want is None."""
+    walls = []
+    while len(walls) < RUNS and sum(walls) < BUDGET_S:
+        start = perf_counter()
+        result = call()
+        walls.append(perf_counter() - start)
+        if want is not None and result != want:
+            raise SystemExit(f"{call}: {result}, expected {want}")
+    return walls, result
+
+
+def subdivision_rows(instances) -> list:
+    """Rows of subdivided() (the round that made the complex), homology and
+    invariant_homology for each timed round."""
+    rows = []
+    for family, size, build, timed, (betti, invariant) in SUBDIVIDED:
+        system = build(instances)
+        gk = GSimplicialComplex(SimplicialComplex(system["vertices"], system["maximal"]),
+                                [(g, g) for g in system["generators"]])
+        for rounds in range(max(timed) + 1):
+            calls = [("homology", lambda: homology(gk.complex), betti),
+                     ("invariant_homology", lambda: invariant_homology(gk), invariant)]
+            if rounds not in timed:
+                gk = gk.subdivided() if rounds else gk
+                continue
+            if rounds:
+                calls.insert(0, ("subdivided", gk.subdivided, None))
+            for command, call, want in calls:
+                reference = reference_s()
+                walls, result = _repeated(call, want)
+                gk = result if command == "subdivided" else gk
+                rows.append({"family": family, "command": command, "n": size,
+                             "rounds": rounds, "cells": list(gk.complex.counts()),
+                             "runs": len(walls), **_walls(walls),
+                             "reference_s": round(reference, 4)})
+                print(json.dumps(rows[-1]))
+    return rows
 
 
 def main() -> int:
@@ -175,6 +258,8 @@ def main() -> int:
                                     *answer(instances, size), size,
                                     pathlib.Path(tmp)))
                     print(json.dumps(rows[-1]))
+            if label == "tri":
+                rows += subdivision_rows(instances)
             doc = {"runs": RUNS, "python": platform.python_version(),
                    "cpus": os.cpu_count(), "rows": rows}
             (ROOT / f"BENCH_{label}.json").write_text(
