@@ -39,8 +39,6 @@ from .groups import (
     identity_perm,
 )
 from .intrinsic import (
-    IntrinsicFlow,
-    IntrinsicPoint,
     OrbifoldMorseSystem,
     boundary_minus,
     boundary_plus,

@@ -18,7 +18,8 @@ verify_complex squares a complex once and keeps the verdict on it; betti
 then reduces top down with clearing (Chen & Kerber, Persistent homology
 computation with a twist, 2011): a column of d_k that is the lowest row of
 a reduced column of d_(k+1) reduces to zero, as d^2 = 0, and is skipped.
-orbit_sum_complex reads an orbit table of arrays: cells are numbers.
+flow_complex (Morse systems) and orbit_sum_complex (orbit tables of arrays)
+read points, flows and cells as numbers, and labels only for the bases.
 """
 
 from __future__ import annotations
@@ -190,23 +191,6 @@ class GradedComplex:
                    basis_labels=tuple(tuple(l) for l in labels),
                    boundary=tuple(boundaries))
 
-    @classmethod
-    def from_entries(cls, labels, entries) -> "GradedComplex":
-        """Complex with bases labels[k] from (k, row_label, col_label, coeff)
-        entries, coeff times row_label in the boundary of col_label; repeated
-        cells are summed."""
-        labels = [tuple(level) for level in labels]
-        pos = [{lab: i for i, lab in enumerate(level)} for level in labels]
-        columns = [[{} for _ in labels[k]] for k in range(1, len(labels))]
-        for k, row, col, coeff in entries:
-            column, i = columns[k - 1][pos[k][col]], pos[k - 1][row]
-            column[i] = column.get(i, 0) + coeff
-        return cls.build(labels, [
-            RationalMatrix.of_columns(len(labels[k - 1]), (
-                col if _is_int_column(col) else _column(col.items())
-                for col in cols))
-            for k, cols in enumerate(columns, 1)])
-
     def dim(self, k: int) -> int:
         if 0 <= k <= self.max_degree:
             return len(self.basis_labels[k])
@@ -227,6 +211,29 @@ class GradedComplex:
                 labels = self.basis_labels
                 return False, (k, labels[k - 2][i], labels[k][j], Fraction(v))
         return True, None
+
+
+def flow_complex(n, labels, index, src, dst, coeffs, kept=None) -> GradedComplex:
+    """Complex graded 0..n on point numbers: degree k has the points of
+    index k (those kept, if given) in number order, labeled by labels, and
+    each flow a -> b with index[a] = index[b] + 1, both in a basis, adds its
+    coeff times b to the boundary of a; parallel flows are summed."""
+    pos, levels = [None] * len(index), [[] for _ in range(n + 1)]
+    for p, k in enumerate(index):
+        if 0 <= k <= n and (kept is None or kept[p]):
+            pos[p] = len(levels[k])
+            levels[k].append(p)
+    columns = [[{} for _ in level] for level in levels[1:]]
+    for a, b, v in zip(src, dst, coeffs):
+        j, i = pos[a], pos[b]
+        if j is not None and i is not None and index[a] == index[b] + 1:
+            column = columns[index[b]][j]
+            column[i] = column.get(i, 0) + v
+    return GradedComplex.build(
+        [[labels[p] for p in level] for level in levels],
+        [RationalMatrix.of_columns(len(levels[k - 1]), (
+            col if _is_int_column(col) else _column(col.items()) for col in cols))
+         for k, cols in enumerate(columns, 1)])
 
 
 def _square_cells(c: GradedComplex, k: int) -> list:

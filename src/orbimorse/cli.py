@@ -20,9 +20,10 @@ build, validate and take the homology of each kind:
 Rational values are strings like "3/2" (or plain integers), no exponent
 and no decimal point.
 A command holds only what its next step reads: load_instance reads each
-payload into plain rows (its kind's reader) and returns the kind, the name
-and the rows, so the document is dropped before anything is built; the
-builders make the systems from the rows, which are dropped in turn.
+payload with its kind's reader (a Morse system's appends each entry to the
+point and flow columns the system keeps, endpoints as point numbers) and
+returns the kind, the name and what was read, so the document is dropped
+before anything is built; the builders make the objects from that.
 Serialization is canonical: sorted keys, two-space indent, trailing
 newline, so instance files round-trip byte for byte.
 
@@ -53,8 +54,6 @@ from .errors import (
 )
 from .groups import DEFAULT_CAP, generate_group
 from .intrinsic import (
-    IntrinsicFlow,
-    IntrinsicPoint,
     OrbifoldMorseSystem,
     boundary_minus,
     boundary_plus,
@@ -160,10 +159,10 @@ class InstanceFile(NamedTuple):
 
 class Instance(NamedTuple):
     """What a command keeps of an instance file: its kind, its name and each
-    payload read into rows by the kind's reader."""
+    payload as the kind's reader reads it."""
     kind: str
     name: str
-    rows: list
+    payloads: list
 
 #: The one kind each of these commands takes.
 ACCEPTS = {"compare": "comparison", "derive": "global_quotient"}
@@ -185,12 +184,12 @@ def instance_from_dict(doc, ctx="instance") -> InstanceFile:
         body[key] = payload
     return InstanceFile(kind=kind, metadata=metadata, body=body)
 
-def read_rows(inst: InstanceFile) -> list:
-    """Each payload of the instance read into rows by its kind's reader."""
+def read_payloads(inst: InstanceFile) -> list:
+    """Each payload of the instance as its kind's reader reads it."""
     return [read(inst.body[key]) for key, read in KINDS[inst.kind].payload.items()]
 
 def load_instance(path, command=None) -> Instance:
-    """The instance file at path read into rows, after a command named in
+    """The instance file at path read by its readers, after a command named in
     ACCEPTS has refused any other kind.  The document is dropped when this
     returns, so no command holds it while it builds."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -203,7 +202,7 @@ def load_instance(path, command=None) -> Instance:
     want = ACCEPTS.get(command, inst.kind)
     if inst.kind != want:
         raise ParseError(f"{command} expects a {want} instance")
-    return Instance(inst.kind, inst.name, read_rows(inst))
+    return Instance(inst.kind, inst.name, read_payloads(inst))
 
 def instance_to_text(inst: InstanceFile) -> str:
     doc = {"kind": inst.kind, "metadata": inst.metadata}
@@ -215,7 +214,7 @@ def save_instance(inst: InstanceFile, path) -> None:
         fh.write(instance_to_text(inst))
 
 
-# -- readers: payload dict -> rows; builders: rows -> objects ----------------
+# -- readers: payload dict -> columns or rows; builders: those -> objects -----
 
 def _point(c) -> tuple:
     """A critical point entry read field by field: (label, index, value), or
@@ -238,33 +237,41 @@ def _flow(f) -> tuple:
 
 def read_global(payload) -> dict:
     """The keyword arguments of EquivariantMorseSystem.from_generator_data
-    in a global_quotient payload, points and flows as plain rows; _point and
-    _flow name the first bad field of an entry."""
+    in a global_quotient payload.  Each entry is appended to the point
+    columns (labels, index, value) or the flow columns (flow_labels, src,
+    dst, sign), an endpoint as its point number, or as its label where no
+    point has it, for the system to name; _point and _flow name the first
+    bad field of an entry."""
     ctx = "global_quotient system"
     ambient = _as_int(_req(payload, "ambient_dim", ctx), f"{ctx}: ambient_dim")
     degree = _as_int(_req(payload, "degree", ctx), f"{ctx}: degree")
     gens = [tuple(_as_list(g, "%s: generator", ctx)) for g in
             _as_list(_req(payload, "generators", ctx), f"{ctx}: generators")]
 
-    crit = []
+    labels, index, value = points = [], [], []
     for c in _as_list(_req(payload, "crit_points", ctx), f"{ctx}: crit_points"):
         if (type(c) is dict and type(label := c.get("label")) is str
-                and type(index := c.get("index")) is int):
-            value = c.get("value")
-            crit.append((label, index, value if value is None else
-                         _as_fraction(value, "point %r: value", label)))
+                and type(k := c.get("index")) is int):
+            if (v := c.get("value")) is not None:
+                v = _as_fraction(v, "point %r: value", label)
         else:
-            crit.append(_point(c))
+            label, k, v = _point(c)
+        labels.append(label)
+        index.append(k)
+        value.append(v)
 
-    flows = []
+    number = dict(zip(labels, range(len(labels)))).get
+    flow_labels, src, dst, sign = flows = [], [], [], []
     for f in _as_list(_req(payload, "flows", ctx), f"{ctx}: flows"):
-        if (type(f) is dict and type(label := f.get("label")) is str
-                and type(src := f.get("src")) is str
-                and type(dst := f.get("dst")) is str
-                and type(sign := f.get("sign")) is int):
-            flows.append((label, src, dst, sign))
-        else:
-            flows.append(_flow(f))
+        if not (type(f) is dict and type(label := f.get("label")) is str
+                and type(a := f.get("src")) is str
+                and type(b := f.get("dst")) is str
+                and type(e := f.get("sign")) is int):
+            label, a, b, e = _flow(f)
+        flow_labels.append(label)
+        src.append(number(a, a))
+        dst.append(number(b, b))
+        sign.append(e)
 
     def per_generator(key):
         arr = _as_list(_req(payload, key, ctx), f"{ctx}: {key}")
@@ -272,55 +279,63 @@ def read_global(payload) -> dict:
             raise ParseError(f"{ctx}: {key} needs one entry per generator")
         return [tuple(_as_list(a, "%s: %s[%d]", ctx, key, i)) for i, a in enumerate(arr)]
 
-    return dict(generators=gens, degree=degree, crit_points=crit,
+    return dict(generators=gens, degree=degree, points=points,
                 crit_images=per_generator("crit_images"),
                 crit_signs=per_generator("crit_signs"), flows=flows,
                 flow_images=per_generator("flow_images"), ambient_dim=ambient)
 
-def build_global(rows) -> EquivariantMorseSystem:
+def build_global(args) -> EquivariantMorseSystem:
     with _parsing("global_quotient system"):
         return EquivariantMorseSystem.from_generator_data(
-            cap=_group_cap(), **rows)
+            cap=_group_cap(), **args)
 
 def read_intrinsic(payload) -> dict:
-    """The keyword arguments of OrbifoldMorseSystem in an intrinsic payload."""
+    """The keyword arguments of OrbifoldMorseSystem in an intrinsic payload:
+    the point and flow columns, endpoints resolved as read_global does."""
     ctx = "intrinsic system"
     ambient = _as_int(_req(payload, "ambient_dim", ctx), f"{ctx}: ambient_dim")
-    points = []
+    labels, index, iso_order, orientable = points = [], [], [], []
     for p in _as_list(_req(payload, "points", ctx), f"{ctx}: points"):
         label = _as_str(_req(p, "label", "point"), "point label")
-        orientable = p.get("orientable", True)
-        if not isinstance(orientable, bool):
+        ok = p.get("orientable", True)
+        if not isinstance(ok, bool):
             raise ParseError(
-                f"point {label!r}: orientable must be true or false, got {orientable!r}")
-        points.append(IntrinsicPoint(
-            label=label,
-            index=_as_int(_req(p, "index", "point %r", label),
-                          "point %r: index", label),
-            iso_order=_as_int(_req(p, "iso_order", "point %r", label),
-                              "point %r: iso_order", label),
-            orientable=orientable))
-    flows = []
+                f"point {label!r}: orientable must be true or false, got {ok!r}")
+        labels.append(label)
+        index.append(_as_int(_req(p, "index", "point %r", label),
+                             "point %r: index", label))
+        iso_order.append(_as_int(_req(p, "iso_order", "point %r", label),
+                                 "point %r: iso_order", label))
+        orientable.append(ok)
+    number = dict(zip(labels, range(len(labels)))).get
+    flow_labels, src, dst, flow_iso, sign = flows = [], [], [], [], []
     for f in _as_list(_req(payload, "flows", ctx), f"{ctx}: flows"):
         label = _as_str(_req(f, "label", "flow"), "flow label")
-        flows.append(IntrinsicFlow(
-            label=label,
-            src=_as_str(_req(f, "src", "flow %r", label), "flow %r: src", label),
-            dst=_as_str(_req(f, "dst", "flow %r", label), "flow %r: dst", label),
-            iso_order=_as_int(_req(f, "iso_order", "flow %r", label),
-                              "flow %r: iso_order", label),
-            sign=_as_int(_req(f, "sign", "flow %r", label),
-                         "flow %r: sign", label)))
-    return dict(ambient_dim=ambient, crit_points=points, flows=flows)
+        a = _as_str(_req(f, "src", "flow %r", label), "flow %r: src", label)
+        b = _as_str(_req(f, "dst", "flow %r", label), "flow %r: dst", label)
+        flow_labels.append(label)
+        src.append(number(a, a))
+        dst.append(number(b, b))
+        flow_iso.append(_as_int(_req(f, "iso_order", "flow %r", label),
+                                "flow %r: iso_order", label))
+        sign.append(_as_int(_req(f, "sign", "flow %r", label),
+                            "flow %r: sign", label))
+    return dict(ambient_dim=ambient, points=points, flows=flows)
 
-def build_intrinsic(rows) -> OrbifoldMorseSystem:
+def build_intrinsic(args) -> OrbifoldMorseSystem:
     with _parsing("intrinsic system"):
-        return OrbifoldMorseSystem(**rows)
+        return OrbifoldMorseSystem(**args)
 
 def intrinsic_payload(s: OrbifoldMorseSystem) -> dict:
+    labels = s.labels
     return {"ambient_dim": s.ambient_dim,
-            "points": [p._asdict() for p in s.crit],
-            "flows": [f._asdict() for f in s.flows]}
+            "points": [{"label": p, "index": k, "iso_order": n, "orientable": ok}
+                       for p, k, n, ok in zip(labels, s.index, s.iso_order,
+                                              s.orientable)],
+            "flows": [{"label": f, "src": labels[a], "dst": labels[b],
+                       "iso_order": n, "sign": e}
+                      for f, a, b, n, e in zip(s.flow_labels, s.src, s.dst,
+                                               s.flow_iso, s.sign)]}
 
 def _vertex_lists(payload, ctx, known=()):
     """Vertices and maximal simplices, labels all integers or all strings."""
@@ -344,9 +359,9 @@ def read_simplicial(payload) -> tuple:
         sub = _vertex_lists(payload["subcomplex"], "subcomplex", vertices)
     return vertices, maximal, gens, sub
 
-def build_simplicial(rows):
+def build_simplicial(lists):
     """Returns (GSimplicialComplex, subcomplex or None)."""
-    vertices, maximal, gens, sub = rows
+    vertices, maximal, gens, sub = lists
     K = SimplicialComplex(vertices, maximal)
     with _parsing("simplicial system"):
         # closed only to check the generators and bound |G|
@@ -501,7 +516,7 @@ def _orbit_counts(rows) -> dict:
 
 class Kind(NamedTuple):
     payload: dict         # key of each JSON object an instance carries -> reader
-    build: Callable       # one rows argument per payload -> tuple of objects
+    build: Callable       # one read payload per payload key -> tuple of objects
     validate: Callable    # (report, *objects) -> exit code
     homology: Callable    # (report, convention, *objects) -> exit code
     aliases: dict = {}    # corpus expectation key -> report row key
@@ -532,9 +547,10 @@ KINDS = {
 
 def _built(path, command=None) -> tuple:
     """(kind, name, built objects) of the instance file at path.  The
-    document is dropped as load_instance returns, and the rows as this does."""
-    kind, name, rows = load_instance(path, command)
-    return kind, name, KINDS[kind].build(*rows)
+    document is dropped as load_instance returns, and the read payloads as
+    this does."""
+    kind, name, payloads = load_instance(path, command)
+    return kind, name, KINDS[kind].build(*payloads)
 
 def cmd_report(args) -> int:
     """validate, homology and compare (homology of comparisons only): build
@@ -559,8 +575,8 @@ def cmd_derive(args) -> int:
                   "description": f"invariant system of {name}"},
         body={"system": intrinsic_payload(derived)})
     save_instance(out, args.out)
-    rep = Report(("written", args.out), ("points", len(derived.crit)),
-                 ("flows", len(derived.flows)))
+    rep = Report(("written", args.out), ("points", len(derived.labels)),
+                 ("flows", len(derived.flow_labels)))
     for o in discarded_orbits(s):
         rep.add("discarded", f"{o.rep} index={o.index} iso={o.iso_order}")
     rep.emit(args.format)
@@ -570,7 +586,7 @@ def run_expectations(inst: InstanceFile) -> list[str]:
     """Check the instance's expected results against the rows validate and
     homology (plus convention) report for it; returns failure strings."""
     kind = KINDS[inst.kind]
-    objs = kind.build(*read_rows(inst))
+    objs = kind.build(*read_payloads(inst))
     rep = Report()
     kind.validate(rep, *objs)
     kind.homology(rep, "plus", *objs)

@@ -1,9 +1,10 @@
 """Morse systems on the quotient: weighted critical points and flow classes.
 
-A system carries critical points (label, index, isotropy order, orientable
-flag) and flow classes (label, endpoints, isotropy order, sign).  Flow signs
-are taken verbatim; there is no orientation data left to re-gauge at this
-level.  Two boundary conventions are supported:
+A system is point and flow columns, indexed by number: the points' labels,
+index, iso_order and orientable flag, and the flows' flow_labels, src and
+dst (point numbers), flow_iso and sign.  Flow signs are taken verbatim;
+there is no orientation data left to re-gauge at this level.  Two boundary
+conventions are supported:
 
     plus:   coefficient of q in d(p) sums  sign * iso(q) / iso(flow)
     minus:  coefficient of q in d(p) sums  sign * iso(p) / iso(flow)
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chaincx import GradedComplex, square_entries
+from .chaincx import GradedComplex, flow_complex, square_entries
 from .errors import (
     DivisibilityViolation,
     IndexOutOfRange,
@@ -25,95 +26,74 @@ from .errors import (
 )
 
 
-def label_map(labels, items, what) -> dict:
-    """Label -> item, zipped; a label given twice is malformed."""
-    out = dict(zip(labels, items))
-    if len(out) < len(labels):
+def require_unique(labels, what) -> None:
+    """A label given twice is malformed; the first one seen again is named."""
+    if len(set(labels)) < len(labels):
         seen = set()    # the first label seen before: add() returns None
         x = next(x for x in labels if x in seen or seen.add(x))
         raise MalformedSystem(f"duplicate {what} {x!r}")
-    return out
-
-
-class IntrinsicPoint(NamedTuple):
-    label: str
-    index: int
-    iso_order: int
-    orientable: bool = True
-
-
-class IntrinsicFlow(NamedTuple):
-    label: str
-    src: str
-    dst: str
-    iso_order: int
-    sign: int
 
 
 class OrbifoldMorseSystem:
     """Critical points and flow classes with isotropy weights.
 
-    Non-orientable points may be stored for provenance; they contribute no
-    chain generators and no flow may touch them.
+    points is the columns (labels, index, iso_order, orientable) and flows
+    the columns (flow_labels, src, dst, flow_iso, sign); an endpoint that is
+    not a point number is a label no point has.  Non-orientable points may
+    be stored for provenance; they contribute no chain generators and no
+    flow may touch them.
     """
 
-    def __init__(self, ambient_dim: int, crit_points, flows):
+    def __init__(self, ambient_dim: int, points, flows):
         self.ambient_dim = int(ambient_dim)
-        self.crit = tuple(crit_points)
-        self.flows = tuple(flows)
+        self.labels, self.index, self.iso_order, self.orientable = points
+        self.flow_labels, self.src, self.dst, self.flow_iso, self.sign = flows
         self._complexes = {}
-        self._by_label = label_map([p.label for p in self.crit], self.crit,
-                                   "point")
-        label_map([f.label for f in self.flows], self.flows, "flow")
-        for p in self.crit:
-            if not (0 <= p.index <= self.ambient_dim):
+        require_unique(self.labels, "point")
+        require_unique(self.flow_labels, "flow")
+        labels, index, iso = self.labels, self.index, self.iso_order
+        for p, k, n in zip(labels, index, iso):
+            if not (0 <= k <= self.ambient_dim):
                 raise IndexOutOfRange(
-                    f"critical point {p.label!r} has index {p.index}, "
+                    f"critical point {p!r} has index {k}, "
                     f"ambient dimension is {self.ambient_dim}")
-            if p.iso_order < 1:
-                raise MalformedSystem(f"iso_order of {p.label!r} must be positive")
-        for f in self.flows:
-            for end in (f.src, f.dst):
-                if end not in self._by_label:
+            if n < 1:
+                raise MalformedSystem(f"iso_order of {p!r} must be positive")
+        for f, a, b, n, e in zip(self.flow_labels, self.src, self.dst,
+                                 self.flow_iso, self.sign):
+            for end in (a, b):
+                if type(end) is not int:
                     raise MalformedSystem(
-                        f"flow {f.label!r} references unknown point {end!r}")
-            s, d = self._by_label[f.src], self._by_label[f.dst]
-            if not s.orientable or not d.orientable:
+                        f"flow {f!r} references unknown point {end!r}")
+            if not self.orientable[a] or not self.orientable[b]:
                 raise MalformedSystem(
-                    f"flow {f.label!r} touches a non-orientable point")
-            if s.index != d.index + 1:
+                    f"flow {f!r} touches a non-orientable point")
+            if index[a] != index[b] + 1:
                 raise MalformedSystem(
-                    f"flow {f.label!r} does not drop index by one "
-                    f"({s.index} -> {d.index})")
-            if f.sign not in (1, -1):
-                raise MalformedSystem(f"flow {f.label!r} has sign {f.sign}")
-            if f.iso_order < 1:
-                raise MalformedSystem(f"iso_order of flow {f.label!r} must be positive")
-            for end in (s, d):
-                if end.iso_order % f.iso_order != 0:
+                    f"flow {f!r} does not drop index by one "
+                    f"({index[a]} -> {index[b]})")
+            if e not in (1, -1):
+                raise MalformedSystem(f"flow {f!r} has sign {e}")
+            if n < 1:
+                raise MalformedSystem(f"iso_order of flow {f!r} must be positive")
+            for end in (a, b):
+                if iso[end] % n != 0:
                     raise DivisibilityViolation(
-                        f"iso_order {f.iso_order} of flow {f.label!r} does not "
-                        f"divide iso_order {end.iso_order} of {end.label!r}")
-
-    def point(self, label: str) -> IntrinsicPoint:
-        return self._by_label[label]
-
-    def generators(self, k: int) -> list:
-        """Orientable critical points of index k, in declaration order."""
-        return [p for p in self.crit if p.index == k and p.orientable]
+                        f"iso_order {n} of flow {f!r} does not "
+                        f"divide iso_order {iso[end]} of {labels[end]!r}")
 
 
 def _boundary(s: OrbifoldMorseSystem, convention: str) -> GradedComplex:
-    """The complex of a convention, built on first use and kept."""
+    """The complex of a convention, built on first use and kept: the
+    orientable points of each index, a flow weighted by the isotropy order
+    of its target (plus) or source (minus) over its own."""
     if convention not in s._complexes:
-        labels = [[p.label for p in s.generators(k)]
-                  for k in range(s.ambient_dim + 1)]
-        entries = []
-        for f in s.flows:
-            iso = s.point(f.dst if convention == "plus" else f.src).iso_order
-            entries.append((s.point(f.src).index, f.dst, f.src,
-                            f.sign * iso // f.iso_order))
-        s._complexes[convention] = GradedComplex.from_entries(labels, entries)
+        iso = s.iso_order
+        ends = s.dst if convention == "plus" else s.src
+        s._complexes[convention] = flow_complex(
+            s.ambient_dim, s.labels, s.index, s.src, s.dst,
+            [e * iso[q] // n for q, e, n in zip(ends, s.sign, s.flow_iso)],
+            s.orientable)
     return s._complexes[convention]
 
 

@@ -11,6 +11,8 @@ A system's state is columns and rows: the points' labels, index and value
 and the flows' flow_labels, src and dst (point numbers) and sign, indexed by
 number, and per generator s of G its ground permutation, the point images,
 tau(s, .) and the flow images; G is the closure of the ground generators.
+The reader fills these columns and the system keeps them; derive_intrinsic
+writes the quotient system's columns from the scan's numbers.
 Construction scans the Cayley graph of G (edges g -> sg) for one member x
 of each orbit of signed points (k, +-1) and of flows, carrying g.x along
 the edges: the rows extend to an action of G, with tau a cocycle, exactly
@@ -43,10 +45,10 @@ invariant under every generator, so nothing is re-checked on the rows.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from typing import NamedTuple, Optional
 
-from .chaincx import GradedComplex, orbit_sum_complex, verify_complex
+from .chaincx import GradedComplex, flow_complex, orbit_sum_complex, verify_complex
 from .errors import (
     ActionNotWellDefined,
     GaugeFailure,
@@ -64,8 +66,7 @@ from .groups import (
     generate_group,
     is_perm,
 )
-from .intrinsic import (IntrinsicFlow, IntrinsicPoint, OrbifoldMorseSystem,
-                        label_map)
+from .intrinsic import OrbifoldMorseSystem, require_unique
 
 
 def _is_sign(x) -> bool:
@@ -134,41 +135,38 @@ class CriticalOrbit(NamedTuple):
 class EquivariantMorseSystem:
     """Critical points, flows, orientation cocycle, and the group actions.
 
-    Point rows (label, index, value) and flow rows (label, src label, dst
-    label, sign) are kept as the columns of the module docstring, and rows
+    points is the columns (labels, index, value) and flows the columns
+    (flow_labels, src, dst, sign) of the module docstring, kept as given; an
+    endpoint that is not a point number is a label no point has.  rows
     holds (g, point images, tau(g, .), flow images) per generator g of G.
     Construction raises ActionNotWellDefined unless the rows extend to an
     action of G (the orbit scan) and otherwise checks structure only
-    (labels resolve, signs are +-1).  The remaining laws are the
-    validator's job, so defective systems can be built and diagnosed.
+    (labels unique, endpoints known, signs +-1).  The remaining laws are
+    the validator's job, so defective systems can be built and diagnosed.
     """
 
-    def __init__(self, group: FiniteGroup, crit_points, flows, rows,
+    def __init__(self, group: FiniteGroup, points, flows, rows,
                  ambient_dim: int):
-        self._setup(group, crit_points, flows, rows, ambient_dim)
+        self._setup(group, points, flows, rows, ambient_dim)
         if not _scan(self).consistent:
             raise ActionNotWellDefined(
                 "cocycle or action data inconsistent across group words")
 
-    def _setup(self, group, crit_points, flows, rows, ambient_dim):
-        """Store the rows' columns and check their structure: labels
-        unique, then flow by flow both endpoints known and the sign +-1."""
+    def _setup(self, group, points, flows, rows, ambient_dim):
+        """Keep the columns and check their structure: labels unique, then
+        flow by flow both endpoints known and the sign +-1."""
         self.group, self.rows, self._cache = group, tuple(rows), {}
         self.ambient_dim = int(ambient_dim)
-        point_cols, flow_cols = tuple(zip(*crit_points)), tuple(zip(*flows))
-        self.labels, self.index, self.value = point_cols or ((),) * 3
-        self.flow_labels, src, dst, self.sign = flow_cols or ((),) * 4
-        self._index_of = label_map(self.labels, range(len(self.labels)),
-                                   "critical point")
-        label_map(self.flow_labels, self.flow_labels, "flow")
-        number = self._index_of.get
-        self.src, self.dst = tuple(map(number, src)), tuple(map(number, dst))
-        if (None in self.src or None in self.dst
-                or not set(map(type, self.sign)) <= {int}
-                or not set(self.sign) <= {1, -1}):
-            for f, ends, e in zip(self.flow_labels, zip(src, dst), self.sign):
-                for end in ends:
-                    if end not in self._index_of:
+        self.labels, self.index, self.value = points
+        self.flow_labels, self.src, self.dst, self.sign = flows
+        require_unique(self.labels, "critical point")
+        require_unique(self.flow_labels, "flow")
+        if not ({*map(type, self.src), *map(type, self.dst),
+                 *map(type, self.sign)} <= {int} and {*self.sign} <= {1, -1}):
+            for f, a, b, e in zip(self.flow_labels, self.src, self.dst,
+                                  self.sign):
+                for end in (a, b):
+                    if type(end) is not int:
                         raise MalformedSystem(
                             f"flow {f!r} references unknown point {end!r}")
                 if not _is_sign(e):
@@ -182,9 +180,9 @@ class EquivariantMorseSystem:
 
     @classmethod
     def from_generator_data(cls, *, generators, degree=None, cap=DEFAULT_CAP,
-                            crit_points, crit_images, crit_signs,
+                            points, crit_images, crit_signs,
                             flows, flow_images, ambient_dim):
-        """Build a system from point and flow rows and generator data.
+        """Build a system from point and flow columns and generator data.
 
         G is the closure of the ground generators alone, in generate_group's
         element order; a group beyond the cap raises ClosureExceedsCap.  The
@@ -194,7 +192,7 @@ class EquivariantMorseSystem:
         construction, and no per-element table is built.
         """
         gens, d = check_generators(generators, degree)
-        c, nf = len(crit_points), len(flows)
+        c, nf = len(points[0]), len(flows[0])
         rows = []
         for gi, g in enumerate(gens):
             imgs, sgns = tuple(crit_images[gi]), tuple(crit_signs[gi])
@@ -207,7 +205,7 @@ class EquivariantMorseSystem:
                 raise MalformedSystem(f"generator {gi}: bad flow images")
             rows.append((g, imgs, sgns, fimgs))
         group = generate_group(gens, degree=d, cap=cap)
-        return cls(group, crit_points, flows, rows, ambient_dim)
+        return cls(group, points, flows, rows, ambient_dim)
 
     def _successors(self) -> tuple:
         """Per generator row s, the number of sg by the number of g; cached.
@@ -252,13 +250,9 @@ class EquivariantMorseSystem:
         """Chain complex of the ambient manifold's Morse data (no quotient),
         built once per system."""
         if "manifold" not in self._cache:
-            n, labels, index = self.ambient_dim, self.labels, self.index
-            levels = [[p for p, i in zip(labels, index) if i == k]
-                      for k in range(n + 1)]
-            self._cache["manifold"] = GradedComplex.from_entries(levels, (
-                (index[a], labels[b], labels[a], e)
-                for a, b, e in zip(self.src, self.dst, self.sign)
-                if 1 <= index[a] <= n and index[b] == index[a] - 1))
+            self._cache["manifold"] = flow_complex(
+                self.ambient_dim, self.labels, self.index, self.src, self.dst,
+                self.sign)
         return self._cache["manifold"]
 
 
@@ -547,9 +541,9 @@ def classify(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:
 
 
 def orbit_of(s: EquivariantMorseSystem, label: str) -> CriticalOrbit:
-    if label not in s._index_of:
+    if label not in s.labels:
         raise UnknownPoint(f"{label!r} is not a critical point")
-    return classify(s)[_scan(s).orbit[s._index_of[label]]]
+    return classify(s)[_scan(s).orbit[s.labels.index(label)]]
 
 
 # -- canonical gauge ----------------------------------------------------------
@@ -646,22 +640,23 @@ def derive_intrinsic(s: EquivariantMorseSystem) -> OrbifoldMorseSystem:
     Orientations are first normalized to the canonical gauge; flow orbits
     whose endpoints are both orientable become flow classes with the
     stabilizer order of their least member, |G| / |orbit| by the
-    orbit-stabilizer theorem, and its canonical sign.
+    orbit-stabilizer theorem, and its canonical sign.  The columns are
+    written from the orbit scan's numbers: the orientable orbits, by least
+    member label, are the points, and an orbit's number among them is the
+    endpoint of its flow classes.
     """
     _require_valid(s)
-    gauge = _normalize(s)
-    cls = classify(s)
-    crit = [IntrinsicPoint(label=o.rep, index=o.index, iso_order=o.iso_order,
-                           orientable=True)
-            for o in cls if o.orientable]
-    flows = []
-    for members, a, b in gauge.classes:
-        flows.append(IntrinsicFlow(label=s.flow_labels[members[0]],
-                                   src=cls[a].rep, dst=cls[b].rep,
-                                   iso_order=s.group.order // len(members),
-                                   sign=gauge.eps[members[0]]))
-    return OrbifoldMorseSystem(ambient_dim=s.ambient_dim,
-                               crit_points=crit, flows=flows)
+    gauge, scan, order = _normalize(s), _scan(s), s.group.order
+    kept = [members for members, orientable in scan.orbits if orientable]
+    number = list(accumulate((ok for _, ok in scan.orbits), initial=0))
+    classes = gauge.classes
+    return OrbifoldMorseSystem(s.ambient_dim, (
+        [s.labels[m[0]] for m in kept], [s.index[m[0]] for m in kept],
+        [order // len(m) for m in kept], [True] * len(kept)), (
+        [s.flow_labels[m[0]] for m, _, _ in classes],
+        [number[a] for _, a, _ in classes], [number[b] for _, _, b in classes],
+        [order // len(m) for m, _, _ in classes],
+        [gauge.eps[m[0]] for m, _, _ in classes]))
 
 
 def discarded_orbits(s: EquivariantMorseSystem) -> tuple[CriticalOrbit, ...]:

@@ -12,8 +12,8 @@ from orbimorse.quotient import EquivariantMorseSystem
 
 
 def build_global(payload):
-    """cli.build_global of a global_quotient payload, read into rows first
-    as the commands read it; likewise the two below."""
+    """cli.build_global of a global_quotient payload, read first as the
+    commands read it; likewise the two below."""
     return cli.build_global(cli.read_global(payload))
 
 
@@ -25,21 +25,36 @@ def build_simplicial(payload):
     return cli.build_simplicial(cli.read_simplicial(payload))
 
 
+def columns(crit_points, flows, widths=(3, 4), **rest) -> dict:
+    """System arguments from point and flow rows: crit_points and flows
+    become the point and flow columns a system keeps, a list per field
+    (widths gives each row's fields, for an empty list), with each flow's
+    endpoints, its fields 1 and 2, as point numbers; an unknown endpoint
+    stays its label, as the readers leave it.  The rest pass through."""
+    number = {p[0]: i for i, p in enumerate(crit_points)}
+    flows = [(f[0], number.get(f[1], f[1]), number.get(f[2], f[2]), *f[3:])
+             for f in flows]
+    points, flows = (tuple(map(list, zip(*rows)))
+                     or tuple([] for _ in range(width))
+                     for rows, width in zip((crit_points, flows), widths))
+    return dict(rest, points=points, flows=flows)
+
+
 def make_heart():
     """Two humps swapped by an involution, non-orientable saddle."""
-    return EquivariantMorseSystem.from_generator_data(
+    return EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[("p", 2, Fraction(2)), ("q", 2, Fraction(2)),
                      ("r", 1, Fraction(1)), ("s", 0, Fraction(0))],
         crit_images=[[1, 0, 2, 3]], crit_signs=[[1, 1, -1, 1]],
         flows=[("g1", "p", "r", 1), ("g2", "q", "r", -1),
                ("d1", "r", "s", 1), ("d2", "r", "s", -1)],
-        flow_images=[[1, 0, 3, 2]], ambient_dim=2)
+        flow_images=[[1, 0, 3, 2]], ambient_dim=2))
 
 
 def make_torus():
     """Torus under negation; both saddles fixed with reversed orientation."""
-    return EquivariantMorseSystem.from_generator_data(
+    return EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[("M", 2, None), ("r1", 1, None), ("r2", 1, None),
                      ("b", 0, None)],
@@ -48,12 +63,12 @@ def make_torus():
                ("u3", "M", "r2", 1), ("u4", "M", "r2", -1),
                ("w1", "r1", "b", 1), ("w2", "r1", "b", -1),
                ("w3", "r2", "b", 1), ("w4", "r2", "b", -1)],
-        flow_images=[[1, 0, 3, 2, 5, 4, 7, 6]], ambient_dim=2)
+        flow_images=[[1, 0, 3, 2, 5, 4, 7, 6]], ambient_dim=2))
 
 
 def make_dented():
     """Sphere with a symmetric dent; every orbit orientable."""
-    return EquivariantMorseSystem.from_generator_data(
+    return EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[("M", 2, None), ("r1", 1, None), ("r2", 1, None),
                      ("b1", 0, None), ("b2", 0, None), ("B", 0, None)],
@@ -62,12 +77,12 @@ def make_dented():
                ("u3", "M", "r2", 1), ("u4", "M", "r2", -1),
                ("w1", "r1", "b1", 1), ("w2", "r1", "B", -1),
                ("w3", "r2", "b2", 1), ("w4", "r2", "B", -1)],
-        flow_images=[[2, 3, 0, 1, 6, 7, 4, 5]], ambient_dim=2)
+        flow_images=[[2, 3, 0, 1, 6, 7, 4, 5]], ambient_dim=2))
 
 
 def make_wedge():
     """One fixed and one free middle orbit; broken weights are +-1."""
-    return EquivariantMorseSystem.from_generator_data(
+    return EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[("p", 2, None), ("q1", 1, None), ("q2", 1, None),
                      ("q3", 1, None), ("r", 0, None)],
@@ -76,15 +91,15 @@ def make_wedge():
                ("b1", "p", "q2", 1), ("b2", "p", "q3", 1),
                ("c1", "q1", "r", 1),
                ("d1", "q2", "r", -1), ("d2", "q3", "r", -1)],
-        flow_images=[[0, 1, 3, 2, 4, 6, 5]], ambient_dim=2)
+        flow_images=[[0, 1, 3, 2, 4, 6, 5]], ambient_dim=2))
 
 
 def make_football(p):
-    return EquivariantMorseSystem.from_generator_data(
+    return EquivariantMorseSystem.from_generator_data(**columns(
         generators=[tuple(list(range(1, p)) + [0])], degree=p,
         crit_points=[("n", 2, None), ("s", 0, None)],
         crit_images=[[0, 1]], crit_signs=[[1, 1]],
-        flows=[], flow_images=[[]], ambient_dim=2)
+        flows=[], flow_images=[[]], ambient_dim=2))
 
 
 def make_ring_sphere(p, defect=None, flow="c0", reflect=False):
@@ -128,14 +143,14 @@ def make_ring_sphere(p, defect=None, flow="c0", reflect=False):
         flows[j] = flows[j][:3] + (-flows[j][3],)
     elif defect == "endpoint":
         flows[j] = ("c0", "r0", "m1", 1)
-    return EquivariantMorseSystem.from_generator_data(
+    return EquivariantMorseSystem.from_generator_data(**columns(
         generators=[g for g, _, _ in maps], degree=p,
         crit_points=points,
         crit_images=[[pidx[act(lab)] for lab, _, _ in points] for _, act, _ in maps],
         crit_signs=[[sign(lab) for lab, _, _ in points] for _, _, sign in maps],
         flows=flows,
         flow_images=[[fidx[act(f[0])] for f in flows] for _, act, _ in maps],
-        ambient_dim=2)
+        ambient_dim=2))
 
 
 def grid_torus(n):

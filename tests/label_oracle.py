@@ -13,10 +13,26 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
-from orbimorse.chaincx import GradedComplex, betti
+from orbimorse.chaincx import GradedComplex, RationalMatrix, betti
 from orbimorse.errors import (ActionNotSimplicial, CancellationFailure,
                               InvarianceFailure, NotASubcomplex, NotRegular)
 from orbimorse.groups import gather, is_perm
+
+
+def complex_of_entries(labels, entries) -> GradedComplex:
+    """Complex with bases labels[k] from (k, row_label, col_label, coeff)
+    entries, coeff times row_label in the boundary of col_label; repeated
+    cells are summed and zeros dropped."""
+    labels = [tuple(level) for level in labels]
+    pos = [{lab: i for i, lab in enumerate(level)} for level in labels]
+    columns = [[{} for _ in labels[k]] for k in range(1, len(labels))]
+    for k, row, col, coeff in entries:
+        column, i = columns[k - 1][pos[k][col]], pos[k - 1][row]
+        column[i] = column.get(i, 0) + coeff
+    return GradedComplex.build(labels, [
+        RationalMatrix.of_columns(len(labels[k - 1]), (
+            {i: v for i, v in col.items() if v} for col in cols))
+        for k, cols in enumerate(columns, 1)])
 
 
 def orbit_sum_complex(orbits, faces) -> GradedComplex:
@@ -59,7 +75,7 @@ def orbit_sum_complex(orbits, faces) -> GradedComplex:
                         f"constant on the orbit of {frep!r}: {sorted(vals)}")
                 if orientable and fk == k - 1 and vals != {0}:
                     entries.append((k, frep, rep, vals.pop()))
-    return GradedComplex.from_entries(labels, entries)
+    return complex_of_entries(labels, entries)
 
 
 def _close_downward(maximal):
@@ -134,7 +150,7 @@ class SimplicialComplex:
         in_sub = set(sub.all_simplices()) if sub is not None else set()
         labels = [[s for s in self.simplices(k) if s not in in_sub]
                   for k in range(self.dim + 1)]
-        return GradedComplex.from_entries(labels, (
+        return complex_of_entries(labels, (
             (k, face, s, sign) for k in range(1, self.dim + 1)
             for s in labels[k] for face, sign in _faces(s, in_sub)))
 

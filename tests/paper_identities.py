@@ -17,8 +17,7 @@ from operator import mul
 from orbimorse.chaincx import ChainMap, RationalMatrix, verify_chain_map
 from orbimorse.errors import IndexOutOfRange, OrbimorseError
 from orbimorse.groups import gather
-from orbimorse.intrinsic import (IntrinsicFlow, IntrinsicPoint,
-                                 OrbifoldMorseSystem, boundary_minus,
+from orbimorse.intrinsic import (OrbifoldMorseSystem, boundary_minus,
                                  boundary_plus)
 from orbimorse.quotient import (EquivariantMorseSystem, _normalize,
                                 _require_valid, classify, orbit_of)
@@ -35,9 +34,10 @@ def psi(s: OrbifoldMorseSystem) -> ChainMap:
     A chain map and an isomorphism over the rationals, so the two conventions
     have the same homology.
     """
-    mats = tuple(RationalMatrix.of_columns(len(gens), (
-        {i: p.iso_order} for i, p in enumerate(gens)))
-        for gens in map(s.generators, range(s.ambient_dim + 1)))
+    mats = tuple(RationalMatrix.of_columns(len(isos), (
+        {i: n} for i, n in enumerate(isos)))
+        for isos in ([n for n, i, ok in zip(s.iso_order, s.index, s.orientable)
+                      if i == k and ok] for k in range(s.ambient_dim + 1)))
     f = ChainMap(source=boundary_minus(s), target=boundary_plus(s), matrices=mats)
     ok, witness = verify_chain_map(f)
     assert ok, f"psi fails to commute with the boundaries at {witness}"
@@ -52,17 +52,13 @@ def reverse(s: OrbifoldMorseSystem, n: int | None = None) -> OrbifoldMorseSystem
     """
     if n is None:
         n = s.ambient_dim
-    for p in s.crit:
-        if p.index > n:
+    for p, k in zip(s.labels, s.index):
+        if k > n:
             raise IndexOutOfRange(
-                f"index {p.index} of {p.label!r} exceeds ambient dimension {n}")
-    crit = [IntrinsicPoint(label=p.label, index=n - p.index,
-                           iso_order=p.iso_order, orientable=p.orientable)
-            for p in s.crit]
-    flows = [IntrinsicFlow(label=f.label, src=f.dst, dst=f.src,
-                           iso_order=f.iso_order, sign=f.sign)
-             for f in s.flows]
-    return OrbifoldMorseSystem(ambient_dim=n, crit_points=crit, flows=flows)
+                f"index {k} of {p!r} exceeds ambient dimension {n}")
+    return OrbifoldMorseSystem(
+        n, (s.labels, [n - k for k in s.index], s.iso_order, s.orientable),
+        (s.flow_labels, s.dst, s.src, s.flow_iso, s.sign))
 
 
 @dataclass(frozen=True)
@@ -83,24 +79,25 @@ def pairing_check(s: OrbifoldMorseSystem, n: int | None = None) -> PairingReport
     """
     rev = reverse(s, n)
     flows, reversed_flows = {}, {}
-    for f in s.flows:
-        flows.setdefault((f.src, f.dst), []).append(f)
-    for f in rev.flows:
-        reversed_flows.setdefault((f.dst, f.src), []).append(f)
+    for a, b, m, e in zip(s.src, s.dst, s.flow_iso, s.sign):
+        flows.setdefault((s.labels[a], s.labels[b]), []).append((e, m))
+    for a, b, m, e in zip(rev.src, rev.dst, rev.flow_iso, rev.sign):
+        reversed_flows.setdefault((rev.labels[b], rev.labels[a]), []).append((e, m))
+    iso, rev_iso = (dict(zip(t.labels, t.iso_order)) for t in (s, rev))
 
-    def weighted(fs, iso):
-        return sum((Fraction(f.sign * iso, f.iso_order) for f in fs), Fraction(0))
+    def weighted(fs, n):
+        return sum((Fraction(e * n, m) for e, m in fs), Fraction(0))
 
     rows = []
     for (p, q), fs in sorted(flows.items()):
         rs = reversed_flows[p, q]
-        iso_p, iso_q = s.point(p).iso_order, s.point(q).iso_order
+        iso_p, iso_q = iso[p], iso[q]
         middle = weighted(fs, 1)
         rows.append((p, q, "plus", weighted(fs, iso_q) / iso_q, middle,
-                     weighted(rs, rev.point(p).iso_order) / iso_p))
+                     weighted(rs, rev_iso[p]) / iso_p))
         rows.append((p, q, "minus", weighted(fs, iso_p) * iso_q,
                      middle * iso_p * iso_q,
-                     weighted(rs, rev.point(q).iso_order) * iso_p))
+                     weighted(rs, rev_iso[q]) * iso_p))
     witnesses = tuple(row for row in rows if not row[3] == row[4] == row[5])
     return PairingReport(ok=not witnesses, rows=tuple(rows), witnesses=witnesses)
 
@@ -152,7 +149,7 @@ def regauge(s: EquivariantMorseSystem, sigma: dict) -> EquivariantMorseSystem:
     sg = [sigma.get(p, 1) for p in s.labels]
     rows = [(g, ag, tuple(map(mul, map(mul, gather(ag)(sg), tg), sg)), fg)
             for g, ag, tg, fg in s.rows]
-    flows = [(f, s.labels[a], s.labels[b], sg[a] * sg[b] * e)
-             for f, a, b, e in zip(s.flow_labels, s.src, s.dst, s.sign)]
-    return EquivariantMorseSystem(s.group, zip(s.labels, s.index, s.value),
-                                  flows, rows, s.ambient_dim)
+    signs = [sg[a] * sg[b] * e for a, b, e in zip(s.src, s.dst, s.sign)]
+    return EquivariantMorseSystem(
+        s.group, (s.labels, s.index, s.value),
+        (s.flow_labels, s.src, s.dst, signs), rows, s.ambient_dim)

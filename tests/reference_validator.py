@@ -17,12 +17,15 @@ classification, the canonical gauge and the derived system by scanning
 stabilizers and the element table: the oracle for the orbit scan of
 orbimorse.quotient.  They read the system's points and flows as records,
 CritPoint and Flow, rebuilt from its columns by points(s) and flows(s);
-tests build systems from the same rows.  compose(g, h) is g after h;
-natural_action and image are the group actions the tests read.
+tests build systems from the same rows, through conftest.columns.
+reference_derive gives the derived system as IntrinsicPoint and
+IntrinsicFlow records, which intrinsic_rows reads off a derived system's
+columns.  compose(g, h) is g after h; natural_action and image are the
+group actions the tests read.
 
-TableSystem is a system given by hand-written per-element tables, which
-nothing in the package builds; its rows come from generating_set, and its
-walk reads the tables.
+TableSystem is a system given by point and flow rows and hand-written
+per-element tables, which nothing in the package builds; its rows come from
+generating_set, and its walk reads the tables.
 """
 
 from fractions import Fraction
@@ -32,13 +35,14 @@ from orbimorse.chaincx import verify_complex
 from orbimorse.errors import MalformedSystem
 from orbimorse.groups import (GroupAction, gather, generate_group, orbits,
                               stabilizer)
-from orbimorse.intrinsic import IntrinsicFlow, IntrinsicPoint
 from orbimorse.quotient import (
     CriticalOrbit,
     EquivariantMorseSystem,
     Violation,
     _is_sign,
 )
+
+from conftest import columns
 
 
 class CritPoint(NamedTuple):
@@ -53,6 +57,23 @@ class Flow(NamedTuple):
     label: str
     src: str
     dst: str
+    sign: int
+
+
+class IntrinsicPoint(NamedTuple):
+    """A critical point row of an intrinsic system."""
+    label: str
+    index: int
+    iso_order: int
+    orientable: bool = True
+
+
+class IntrinsicFlow(NamedTuple):
+    """A flow class row of an intrinsic system; src and dst are labels."""
+    label: str
+    src: str
+    dst: str
+    iso_order: int
     sign: int
 
 
@@ -81,6 +102,16 @@ def flows(s) -> list:
     """The system's flows as Flow records, endpoints by label, by number."""
     return [Flow(f, s.labels[a], s.labels[b], e)
             for f, a, b, e in zip(s.flow_labels, s.src, s.dst, s.sign)]
+
+
+def intrinsic_rows(s) -> tuple:
+    """An intrinsic system's points and flows as IntrinsicPoint and
+    IntrinsicFlow records, by number, endpoints by label."""
+    return (tuple(map(IntrinsicPoint, s.labels, s.index, s.iso_order,
+                      s.orientable)),
+            tuple(IntrinsicFlow(f, s.labels[a], s.labels[b], n, e)
+                  for f, a, b, n, e in zip(s.flow_labels, s.src, s.dst,
+                                           s.flow_iso, s.sign)))
 
 
 def generating_set(group) -> tuple:
@@ -166,10 +197,11 @@ class TableSystem(EquivariantMorseSystem):
 
     def __init__(self, group, crit_points, point_action, tau_table, flows,
                  flow_action, ambient_dim):
-        self._setup(group, crit_points, flows, (), ambient_dim)
-        if point_action.points != self.labels:
+        self._setup(group, rows=(), ambient_dim=ambient_dim,
+                    **columns(crit_points, flows))
+        if point_action.points != tuple(self.labels):
             raise MalformedSystem("point action must act on the critical labels in order")
-        if flow_action.points != self.flow_labels:
+        if flow_action.points != tuple(self.flow_labels):
             raise MalformedSystem("flow action must act on the flow labels in order")
         tau = {tuple(g): tuple(row) for g, row in tau_table.items()}
         if set(tau) != set(group.elements):

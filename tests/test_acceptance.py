@@ -35,7 +35,8 @@ from conftest import (build_global, build_intrinsic, build_simplicial,
                       make_dented, make_heart, make_torus, make_wedge)
 from paper_identities import (admissible_triples, broken_weight,
                               pairing_check, psi, regauge)
-from reference_validator import flows, image, natural_action, tables
+from reference_validator import (flows, image, intrinsic_rows, natural_action,
+                                 tables)
 
 
 def corpus_by_kind():
@@ -137,15 +138,15 @@ def test_criterion_03_psi_equivalence():
 
 def test_criterion_04_broken_weight_lemma():
     for name, s in global_systems():
-        derived = derive_intrinsic(s)
+        _, derived = intrinsic_rows(derive_intrinsic(s))
         for P, Q, R in admissible_triples(s):
             w = broken_weight(s, P.rep, Q.rep, R.rep)
             if Q.orientable:
                 nu_in = sum((Fraction(f.sign * Q.iso_order, f.iso_order)
-                             for f in derived.flows
+                             for f in derived
                              if (f.src, f.dst) == (P.rep, Q.rep)), Fraction(0))
                 nu_out = sum((Fraction(f.sign * Q.iso_order, f.iso_order)
-                              for f in derived.flows
+                              for f in derived
                               if (f.src, f.dst) == (Q.rep, R.rep)), Fraction(0))
                 assert w == nu_in * nu_out / Q.iso_order, (name, P.rep, Q.rep)
             else:
@@ -231,7 +232,7 @@ def test_criterion_09_pairing_identities():
     for name, s in intrinsic_systems():
         report = pairing_check(s)
         assert report.ok, (name, report.witnesses)
-        if s.flows:
+        if s.flow_labels:
             assert report.rows, name
 
 

@@ -446,6 +446,26 @@ def test_malformed_entries_are_named(tmp_path, capsys):
             == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {message}\n", message
 
+    # endpoints become point numbers as they are read, and an unknown one
+    # stays its label without raising: the reader's own errors come first,
+    # then the system's checks, flow by flow and in their order
+    heart = corpus_doc("heart")
+    heart["system"]["flows"][1]["dst"] = "ghost"
+    heart["system"]["crit_images"].append([0, 1, 2, 3])
+    later = segment_doc(sign=2)
+    later["system"]["flows"].append(
+        {"label": "g", "src": "a", "dst": "ghost", "iso_order": 1, "sign": 1})
+    dead = segment_doc()
+    dead["system"]["points"][1]["orientable"] = False
+    for doc, message in (
+            (heart, "global_quotient system: crit_images needs one entry per "
+                    "generator"),
+            (later, "intrinsic system: flow 'f' has sign 2"),
+            (dead, "intrinsic system: flow 'f' touches a non-orientable point")):
+        assert main(["validate", write_doc(tmp_path, "bad.json", doc)]) \
+            == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n", message
+
 
 def segment_doc(**flow):
     """Intrinsic interval: a flow from a to b, both of isotropy 2; the keys
@@ -562,9 +582,9 @@ def test_simplicial_commands_leave_no_cyclic_garbage(
 def test_manifold_complex_is_built_once(command, tmp_path, monkeypatch):
     # validation's d^2 check and betti_manifold share one complex
     quotient = importlib.import_module("orbimorse.quotient")
-    built, real = [], quotient.GradedComplex
-    monkeypatch.setattr(quotient, "GradedComplex", types.SimpleNamespace(
-        from_entries=lambda *a: built.append(a) or real.from_entries(*a)))
+    built, real = [], quotient.flow_complex
+    monkeypatch.setattr(quotient, "flow_complex",
+                        lambda *a: built.append(a) or real(*a))
     argv = (["homology", corpus_file(tmp_path, "heart")]
             if command == "homology" else ["corpus", "run", "heart"])
     assert main(argv) == EXIT_OK

@@ -9,8 +9,6 @@ import pytest
 from orbimorse import (
     DivisibilityViolation,
     IndexOutOfRange,
-    IntrinsicFlow,
-    IntrinsicPoint,
     MalformedSystem,
     OrbifoldMorseSystem,
     betti,
@@ -19,12 +17,19 @@ from orbimorse import (
     verify_d_squared,
 )
 
+from conftest import columns
 from dense_oracle import DenseMatrix
 from paper_identities import pairing_check, psi, reverse
+from reference_validator import IntrinsicFlow, IntrinsicPoint, intrinsic_rows
+
+
+def system(ambient_dim, crit_points, flows):
+    """The intrinsic system of IntrinsicPoint and IntrinsicFlow rows."""
+    return OrbifoldMorseSystem(ambient_dim, **columns(crit_points, flows, (4, 5)))
 
 
 def one_flow_system():
-    return OrbifoldMorseSystem(
+    return system(
         ambient_dim=1,
         crit_points=[IntrinsicPoint("p", 1, 2), IntrinsicPoint("q", 0, 4)],
         flows=[IntrinsicFlow("f", "p", "q", 2, 1)])
@@ -32,7 +37,7 @@ def one_flow_system():
 
 def chain_system():
     # d squared is visibly nonzero here
-    return OrbifoldMorseSystem(
+    return system(
         ambient_dim=2,
         crit_points=[IntrinsicPoint("p", 2, 1), IntrinsicPoint("q", 1, 1),
                      IntrinsicPoint("r", 0, 1)],
@@ -56,7 +61,7 @@ def test_psi_intertwines_the_conventions():
 
 def test_divisibility_enforced_on_construction():
     with pytest.raises(DivisibilityViolation):
-        OrbifoldMorseSystem(
+        system(
             ambient_dim=1,
             crit_points=[IntrinsicPoint("p", 1, 2), IntrinsicPoint("q", 0, 2)],
             flows=[IntrinsicFlow("f", "p", "q", 3, 1)])
@@ -66,31 +71,30 @@ def test_malformed_systems_rejected():
     dead = IntrinsicPoint("n", 0, 2, orientable=False)
     live = IntrinsicPoint("p", 1, 2)
     with pytest.raises(MalformedSystem, match="non-orientable"):
-        OrbifoldMorseSystem(1, [live, dead],
-                            [IntrinsicFlow("f", "p", "n", 2, 1)])
+        system(1, [live, dead], [IntrinsicFlow("f", "p", "n", 2, 1)])
     with pytest.raises(MalformedSystem, match="drop"):
-        OrbifoldMorseSystem(2, [IntrinsicPoint("p", 2, 1),
-                                IntrinsicPoint("q", 0, 1)],
-                            [IntrinsicFlow("f", "p", "q", 1, 1)])
+        system(2, [IntrinsicPoint("p", 2, 1),
+                   IntrinsicPoint("q", 0, 1)],
+               [IntrinsicFlow("f", "p", "q", 1, 1)])
     with pytest.raises(MalformedSystem, match="sign"):
-        OrbifoldMorseSystem(1, [IntrinsicPoint("p", 1, 1),
-                                IntrinsicPoint("q", 0, 1)],
-                            [IntrinsicFlow("f", "p", "q", 1, 3)])
+        system(1, [IntrinsicPoint("p", 1, 1),
+                   IntrinsicPoint("q", 0, 1)],
+               [IntrinsicFlow("f", "p", "q", 1, 3)])
     with pytest.raises(MalformedSystem, match="unknown"):
-        OrbifoldMorseSystem(1, [IntrinsicPoint("p", 1, 1)],
-                            [IntrinsicFlow("f", "p", "q", 1, 1)])
+        system(1, [IntrinsicPoint("p", 1, 1)],
+               [IntrinsicFlow("f", "p", "q", 1, 1)])
     with pytest.raises(MalformedSystem, match="duplicate"):
-        OrbifoldMorseSystem(0, [IntrinsicPoint("p", 0, 1),
-                                IntrinsicPoint("p", 0, 2)], [])
+        system(0, [IntrinsicPoint("p", 0, 1),
+                   IntrinsicPoint("p", 0, 2)], [])
     with pytest.raises(MalformedSystem, match="positive"):
-        OrbifoldMorseSystem(0, [IntrinsicPoint("p", 0, 0)], [])
+        system(0, [IntrinsicPoint("p", 0, 0)], [])
 
 
 def test_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
-        OrbifoldMorseSystem(2, [IntrinsicPoint("p", 3, 1)], [])
+        system(2, [IntrinsicPoint("p", 3, 1)], [])
     with pytest.raises(IndexOutOfRange):
-        reverse(OrbifoldMorseSystem(2, [IntrinsicPoint("p", 2, 1)], []), n=1)
+        reverse(system(2, [IntrinsicPoint("p", 2, 1)], []), n=1)
 
 
 def test_d_squared_witnesses():
@@ -99,7 +103,7 @@ def test_d_squared_witnesses():
     assert ("plus", "p", "r", Fraction(1)) in report.witnesses
     assert ("minus", "p", "r", Fraction(1)) in report.witnesses
 
-    good = OrbifoldMorseSystem(
+    good = system(
         ambient_dim=2,
         crit_points=[IntrinsicPoint("p", 2, 1), IntrinsicPoint("q1", 1, 1),
                      IntrinsicPoint("q2", 1, 1), IntrinsicPoint("r", 0, 1)],
@@ -113,13 +117,14 @@ def test_d_squared_witnesses():
 def test_reverse_flips_indices_and_flows():
     s = one_flow_system()
     r = reverse(s)
-    assert [(p.label, p.index) for p in r.crit] == [("p", 0), ("q", 1)]
-    (f,) = r.flows
+    crit, flows = intrinsic_rows(r)
+    assert [(p.label, p.index) for p in crit] == [("p", 0), ("q", 1)]
+    (f,) = flows
     assert (f.src, f.dst, f.iso_order, f.sign) == ("q", "p", 2, 1)
     rr = reverse(r)
-    assert rr.crit == s.crit and rr.flows == s.flows
-    shifted = reverse(s, n=3)
-    assert [(p.label, p.index) for p in shifted.crit] == [("p", 2), ("q", 3)]
+    assert intrinsic_rows(rr) == intrinsic_rows(s)
+    shifted, _ = intrinsic_rows(reverse(s, n=3))
+    assert [(p.label, p.index) for p in shifted] == [("p", 2), ("q", 3)]
 
 
 def test_pairing_rows_of_one_flow():
@@ -153,7 +158,7 @@ def random_system(rng):
                 flows.append(IntrinsicFlow(f"f{len(flows)}", src.label,
                                            dst.label, rng.choice(divs),
                                            rng.choice([1, -1])))
-    return OrbifoldMorseSystem(2, crit, flows)
+    return system(2, crit, flows)
 
 
 def test_scaling_isotropy_scales_the_plus_boundary():
@@ -161,11 +166,12 @@ def test_scaling_isotropy_scales_the_plus_boundary():
     for _ in range(25):
         s = random_system(rng)
         c = rng.choice([2, 3, 5])
-        scaled = OrbifoldMorseSystem(
+        crit, flows = intrinsic_rows(s)
+        scaled = system(
             s.ambient_dim,
             [IntrinsicPoint(p.label, p.index, c * p.iso_order)
-             for p in s.crit],
-            s.flows)
+             for p in crit],
+            flows)
         b, sb = boundary_plus(s), boundary_plus(scaled)
         for k in range(1, 3):
             assert sb.boundary_at(k).columns == tuple(

@@ -30,7 +30,7 @@ from orbimorse.cli import corpus_names, load_corpus
 from orbimorse.groups import GroupAction, orbits
 from orbimorse.quotient import _normalize, _scan, invariant_boundary, orbit_of
 
-from conftest import build_global, make_heart, make_ring_sphere
+from conftest import build_global, columns, make_heart, make_ring_sphere
 from dense_oracle import DenseMatrix
 from paper_identities import (IndexMismatch, admissible_triples, broken_weight,
                               regauge)
@@ -40,6 +40,7 @@ from reference_validator import (
     TableSystem,
     compose,
     image,
+    intrinsic_rows,
     natural_action,
     reference_classify,
     reference_derive,
@@ -140,11 +141,11 @@ def test_index_range_violation():
 
 
 def test_index_equivariance_violation():
-    s = EquivariantMorseSystem.from_generator_data(
+    s = EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[("p", 2, None), ("q", 1, None)],
         crit_images=[[1, 0]], crit_signs=[[1, 1]],
-        flows=[], flow_images=[[]], ambient_dim=2)
+        flows=[], flow_images=[[]], ambient_dim=2))
     assert laws(validate_system(s)) == {"index_equivariance"}
 
 
@@ -156,12 +157,12 @@ def test_flow_index_step_violation():
 
 def endpoint_skew_system():
     # swap exchanges r1, r2 but fixes both flows pointwise
-    return EquivariantMorseSystem.from_generator_data(
+    return EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[("M", 1, None), ("r1", 0, None), ("r2", 0, None)],
         crit_images=[[0, 2, 1]], crit_signs=[[1, 1, 1]],
         flows=[("u1", "M", "r1", 1), ("u2", "M", "r2", -1)],
-        flow_images=[[0, 1]], ambient_dim=1)
+        flow_images=[[0, 1]], ambient_dim=1))
 
 
 def test_endpoint_equivariance_violation():
@@ -236,11 +237,11 @@ def test_cocycle_witness_names_a_generator():
 
 def test_symmetric_group_of_order_5040_validates():
     # S7 fixing both poles of a sphere
-    s = EquivariantMorseSystem.from_generator_data(
+    s = EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)], degree=7,
         crit_points=[("N", 2, None), ("S", 0, None)],
         crit_images=[[0, 1], [0, 1]], crit_signs=[[1, 1], [1, 1]],
-        flows=[], flow_images=[[], []], ambient_dim=2)
+        flows=[], flow_images=[[], []], ambient_dim=2))
     assert s.group.order == 5040
     assert validate_system(s).ok
     assert betti(invariant_boundary(s)) == (1, 0, 1)
@@ -451,7 +452,7 @@ def test_named_systems_match_the_table_scans(instances):
         assert_row_law(s)
         if validate_system(s).ok:
             q = derive_intrinsic(s)
-            assert (q.crit, q.flows) == reference_derive(s)
+            assert intrinsic_rows(q) == reference_derive(s)
             derived += 1
     assert derived >= 15
 
@@ -471,14 +472,14 @@ def test_one_closure_keeps_the_element_order():
         d = len(gens[0])
         # the natural points and a fixed minimum with tau the parity
         # character, a flow from each point to the minimum
-        s = EquivariantMorseSystem.from_generator_data(
+        s = EquivariantMorseSystem.from_generator_data(**columns(
             generators=gens, degree=d,
             crit_points=[("p%d" % i, 1, None) for i in range(d)]
             + [("b", 0, None)],
             crit_images=[list(g) + [d] for g in gens],
             crit_signs=[[_parity(g)] * (d + 1) for g in gens],
             flows=[("f%d" % i, "p%d" % i, "b", 1) for i in range(d)],
-            flow_images=[list(g) for g in gens], ambient_dim=1)
+            flow_images=[list(g) for g in gens], ambient_dim=1))
         assert s.group.elements == SMALL_GROUPS[name].elements, name
         assert validate_system(s).ok, name
 
@@ -491,23 +492,23 @@ def test_inconsistent_flow_images_rejected_and_the_cap_kept():
                 flows=[("f%d" % i, "p", "q", 1) for i in range(3)],
                 flow_images=[[1, 2, 0]], ambient_dim=1)
     with pytest.raises(ActionNotWellDefined):
-        EquivariantMorseSystem.from_generator_data(**data)
+        EquivariantMorseSystem.from_generator_data(**columns(**data))
     # the combined closure (order 6) passes a cap of 2 that G meets
     with pytest.raises(ActionNotWellDefined):
-        EquivariantMorseSystem.from_generator_data(cap=2, **data)
+        EquivariantMorseSystem.from_generator_data(**columns(cap=2, **data))
     with pytest.raises(ClosureExceedsCap):
-        EquivariantMorseSystem.from_generator_data(cap=1, **data)
+        EquivariantMorseSystem.from_generator_data(**columns(cap=1, **data))
 
 
 def sign_skew_heart():
     s = make_heart()
-    return EquivariantMorseSystem.from_generator_data(
+    return EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[(p, k, None) for p, k in zip(s.labels, s.index)],
         crit_images=[[1, 0, 2, 3]], crit_signs=[[1, 1, -1, 1]],
         flows=[("g1", "p", "r", 1), ("g2", "q", "r", 1),
                ("d1", "r", "s", 1), ("d2", "r", "s", -1)],
-        flow_images=[[1, 0, 3, 2]], ambient_dim=2)
+        flow_images=[[1, 0, 3, 2]], ambient_dim=2))
 
 
 def test_sign_equivariance_violation():
@@ -521,14 +522,14 @@ def test_manifold_d_squared_violation():
 
 
 def test_value_equivariance_violation():
-    s = EquivariantMorseSystem.from_generator_data(
+    s = EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[("p", 2, Fraction(2)), ("q", 2, Fraction(3)),
                      ("r", 1, Fraction(1)), ("s", 0, Fraction(0))],
         crit_images=[[1, 0, 2, 3]], crit_signs=[[1, 1, -1, 1]],
         flows=[("g1", "p", "r", 1), ("g2", "q", "r", -1),
                ("d1", "r", "s", 1), ("d2", "r", "s", -1)],
-        flow_images=[[1, 0, 3, 2]], ambient_dim=2)
+        flow_images=[[1, 0, 3, 2]], ambient_dim=2))
     report = validate_system(s)
     assert "value_equivariance" in laws(report)
     assert report.self_indexing is False
@@ -560,20 +561,20 @@ def test_malformed_construction_rejected():
         trivial_system([("p", 1, None), ("q", 0, None)],
                        [("f", "p", "q", 2)])
     with pytest.raises(MalformedSystem):
-        EquivariantMorseSystem.from_generator_data(
+        EquivariantMorseSystem.from_generator_data(**columns(
             generators=[(1, 0)], degree=2,
             crit_points=[("p", 0, None)], crit_images=[[0, 0]],
-            crit_signs=[[1]], flows=[], flow_images=[[]], ambient_dim=0)
+            crit_signs=[[1]], flows=[], flow_images=[[]], ambient_dim=0))
 
 
 def test_inconsistent_cocycle_data_rejected():
     # the signed swap below has order 4, the group only order 2
     with pytest.raises(ActionNotWellDefined):
-        EquivariantMorseSystem.from_generator_data(
+        EquivariantMorseSystem.from_generator_data(**columns(
             generators=[(1, 0)], degree=2,
             crit_points=[("p", 0, None), ("q", 0, None)],
             crit_images=[[1, 0]], crit_signs=[[1, -1]],
-            flows=[], flow_images=[[]], ambient_dim=0)
+            flows=[], flow_images=[[]], ambient_dim=0))
 
 
 def test_classification_of_heart(heart):
@@ -656,7 +657,7 @@ def test_gauge_failure_on_corrupt_cocycle():
 
 def test_sign_not_orbit_constant():
     # u3 is the swap image of u1 yet carries the opposite sign; tau is +1
-    s = EquivariantMorseSystem.from_generator_data(
+    s = EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[("M", 2, None), ("r1", 1, None), ("r2", 1, None),
                      ("b1", 0, None), ("b2", 0, None), ("B", 0, None)],
@@ -665,7 +666,7 @@ def test_sign_not_orbit_constant():
                ("u3", "M", "r2", -1), ("u4", "M", "r2", -1),
                ("w1", "r1", "b1", 1), ("w2", "r1", "B", -1),
                ("w3", "r2", "b2", 1), ("w4", "r2", "B", -1)],
-        flow_images=[[2, 3, 0, 1, 6, 7, 4, 5]], ambient_dim=2)
+        flow_images=[[2, 3, 0, 1, 6, 7, 4, 5]], ambient_dim=2))
     with pytest.raises(SignNotOrbitConstant):
         invariant_boundary(s, check_valid=False)
 
@@ -689,7 +690,7 @@ def test_broken_weight_vanishes_through_non_orientable_orbit(heart, torus):
 def test_broken_weight_rejects_bad_triples(heart):
     with pytest.raises(IndexMismatch):
         broken_weight(heart, "p", "q", "r")
-    s = EquivariantMorseSystem.from_generator_data(
+    s = EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0)], degree=2,
         crit_points=[("M", 2, None), ("r1", 1, None), ("r2", 1, None),
                      ("b", 0, None)],
@@ -698,7 +699,7 @@ def test_broken_weight_rejects_bad_triples(heart):
                ("u3", "M", "r2", 1), ("u4", "M", "r2", -1),
                ("w1", "r1", "b", 1), ("w2", "r1", "b", -1),
                ("w3", "r2", "b", 1), ("w4", "r2", "b", -1)],
-        flow_images=[[1, 0, 3, 2, 5, 4, 7, 6]], ambient_dim=2)
+        flow_images=[[1, 0, 3, 2, 5, 4, 7, 6]], ambient_dim=2))
     with pytest.raises(IndexMismatch, match="orientable"):
         broken_weight(s, "M", "r1", "b", check_valid=False)
 
@@ -717,10 +718,10 @@ def test_regauge_round_trips_and_preserves_derived_data(heart, dented, wedge):
 
 
 def test_derived_quotient_of_heart(heart):
-    q = derive_intrinsic(heart)
-    assert [(p.label, p.index, p.iso_order) for p in q.crit] == \
+    crit, flows = intrinsic_rows(derive_intrinsic(heart))
+    assert [(p.label, p.index, p.iso_order) for p in crit] == \
         [("p", 2, 1), ("s", 0, 2)]
-    assert q.flows == ()
+    assert flows == ()
 
 
 # -- generator rows against the table scans -------------------------------------
@@ -741,7 +742,8 @@ def _sign_on(g, points):
 
 @st.composite
 def generator_data(draw):
-    """from_generator_data arguments for a group of SMALL_GENERATORS.
+    """from_generator_data arguments for a group of SMALL_GENERATORS,
+    with point and flow rows for conftest.columns.
 
     Point orbits are copies of a ground orbit, of the regular action on G
     and fixed points.  Each takes index 0, 1 or 2 and a character chi, the
@@ -868,7 +870,7 @@ def assert_row_law(s):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(generator_data(), st.data())
 def test_generator_rows_match_the_table_scans(data, draw):
-    s = EquivariantMorseSystem.from_generator_data(**data)
+    s = EquivariantMorseSystem.from_generator_data(**columns(**data))
     flips = draw.draw(st.lists(st.sampled_from([1, -1]), min_size=len(s.labels),
                                max_size=len(s.labels)))
     t = regauge(s, dict(zip(s.labels, flips)))
@@ -879,8 +881,8 @@ def test_generator_rows_match_the_table_scans(data, draw):
         assert_row_law(u)
         if validate_system(u).ok:
             q = derive_intrinsic(u)
-            assert (q.crit, q.flows) == reference_derive(u)
-            derived.append((q.crit, q.flows))
+            assert intrinsic_rows(q) == reference_derive(u)
+            derived.append(intrinsic_rows(q))
     assert classify(t) == classify(s)
     assert len(derived) != 1 and len(set(derived)) <= 1
 
@@ -898,8 +900,8 @@ def test_planted_defects_match_the_full_scan(data, defect, draw):
         index = {p[0]: p[1] for p in data["crit_points"]}
         f[2] = draw.draw(st.sampled_from(
             [p[0] for p in data["crit_points"] if p[1] == index[f[2]]]))
-    s = EquivariantMorseSystem.from_generator_data(
-        **dict(data, flows=[tuple(f) for f in flows]))
+    s = EquivariantMorseSystem.from_generator_data(**columns(
+        **dict(data, flows=[tuple(f) for f in flows])))
     assert list(validate_system(s).violations) == reference_violations(s)
 
 
@@ -911,7 +913,7 @@ def test_defects_on_several_orbits_match_the_full_scan(data, draw):
     changed, a flow re-aimed at another point of its index (flipped when
     there is none) or its sign flipped.  Each defect breaks a law on its
     orbit, and the report lists every witness as the full scan does."""
-    s = EquivariantMorseSystem.from_generator_data(**data)
+    s = EquivariantMorseSystem.from_generator_data(**columns(**data))
     points = [list(p) for p in data["crit_points"]]
     flows = [list(f) for f in data["flows"]]
     at = {p[0]: i for i, p in enumerate(points)}
@@ -942,9 +944,9 @@ def test_defects_on_several_orbits_match_the_full_scan(data, draw):
             f[2] = draw.draw(st.sampled_from(others))
         else:
             f[3] = -f[3]
-    t = EquivariantMorseSystem.from_generator_data(**dict(
+    t = EquivariantMorseSystem.from_generator_data(**columns(**dict(
         data, crit_points=[tuple(p) for p in points],
-        flows=[tuple(f) for f in flows]))
+        flows=[tuple(f) for f in flows])))
     report = validate_system(t)
     assert not report.ok
     assert list(report.violations) == reference_violations(t)
@@ -962,7 +964,7 @@ def test_several_defects_in_one_orbit_match_the_full_scan(data, draw):
     Then one flow is flipped or re-aimed and the index of one of its
     endpoints changed.  The report lists every witness as the full scan
     does."""
-    s = EquivariantMorseSystem.from_generator_data(**data)
+    s = EquivariantMorseSystem.from_generator_data(**columns(**data))
     points = [list(p) for p in data["crit_points"]]
     flows = [list(f) for f in data["flows"]]
     at = {p[0]: i for i, p in enumerate(points)}
@@ -1004,9 +1006,9 @@ def test_several_defects_in_one_orbit_match_the_full_scan(data, draw):
         flip_or_reaim(f)
         p = points[at[f[draw.draw(st.sampled_from([1, 2]))]]]
         p[1] = (p[1] + draw.draw(st.integers(1, 2))) % 3
-    t = EquivariantMorseSystem.from_generator_data(**dict(
+    t = EquivariantMorseSystem.from_generator_data(**columns(**dict(
         data, crit_points=[tuple(p) for p in points],
-        flows=[tuple(f) for f in flows]))
+        flows=[tuple(f) for f in flows])))
     assert list(validate_system(t).violations) == reference_violations(t)
 
 
@@ -1024,14 +1026,14 @@ def test_a_flow_orbit_its_stabilizer_reverses_is_read_whole(monkeypatch):
         walks.append(list(starts))
         return real_walk(s, starts)
     monkeypatch.setattr(EquivariantMorseSystem, "_walk", walk)
-    s = EquivariantMorseSystem.from_generator_data(
+    s = EquivariantMorseSystem.from_generator_data(**columns(
         generators=[(1, 0, 2, 3), (0, 1, 3, 2)], degree=4,
         crit_points=[("p0", 1, None), ("p1", 1, None), ("q0", 0, None),
                      ("q1", 0, Fraction(1))],
         crit_images=[[1, 0, 3, 2], [0, 1, 2, 3]],
         crit_signs=[[1, 1, 1, 1], [-1, -1, 1, 1]],
         flows=[("f0", "p0", "q0", 1), ("f1", "p1", "q1", -1)],
-        flow_images=[[1, 0], [0, 1]], ambient_dim=1)
+        flow_images=[[1, 0], [0, 1]], ambient_dim=1))
     report = validate_system(s)
     assert list(report.violations) == reference_violations(s)
     assert Counter(v.law for v in report.violations) == {
@@ -1052,8 +1054,8 @@ def test_inconsistent_generator_rows_are_rejected(data, change, draw):
         images[gi] = draw.draw(st.permutations(images[gi]))
         data = dict(data, flow_images=images)
     if consistent_by_closure(data):
-        s = EquivariantMorseSystem.from_generator_data(**data)
+        s = EquivariantMorseSystem.from_generator_data(**columns(**data))
         assert classify(s) == reference_classify(s)
     else:
         with pytest.raises(ActionNotWellDefined):
-            EquivariantMorseSystem.from_generator_data(**data)
+            EquivariantMorseSystem.from_generator_data(**columns(**data))
