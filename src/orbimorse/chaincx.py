@@ -8,7 +8,8 @@ construction to rank.  Rank and kernel come from one fraction-free
 reduction keyed on the lowest nonzero row, as in PHAT (Bauer, Kerber,
 Reininghaus, Wagner 2017): a column (a Fraction one scaled by the lcm of
 its denominators) whose lowest row r an earlier column p owns becomes
-b*col - a*p (a, b = col[r], p[r] over their gcd) divided by its content.
+b*col - a*p (a, b = col[r], p[r] over their gcd) divided by its content,
+or its negative col + a*p when b = -1, which needs no rescaled copy.
 nullspace reduces augmented integer columns: column j is scaled by the lcm
 s of its denominators and gets s in row -1-j.  Rows below 0 are never
 pivots; they record how much of each column a reduced column holds.  A
@@ -119,7 +120,9 @@ class RationalMatrix:
                 pivot = reduced[p]
                 g = gcd(col[low], pivot[low])
                 a, b = col[low] // g, pivot[low] // g
-                if b != 1:
+                if b == -1:  # -(b*col - a*p): the same span and lowest row
+                    a, b = -a, 1
+                elif b != 1:
                     col = {i: b * v for i, v in col.items()}
                 for i, v in pivot.items():
                     if w := col.get(i, 0) - a * v:

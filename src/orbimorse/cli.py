@@ -43,6 +43,7 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .chaincx import betti, verify_complex
@@ -338,14 +339,21 @@ def intrinsic_payload(s: OrbifoldMorseSystem) -> dict:
                                                s.flow_iso, s.sign)]}
 
 def _vertex_lists(payload, ctx, known=()):
-    """Vertices and maximal simplices, labels all integers or all strings."""
+    """Vertices and maximal simplices, labels all integers or all strings.
+    Each simplex label the vertex list has (known's, for a subcomplex)
+    becomes that list's own object, so the document's copies die with it."""
     vertices = _as_list(_req(payload, "vertices", ctx), f"{ctx}: vertices")
-    maximal = [tuple(_as_list(s, "%s: simplex", ctx))
-               for s in _as_list(_req(payload, "maximal", ctx), f"{ctx}: maximal")]
-    kinds = {type(x) for x in [*known, *vertices, *(x for s in maximal for x in s)]}
+    maximal = _as_list(_req(payload, "maximal", ctx), f"{ctx}: maximal")
+    for s in maximal:
+        _as_list(s, "%s: simplex", ctx)
+    kinds = {*map(type, known), *map(type, vertices),
+             *map(type, chain.from_iterable(maximal))}
     if len(kinds) > 1 or not kinds <= {int, str}:
         raise ParseError(f"{ctx}: vertex labels must be all integers or all strings")
-    return vertices, maximal
+    names = known or vertices
+    own = dict(zip(names, names)).get
+    maximal = [tuple([own(x, x) for x in s]) for s in maximal]
+    return list(map(own, vertices, vertices)) if known else vertices, maximal
 
 def read_simplicial(payload) -> tuple:
     """(vertices, maximal simplices, generators, the subcomplex's vertices
@@ -362,11 +370,12 @@ def read_simplicial(payload) -> tuple:
 def build_simplicial(lists):
     """Returns (GSimplicialComplex, subcomplex or None)."""
     vertices, maximal, gens, sub = lists
-    K = SimplicialComplex(vertices, maximal)
     with _parsing("simplicial system"):
-        # closed only to check the generators and bound |G|
-        generate_group(gens, degree=len(K.vertices), cap=_group_cap())
-    gk = GSimplicialComplex(K, [(g, g) for g in gens])
+        # closed only to check the generators and bound |G|, and dropped
+        # before the complex is built
+        generate_group(gens, degree=len(set(vertices)), cap=_group_cap())
+    gk = GSimplicialComplex(SimplicialComplex(vertices, maximal),
+                            [(g, g) for g in gens])
     return gk, None if sub is None else SimplicialComplex(*sub)
 
 

@@ -8,14 +8,21 @@ dropped) with sign (-1)**i.  A subdivision numbers each vertex by the rank
 of the cell it subdivides; labels, nested once per round, are built only
 where a message or a reader asks.  Regularity (an element fixing a simplex
 setwise fixes it vertex-wise) is not enough for a simplicial quotient, so
-quotient() also rejects shared vertex sets and collapses, and regularize()
-subdivides until it goes through (two rounds always do).  Invariant homology
-is that of the orbit sums (chaincx.orbit_sum_complex), where an orbit its
-stabilizer flips cancels like a non-orientable critical point.
+quotient() also rejects shared vertex sets and collapses.  Where it fails,
+regularize() does not subdivide the G-complex twice: once no edge has both
+ends in one vertex orbit (after at most one round, as a subdivision's
+vertices are labelled by dimension), the orbits form a regular cell complex,
+and the chains of its face poset are the quotient of the next subdivision
+(Bredon, Introduction to Compact Transformation Groups, 1972, ch. III 1).
+That quotient numbers its vertices by dimension, not by label; only its
+Betti numbers are read.  Invariant homology is that of the orbit sums
+(chaincx.orbit_sum_complex), where an orbit its stabilizer flips cancels
+like a non-orientable critical point.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, partial
 from itertools import combinations, starmap, zip_longest
 from math import factorial
@@ -63,9 +70,16 @@ def _labels(parent, cells, pick=tuple) -> tuple:
     return tuple(pick([points[r] for r in c]) for c in cells)
 
 
+def _ids(cells) -> list:
+    """cell -> id per dimension."""
+    return [dict(zip(level, range(len(level)))) for level in cells]
+
+
 class SimplicialComplex:
     """Finite abstract simplicial complex, downward closed by construction;
-    ranked: by labels in rank order (or a partial) and cells by dimension."""
+    ranked: by labels in rank order (or a partial) and cells by dimension.
+    No cell -> id dict outlives the step that reads it: has and part search
+    the sorted cells."""
 
     def __init__(self, vertices, maximal_simplices, ranked=False):
         if not ranked:  # by labels: checked, counted, then closed on ranks
@@ -83,11 +97,16 @@ class SimplicialComplex:
             maximal_simplices = [sorted(c for c in closed if len(c) == n)
                                  for n in range(1, max(map(len, closed), default=1) + 1)]
         self._names, self.cells = vertices, maximal_simplices
-        self._index = [dict(zip(cells, range(len(cells)))) for cells in self.cells]
+        index = _ids(self.cells)
         drops = [list(map(gather, combinations(range(k + 1), k)))[::-1]  # face i drops i
                  for k in range(len(self.cells))]
-        self.faces = [[]] + [[self._index[k - 1][d(c)] for c in self.cells[k]
+        self.faces = [[]] + [[index[k - 1][d(c)] for c in self.cells[k]
                               for d in drops[k]] for k in range(1, len(self.cells))]
+
+    def _has_cell(self, c) -> bool:
+        cells = self.cells[len(c) - 1] if 0 < len(c) <= len(self.cells) else ()
+        i = bisect_left(cells, c)
+        return i < len(cells) and cells[i] == c
 
     @cached_property
     def vertices(self) -> tuple:  # built from the parent's when first read
@@ -111,8 +130,7 @@ class SimplicialComplex:
         return {v: i for i, v in enumerate(self.vertices)}
 
     def has(self, s) -> bool:
-        t = tuple(sorted(self._rank.get(v, -1) for v in s))
-        return 0 < len(t) <= len(self.cells) and t in self._index[len(t) - 1]
+        return self._has_cell(tuple(sorted(self._rank.get(v, -1) for v in s)))
 
     def contains(self, other: "SimplicialComplex") -> bool:
         return all(self.has(s) for s in other.all_simplices())
@@ -124,10 +142,10 @@ class SimplicialComplex:
         """A relative part's cells: sub by labels, or already a set of cells."""
         if sub is None or isinstance(sub, frozenset):
             return sub or frozenset()
-        rank, index = self._rank, self._index
+        rank = self._rank
         part = frozenset(tuple(sorted(rank.get(v, -1) for v in s))
                          for s in sub.all_simplices())
-        if not all(len(c) <= len(index) and c in index[len(c) - 1] for c in part):
+        if not all(map(self._has_cell, part)):
             raise NotASubcomplex("relative part is not a subcomplex")
         return part
 
@@ -202,9 +220,10 @@ def _orbit_scan(gk: GSimplicialComplex):
     def parity(u):  # the sign of the permutation sorting u
         return -1 if sum(starmap(gt, combinations(u, 2))) % 2 else 1
     K, orbits, irregular = gk.complex, [], []
+    index = _ids(K.cells)
     orbit, sign = [[-1] * len(c) for c in K.cells], [[1] * len(c) for c in K.cells]
     for k, cells in enumerate(K.cells):
-        index, number, signs = K._index[k], orbit[k], sign[k]
+        ids, number, signs = index[k], orbit[k], sign[k]
         for j in (j for j in range(len(cells)) if number[j] < 0):
             o = number[j] = len(orbits)
             members, flipped, queue, reached = [j], False, [cells[j]], {cells[j]}
@@ -213,7 +232,7 @@ def _orbit_scan(gk: GSimplicialComplex):
                 for g, arr in gk.rows:
                     if (u := at(arr)) in reached:
                         continue
-                    if (i := index.get(tuple(sorted(u)))) is None:
+                    if (i := ids.get(tuple(sorted(u)))) is None:
                         raise ActionNotSimplicial(
                             f"g={list(g)} sends simplex {K.label(sorted(t))!r} "
                             f"to {K.label(sorted(u))!r}")
@@ -295,24 +314,70 @@ def quotient(gk: GSimplicialComplex, sub=None) -> QuotientComplex:
         tuple(sorted({new[rep[v]] for v in c})) for c in part))
 
 
-#: Subdivision rounds regularize tries; one is usually enough, two always are.
-MAX_ROUNDS = 2
+def _multiplicity_free(gk: GSimplicialComplex) -> bool:
+    """True when no edge has both ends in one vertex orbit.  Then no two
+    faces of a simplex share an orbit, and gk is regular."""
+    orbit = gk.orbit[0]  # a vertex's id is its rank
+    return all(orbit[u] != orbit[v]
+               for edges in gk.complex.cells[1:2] for u, v in edges)
+
+
+def _orbit_chains(gk: GSimplicialComplex, part=None) -> QuotientComplex:
+    """The quotient of gk's subdivision, gk multiplicity-free, as the order
+    complex of its orbit poset: orbit b lies above orbit a when a face of b's
+    representative (its least member) is in a.  (s0 < ... < sk) -> ([s0] <
+    ... < [sk]) maps the subdivision's orbits one-to-one onto these chains.
+    An orbit is labelled as its representative's vertex in the subdivision,
+    and numbered as in the orbit table, by dimension: so every orbit above a
+    chain's last extends it, and each level comes sorted.  The chains are
+    counted first, the ones ending at b 1 plus those ending below it, against
+    CELL_CAP."""
+    K, reps = gk.complex, [gk.complex.cells[k][m[0]] for k, m, _ in gk.orbits]
+    below, chains = [set() for _ in reps], [1] * len(reps)
+    for b, (k, members, _) in enumerate(gk.orbits):
+        for f in K.faces[k][members[0] * (k + 1):(members[0] + 1) * (k + 1)]:
+            a = gk.orbit[k - 1][f]
+            below[b].add(a)
+            below[b] |= below[a]
+        chains[b] += sum(map(chains.__getitem__, below[b]))
+    _cap(zip(reps, chains), K.label)
+    above = [[] for _ in reps]
+    for b, under in enumerate(below):
+        for a in under:
+            above[a].append(b)  # b ascending: each list comes sorted
+    cells = [[(b,) for b in range(len(reps))]]
+    for _ in range(K.dim):
+        cells.append([c + (b,) for c in cells[-1] for b in above[c[-1]]])
+    oc = SimplicialComplex(partial(_labels, K._names, reps), cells, ranked=True)
+    if part is None:
+        return QuotientComplex(oc)
+    inside = {b for b, r in enumerate(reps) if r in part}
+    return QuotientComplex(oc, frozenset(c for level in cells for c in level
+                                         if inside.issuperset(c)))
 
 
 def regularize(gk: GSimplicialComplex, sub=None):
-    """Subdivide until the quotient is simplicial; returns (rounds, q), q the
-    quotient of the complex (and sub, as cells: chains of cells) so subdivided."""
-    rounds, current, part = 0, gk, None if sub is None else gk.complex.part(sub)
-    while True:
-        try:
-            return rounds, quotient(current, part)
-        except NotRegular:
-            if rounds >= MAX_ROUNDS:
-                raise
-        current, rounds = current.subdivided(), rounds + 1
-        if part is not None:
-            part = frozenset(c for cells in current.complex.cells for c in cells
-                             if all(current.complex._lex[v] in part for v in c))
+    """(rounds, q): q the quotient of gk (and sub, as cells: chains of cells)
+    subdivided that many times.  0 rounds when quotient() goes through; else
+    1 when gk is multiplicity-free, q its orbit chains; else gk is subdivided
+    once (multiplicity-free, as its vertices are labelled by dimension), and
+    1 round if its quotient goes through, 2 with its orbit chains if not."""
+    part = None if sub is None else gk.complex.part(sub)
+    try:
+        return 0, quotient(gk, part)
+    except NotRegular:  # not kept: see quotient
+        pass
+    if _multiplicity_free(gk):
+        return 1, _orbit_chains(gk, part)
+    gk = gk.subdivided()
+    if part is not None:
+        part = frozenset(c for cells in gk.complex.cells for c in cells
+                         if all(gk.complex._lex[v] in part for v in c))
+    try:
+        return 1, quotient(gk, part)
+    except NotRegular:
+        pass
+    return 2, _orbit_chains(gk, part)
 
 
 def invariant_homology(gk: GSimplicialComplex, sub=None) -> tuple[int, ...]:

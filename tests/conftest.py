@@ -1,5 +1,6 @@
 """Shared instance builders used across the test modules."""
 
+import functools
 import importlib.util
 import sys
 from fractions import Fraction
@@ -151,6 +152,16 @@ def make_ring_sphere(p, defect=None, flow="c0", reflect=False):
         flows=flows,
         flow_images=[[fidx[act(f[0])] for f in flows] for _, act, _ in maps],
         ambient_dim=2))
+
+
+@functools.cache
+def corpus_tool():
+    """tools/build_corpus.py, the packaged corpus's builders."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def grid_torus(n):

@@ -4,6 +4,7 @@ import random
 import re
 from ast import literal_eval
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from orbimorse.chaincx import betti
 from orbimorse.simplicial import _close_downward
 
 import label_oracle as oracle
-from conftest import grid_torus
+from conftest import corpus_tool, grid_torus
 from reference_validator import compose
 
 
@@ -252,7 +253,9 @@ def test_invariant_homology_equals_quotient_homology(case):
 def pipeline(mod, case):
     """What the commands read off a symmetric_actions() case through the
     module mod: regularity, quotient and invariant Betti numbers, absolute
-    and relative, rounds, and every error as its class and text."""
+    and relative, rounds and the quotient's cells per dimension, and every
+    error as its class and text.  The oracle's regularize subdivides the
+    cover up to twice; the package lists orbit chains instead."""
     vertices, maximal, perms, sub = case
     K = mod.SimplicialComplex(vertices, maximal)
     if sub is not None:
@@ -267,7 +270,7 @@ def pipeline(mod, case):
     def regularized(sub):
         rounds, q = mod.regularize(gk, sub)
         # the commands read the relative part as cells, the oracle by labels
-        return rounds, quotient_betti(q, getattr(q, "part", q.sub))
+        return rounds, q.complex.counts(), quotient_betti(q, getattr(q, "part", q.sub))
 
     sd_sub = sub and mod.barycentric_subdivide(sub)
     return [mod.is_regular(gk),
@@ -283,6 +286,44 @@ def pipeline(mod, case):
 @given(symmetric_actions(bad=True))
 def test_cell_ids_match_the_label_keyed_oracle(case):
     assert pipeline(simplicial, case) == pipeline(oracle, case)
+
+
+@st.composite
+def lens_spaces(draw):
+    """The join of two p-gons, p <= 5, under the free rotation whose quotient
+    is the lens space L(p, q), and the invariant circle on the first p-gon."""
+    p = draw(st.integers(3, 5))
+    q = draw(st.sampled_from([q for q in range(1, p) if gcd(p, q) == 1]))
+    system = corpus_tool().lens_simplicial(p, q)
+    vertices = system["vertices"]
+    return (vertices, system["maximal"], system["generators"],
+            [[vertices[i], vertices[(i + 1) % p]] for i in range(p)])
+
+
+def lens_quotient(mod, case):
+    """Rounds and the quotient mod.regularize makes of a lens space, with
+    the circle as its relative part."""
+    vertices, maximal, perms, circle = case
+    gk = mod.GSimplicialComplex(mod.SimplicialComplex(vertices, maximal),
+                                [(g, g) for g in perms])
+    rounds, q = mod.regularize(gk, mod.SimplicialComplex(
+        {v for s in circle for v in s}, circle))
+    return rounds, q
+
+
+# each example costs the oracle's two label-keyed rounds: 0.3 s at p = 3,
+# 0.5 s at p = 4
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(lens_spaces())
+def test_lens_spaces_regularize_like_the_two_round_oracle(case):
+    # Betti numbers against those every L(p, q) has, absolute and relative
+    # to the circle; rounds and cells per dimension against the oracle
+    rounds, q = lens_quotient(simplicial, case)
+    assert homology(q.complex) == (1, 0, 0, 1)
+    assert homology(q.complex, q.part) == (0, 0, 1, 1)
+    rounds_oracle, q_oracle = lens_quotient(oracle, case)
+    assert (rounds, q.complex.counts()) == (2, q_oracle.complex.counts())
+    assert rounds_oracle == 2
 
 
 # -- the full G x N scans the orbit scan replaced, kept as oracles ---------------

@@ -4,7 +4,8 @@ G-complexes.
     python3 tools/bench.py
 
 Each row is one in-process ``orbimorse`` command on an instance built by
-perfbench/instances.py: the median wall time of 5 runs without tracing,
+perfbench/instances.py (the lens spaces by tools/build_corpus.py): the
+median wall time of 5 runs without tracing,
 with the fastest and slowest beside it, then the peak traced heap of one
 more run under tracemalloc.  Every run must print what the construction
 implies.  The program is imported from the src/ next to this directory,
@@ -27,10 +28,14 @@ BENCH_tri.json  homology on torus(n) under negation, n in 8, 16, 24, 32, 40
                 subdivision rounds, quotient S^1; wheel(k), a disc under the
                 rotation of order k, relative to its rim, k in 20, 40, 80:
                 no subdivision, quotient a disc, relative Betti numbers
-                0,0,1.  Every bipyramid, polygon and wheel has fewer than
-                1,000 vertices: instances.py labels them v000, v001, ...,
-                so beyond that the sorted vertex list no longer follows the
-                rotation.
+                0,0,1; lens(p), the join of two p-gons under the free
+                rotation of order p whose quotient is the lens space
+                L(p, 1), p in 8, 16, 32, 64: two subdivision rounds (the
+                second lists the orbit chains), Betti numbers 1,0,0,1.
+                Every bipyramid, polygon and wheel has fewer than 1,000
+                vertices: instances.py labels them v000, v001, ..., so
+                beyond that the sorted vertex list no longer follows the
+                rotation; lens labels a00 ... b63 sort in order too.
                 Then the library calls on subdivided G-complexes:
                 subdivided() (the round that makes it), homology and
                 invariant_homology of torus(4) under negation after 0 to 5
@@ -46,6 +51,7 @@ reference_s.
 """
 
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -126,6 +132,8 @@ BENCHES = (
          lambda i, k: (k, _quotient_rows(2, "1,1")), (30, 60, 120, 240, 480)),
         ("wheel", "homology", lambda i, k: i.wheel(k),
          lambda i, k: (k, _quotient_rows(0, "1,0,0", "0,0,1")), (20, 40, 80)),
+        ("lens", "homology", lambda i, p: _load("build_corpus").lens_simplicial(p, 1),
+         lambda i, p: (p, _quotient_rows(2, "1,0,0,1")), (8, 16, 32, 64)),
     ]),
 )
 
@@ -151,9 +159,10 @@ def reference_s() -> float:
     return best
 
 
-def _instances():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_instances", ROOT / "perfbench" / "instances.py")
+@functools.cache
+def _load(name, where="tools"):
+    """The module name.py in the directory where of the repository."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / where / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
@@ -244,7 +253,7 @@ def subdivision_rows(instances) -> list:
 
 
 def main() -> int:
-    instances = _instances()
+    instances = _load("instances", "perfbench")
     # cli builds its argument parser once per process; build it untimed
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["corpus", "list"])

@@ -162,6 +162,17 @@ def tetrahedron_simplicial():
             "generators": []}
 
 
+def lens_simplicial(p, q):
+    """The join of two p-gons, S^3, under (a_i, b_j) -> (a_i+1, b_j+q): a
+    free action whose quotient is the lens space L(p, q)."""
+    a, b = ["a%02d" % i for i in range(p)], ["b%02d" % j for j in range(p)]
+    return {"vertices": a + b,
+            "maximal": [[a[i], a[(i + 1) % p], b[j], b[(j + 1) % p]]
+                        for i in range(p) for j in range(p)],
+            "generators": [[(i + 1) % p for i in range(p)]
+                           + [p + (j + q) % p for j in range(p)]]}
+
+
 def instances():
     docs = {}
 
@@ -296,6 +307,19 @@ def instances():
             "generators": [[2, 1, 0]],
             "subcomplex": {"vertices": ["a", "c"],
                            "maximal": [["a"], ["c"]]}}}
+
+    for p, q in ((5, 1), (5, 2)):
+        docs["lens_%d_%d" % (p, q)] = {
+            "kind": "simplicial",
+            "metadata": {
+                "name": "lens_%d_%d" % (p, q),
+                "description": "join of two %d-gons, S^3, under a free "
+                               "rotation; the quotient is the lens space "
+                               "L(%d, %d)" % (p, p, q),
+                "expected": {"regular": True, "rounds": 2,
+                             "betti": [1, 0, 0, 1],
+                             "betti_invariant": [1, 0, 0, 1]}},
+            "system": lens_simplicial(p, q)}
 
     def cmp_doc(name, desc, morse, tri, rounds):
         return {"kind": "comparison",
