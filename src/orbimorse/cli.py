@@ -21,7 +21,8 @@ Rational values are strings like "3/2" (or plain integers), no exponent
 and no decimal point.
 A command holds only what its next step reads: load_instance reads each
 payload with its kind's reader (a Morse system's appends each entry to the
-point and flow columns the system keeps, endpoints as point numbers) and
+point and flow columns the system keeps, endpoints as point numbers; a
+simplicial one ranks each simplex into a tuple of vertex ranks) and
 returns the kind, the name and what was read, so the document is dropped
 before anything is built; the builders make the objects from that.
 Serialization is canonical: sorted keys, two-space indent, trailing
@@ -29,7 +30,9 @@ newline, so instance files round-trip byte for byte.
 
 Exit codes: 0 success, 2 validation failure, 3 theorem or expectation
 mismatch, 4 unreadable or malformed input, malformed values included.  The
-environment variable ORBIMORSE_GROUP_CAP bounds group closure sizes.
+environment variable ORBIMORSE_GROUP_CAP bounds the closure of a global
+quotient's group; a simplicial group is never closed, as its orbit table
+reads the generators alone.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .errors import (
     OrbimorseError,
     ParseError,
 )
-from .groups import DEFAULT_CAP, generate_group
+from .groups import DEFAULT_CAP, check_generators
 from .intrinsic import (
     OrbifoldMorseSystem,
     boundary_minus,
@@ -71,11 +74,13 @@ from .simplicial import (
     GSimplicialComplex,
     NotRegular,
     SimplicialComplex,
+    closure,
     compare,
     homology,
     invariant_homology,
     is_regular,
     quotient,
+    rank_simplices,
     regularize,
 )
 
@@ -192,13 +197,17 @@ def read_payloads(inst: InstanceFile) -> list:
 def load_instance(path, command=None) -> Instance:
     """The instance file at path read by its readers, after a command named in
     ACCEPTS has refused any other kind.  The document is dropped when this
-    returns, so no command holds it while it builds."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        # ValueError also covers bad UTF-8 and integers beyond 4,300 digits
-        except (ValueError, RecursionError) as e:
-            raise ParseError(f"{path}: not valid JSON ({e})") from None
+    returns, so no command holds it while it builds; the file is closed, and
+    its text dropped, as soon as each is read."""
+    fh = open(path, "r", encoding="utf-8")
+    try:
+        with fh:
+            text = fh.read()
+        doc = json.loads(text)
+        del text
+    # ValueError also covers bad UTF-8 and integers beyond 4,300 digits
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"{path}: not valid JSON ({e})") from None
     inst = instance_from_dict(doc, ctx=str(path))
     want = ACCEPTS.get(command, inst.kind)
     if inst.kind != want:
@@ -340,8 +349,8 @@ def intrinsic_payload(s: OrbifoldMorseSystem) -> dict:
 
 def _vertex_lists(payload, ctx, known=()):
     """Vertices and maximal simplices, labels all integers or all strings.
-    Each simplex label the vertex list has (known's, for a subcomplex)
-    becomes that list's own object, so the document's copies die with it."""
+    For a subcomplex, each label known has becomes known's own object, so
+    the document's copies die with it."""
     vertices = _as_list(_req(payload, "vertices", ctx), f"{ctx}: vertices")
     maximal = _as_list(_req(payload, "maximal", ctx), f"{ctx}: maximal")
     for s in maximal:
@@ -350,32 +359,33 @@ def _vertex_lists(payload, ctx, known=()):
              *map(type, chain.from_iterable(maximal))}
     if len(kinds) > 1 or not kinds <= {int, str}:
         raise ParseError(f"{ctx}: vertex labels must be all integers or all strings")
-    names = known or vertices
-    own = dict(zip(names, names)).get
-    maximal = [tuple([own(x, x) for x in s]) for s in maximal]
-    return list(map(own, vertices, vertices)) if known else vertices, maximal
+    if not known:
+        return vertices, maximal
+    own = dict(zip(known, known)).get
+    return list(map(own, vertices, vertices)), [tuple(map(own, s, s)) for s in maximal]
 
 def read_simplicial(payload) -> tuple:
-    """(vertices, maximal simplices, generators, the subcomplex's vertices
-    and maximal simplices or None) of a simplicial payload."""
+    """(sorted vertex labels, the simplices as rank tuples by size, checked
+    generators, the subcomplex's vertices and maximal simplices or None) of
+    a simplicial payload; see simplicial.rank_simplices.  The subcomplex's
+    simplices are checked when it is built."""
     ctx = "simplicial system"
     vertices, maximal = _vertex_lists(payload, ctx)
-    gens = [tuple(_as_list(g, "%s: generator", ctx))
+    gens = [_as_list(g, "%s: generator", ctx)
             for g in _as_list(payload.get("generators", []), f"{ctx}: generators")]
     sub = None
     if payload.get("subcomplex") is not None:
         sub = _vertex_lists(payload["subcomplex"], "subcomplex", vertices)
-    return vertices, maximal, gens, sub
+    with _parsing(ctx):
+        gens, _ = check_generators(gens, len(set(vertices)))
+    return (*rank_simplices(vertices, map(tuple, maximal)), gens, sub)
 
 def build_simplicial(lists):
-    """Returns (GSimplicialComplex, subcomplex or None)."""
-    vertices, maximal, gens, sub = lists
-    with _parsing("simplicial system"):
-        # closed only to check the generators and bound |G|, and dropped
-        # before the complex is built
-        generate_group(gens, degree=len(set(vertices)), cap=_group_cap())
-    gk = GSimplicialComplex(SimplicialComplex(vertices, maximal),
-                            [(g, g) for g in gens])
+    """Returns (GSimplicialComplex, subcomplex or None).  The group is not
+    closed: the orbit table reads the generators alone."""
+    names, levels, gens, sub = lists
+    K = SimplicialComplex(names, closure(len(names), levels), ranked=True)
+    gk = GSimplicialComplex(K, [(g, g) for g in gens])
     return gk, None if sub is None else SimplicialComplex(*sub)
 
 

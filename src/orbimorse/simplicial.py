@@ -6,8 +6,12 @@ order is label order, so bases, signs and witnesses are the labels'), and
 the faces of the k-cells as one flat list, k + 1 per cell, face i (vertex i
 dropped) with sign (-1)**i.  A subdivision numbers each vertex by the rank
 of the cell it subdivides; labels, nested once per round, are built only
-where a message or a reader asks.  Regularity (an element fixing a simplex
-setwise fixes it vertex-wise) is not enough for a simplicial quotient, so
+where a message or a reader asks.  The orbit table walks each orbit's
+members once, through the generators: by Schreier's lemma the stabilizer
+of a member is generated by what the walk's edges do to it, so the edges
+alone tell whether it moves or reverses the member's vertices, and the
+group is never closed.  Regularity (an element fixing a simplex setwise
+fixes it vertex-wise) is not enough for a simplicial quotient, so
 quotient() also rejects shared vertex sets and collapses.  Where it fails,
 regularize() does not subdivide the G-complex twice: once no edge has both
 ends in one vertex orbit (after at most one round, as a subdivision's
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, partial
-from itertools import combinations, starmap, zip_longest
+from itertools import combinations, repeat, starmap, zip_longest
 from math import factorial
 from operator import gt, itemgetter
 from typing import NamedTuple, Optional
@@ -37,21 +41,12 @@ from .intrinsic import boundary_plus
 from .quotient import derive_intrinsic
 
 
-def _close_downward(maximal):
-    """Every face of the given simplices.  A simplex already in the set came
-    with all of its faces and is skipped, so hand them over longest first."""
-    simplices = set()
-    for s in maximal:
-        t = tuple(sorted(set(s)))
-        if len(t) != len(s):
-            raise ActionNotSimplicial(f"simplex {s!r} repeats a vertex")
-        if t not in simplices:
-            for r in range(1, len(t) + 1):
-                simplices.update(combinations(t, r))
-    return simplices
-
-
 _SIGNS = (1, -1) * 32  # (-1)**i; CELL_CAP admits no simplex on 64 vertices
+
+
+def _past_cap(s, label) -> ClosureExceedsCap:
+    return ClosureExceedsCap(
+        f"closure passes the cap of {CELL_CAP} cells at simplex {label(s)!r}")
 
 
 def _cap(sizes, label) -> None:
@@ -60,8 +55,63 @@ def _cap(sizes, label) -> None:
     total = 0
     for s, cells in sizes:
         if (total := total + cells) > CELL_CAP:
-            raise ClosureExceedsCap(
-                f"closure passes the cap of {CELL_CAP} cells at simplex {label(s)!r}")
+            raise _past_cap(s, label)
+
+
+def rank_simplices(vertices, simplices) -> tuple:
+    """(sorted vertex labels, levels): each simplex, read one at a time, as
+    the sorted tuple of its vertex ranks, those of n vertices in levels[n-1].
+    Refused, in this order: the first simplex that repeats a vertex, the
+    first with an undeclared vertex, the first at which the count of faces
+    so far passes CELL_CAP (see _cap)."""
+    names = tuple(sorted(set(vertices)))
+    rank, levels = dict(zip(names, range(len(names)))).get, []
+    undeclared = past = None
+    total = 0
+    for s in simplices:
+        t = tuple(sorted(map(rank, s, repeat(-1))))  # -1: undeclared
+        if len(set(t)) < len(t) and len(set(s)) < len(s):
+            raise ActionNotSimplicial(f"simplex {s!r} repeats a vertex")
+        if undeclared is None and t and t[0] < 0:
+            undeclared = s
+        if past is None and (total := total + 2 ** len(t) - 1) > CELL_CAP:
+            past = s
+        while len(levels) < len(t):
+            levels.append([])
+        if t:
+            levels[len(t) - 1].append(t)
+    if undeclared is not None:
+        raise NotASubcomplex("simplex %r uses undeclared vertex %r" % (
+            tuple(sorted(undeclared)), min(set(undeclared) - set(names))))
+    if past is not None:
+        raise _past_cap(past, tuple)
+    return names, levels
+
+
+def _drops(n) -> list:
+    """drops[i] sends an n-tuple to its facet without position i."""
+    return [gather([j for j in range(n) if j != i]) for i in range(n)]
+
+
+def _level(given, above) -> list:
+    """The sorted cells of one dimension: those given and the facets of the
+    cells above, listed in one pass per dropped position.  The set dies as
+    this returns."""
+    level = set(given)
+    for drop in _drops(len(above[0])) if above else ():
+        level.update(map(drop, above))
+    return sorted(level)
+
+
+def closure(n, levels) -> list:
+    """The cells, by dimension, of the complex on n vertices spanned by the
+    rank tuples of levels (see rank_simplices), closed one dimension at a
+    time from the top."""
+    above, cells = [], []
+    for given in reversed(levels[1:]):
+        above = _level(given, above)
+        cells.append(above)
+    return [[(v,) for v in range(n)]] + cells[::-1]
 
 
 def _labels(parent, cells, pick=tuple) -> tuple:
@@ -70,38 +120,28 @@ def _labels(parent, cells, pick=tuple) -> tuple:
     return tuple(pick([points[r] for r in c]) for c in cells)
 
 
-def _ids(cells) -> list:
-    """cell -> id per dimension."""
-    return [dict(zip(level, range(len(level)))) for level in cells]
-
-
 class SimplicialComplex:
     """Finite abstract simplicial complex, downward closed by construction;
-    ranked: by labels in rank order (or a partial) and cells by dimension.
-    No cell -> id dict outlives the step that reads it: has and part search
-    the sorted cells."""
+    ranked: by labels in rank order (or a partial) and cells by dimension,
+    each level sorted (see closure).  No cell -> id dict outlives the step
+    that reads it: has and part search the sorted cells."""
 
     def __init__(self, vertices, maximal_simplices, ranked=False):
-        if not ranked:  # by labels: checked, counted, then closed on ranks
-            declared, maximal = set(vertices), list(maximal_simplices)
-            for s in (s for s in maximal if len(set(s)) != len(s)):  # the first
-                raise ActionNotSimplicial(f"simplex {s!r} repeats a vertex")
-            for s in (s for s in maximal if not declared.issuperset(s)):
-                raise NotASubcomplex("simplex %r uses undeclared vertex %r"
-                                     % (tuple(sorted(s)), min(set(s) - declared)))
-            _cap(((s, 2 ** len(s) - 1) for s in maximal), tuple)
-            vertices = tuple(sorted(declared))
-            rank = dict(zip(vertices, range(len(vertices))))
-            closed = _close_downward([[rank[v] for v in s] for s in maximal]
-                                     + [[i] for i in range(len(vertices))])
-            maximal_simplices = [sorted(c for c in closed if len(c) == n)
-                                 for n in range(1, max(map(len, closed), default=1) + 1)]
+        if not ranked:  # by labels: checked and ranked, then closed
+            vertices, levels = rank_simplices(vertices, maximal_simplices)
+            maximal_simplices = closure(len(vertices), levels)
         self._names, self.cells = vertices, maximal_simplices
-        index = _ids(self.cells)
-        drops = [list(map(gather, combinations(range(k + 1), k)))[::-1]  # face i drops i
-                 for k in range(len(self.cells))]
-        self.faces = [[]] + [[index[k - 1][d(c)] for c in self.cells[k]
-                              for d in drops[k]] for k in range(1, len(self.cells))]
+        self.faces = [[]]
+        for k in range(1, len(self.cells)):  # one pass per face position
+            cells, faces = self.cells[k], [0] * (len(self.cells[k]) * (k + 1))
+            if k == 1:  # a vertex's id is its rank
+                faces[0::2] = map(itemgetter(1), cells)
+                faces[1::2] = map(itemgetter(0), cells)
+            else:
+                index = dict(zip(self.cells[k - 1], range(len(self.cells[k - 1]))))
+                for i, drop in enumerate(_drops(k + 1)):
+                    faces[i::k + 1] = map(index.__getitem__, map(drop, cells))
+            self.faces.append(faces)
 
     def _has_cell(self, c) -> bool:
         cells = self.cells[len(c) - 1] if 0 < len(c) <= len(self.cells) else ()
@@ -214,19 +254,24 @@ class GSimplicialComplex:
 
 def _orbit_scan(gk: GSimplicialComplex):
     """The orbit table: orbit[k] and sign[k] per k-cell, (k, members,
-    orientable) and irregular per orbit, walked from its least member through
-    the generators over the rank tuples t reached.  t's cell gets t's parity;
-    both parities make the orbit flipped, more tuples than cells irregular."""
+    orientable) and irregular per orbit.  Each orbit's members are walked
+    once, breadth first from its least member through the generators, each
+    in the vertex order (a rank tuple) it was first reached in, which gives
+    its sign.  Every element of the least member's stabilizer is a product
+    of what the walk's edges do to it (Schreier's lemma), so an edge that
+    reaches a member in another order makes the orbit irregular, and in an
+    order of the other parity, flipped; walking another order of a member
+    reaches no cell its first order does not."""
     def parity(u):  # the sign of the permutation sorting u
         return -1 if sum(starmap(gt, combinations(u, 2))) % 2 else 1
     K, orbits, irregular = gk.complex, [], []
-    index = _ids(K.cells)
     orbit, sign = [[-1] * len(c) for c in K.cells], [[1] * len(c) for c in K.cells]
     for k, cells in enumerate(K.cells):
-        ids, number, signs = index[k], orbit[k], sign[k]
+        ids, number, signs = dict(zip(cells, range(len(cells)))), orbit[k], sign[k]
         for j in (j for j in range(len(cells)) if number[j] < 0):
             o = number[j] = len(orbits)
-            members, flipped, queue, reached = [j], False, [cells[j]], {cells[j]}
+            members, flipped, moved = [j], False, False
+            queue, reached = [cells[j]], {cells[j]}  # each member's first order
             for t in queue:  # breadth first: the queue grows behind the loop
                 at = gather(t)
                 for g, arr in gk.rows:
@@ -239,12 +284,12 @@ def _orbit_scan(gk: GSimplicialComplex):
                     if number[i] < 0:
                         number[i], signs[i] = o, parity(u)
                         members.append(i)
+                        reached.add(u)
+                        queue.append(u)
                     else:
-                        flipped |= signs[i] != parity(u)
-                    reached.add(u)
-                    queue.append(u)
+                        moved, flipped = True, flipped or signs[i] != parity(u)
             orbits.append((k, members, not flipped))
-            irregular.append(len(reached) > len(members))
+            irregular.append(moved)
     return orbit, sign, orbits, irregular
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands, instance files, exit codes, and the packaged corpus."""
 
+import functools
 import gc
 import importlib
 import importlib.util
@@ -307,11 +308,13 @@ def test_homology_of_relative_simplicial(tmp_path, capsys):
 def test_closures_past_the_cell_cap_exit_2_within_a_second(tmp_path, capsys):
     # one simplex on 40 vertices counts 2^40 - 1 faces; one on 10 vertices
     # under a swap of two is irregular, and its subdivision round counts
-    # 10! flags of 2^10 - 1 faces each
+    # 10! flags of 2^10 - 1 faces each; one on 12 vertices under S_12 (a
+    # swap and a 12-cycle) too, whose group is not closed
     labels = ["v%02d" % i for i in range(40)]
     for name, vertices, gens in (("simplex_40", labels, []),
                                  ("swapped_10", labels[:10],
-                                  [[1, 0] + list(range(2, 10))])):
+                                  [[1, 0] + list(range(2, 10))]),
+                                 ("symmetric_12", labels[:12], symmetric(12))):
         path = simplicial_file(tmp_path, name, {
             "vertices": vertices, "maximal": [vertices], "generators": gens})
         start = perf_counter()
@@ -320,6 +323,25 @@ def test_closures_past_the_cell_cap_exit_2_within_a_second(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "error: closure passes the cap of 2000000 cells at simplex "
             f"{tuple(vertices)!r}\n")
+
+
+def symmetric(n):
+    """Generators of S_n: a swap and an n-cycle."""
+    return [[1, 0] + list(range(2, n)), [(i + 1) % n for i in range(n)]]
+
+
+def test_a_simplex_under_its_symmetric_group_validates_within_a_second(
+        tmp_path, capsys):
+    # |S_12| = 479,001,600: the orbit table walks the 4,095 faces once each
+    vertices = ["v%02d" % i for i in range(12)]
+    path = simplicial_file(tmp_path, "symmetric_12", {
+        "vertices": vertices, "maximal": [vertices], "generators": symmetric(12)})
+    start = perf_counter()
+    assert main(["validate", path]) == EXIT_OK
+    assert perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "regular: no", "quotient: needs subdivision: "
+        "a setwise-fixed simplex is moved vertex-wise"]
 
 
 def test_orbit_chains_past_the_cell_cap_exit_2_within_a_second(tmp_path, capsys):
@@ -724,8 +746,7 @@ def test_the_document_is_dropped_before_anything_is_built(
         d = Node(d)
         nodes.append(weakref.ref(d))
         return d
-    monkeypatch.setattr(json, "load",
-                        lambda fh: json.loads(fh.read(), object_hook=node))
+    monkeypatch.setattr(json, "loads", functools.partial(json.loads, object_hook=node))
     for cls in (EquivariantMorseSystem, OrbifoldMorseSystem, SimplicialComplex):
         def init(self, *args, _real=cls.__init__, **kwargs):
             live.append(sum(ref() is not None for ref in nodes))
@@ -750,6 +771,35 @@ def test_group_cap_environment_variable(tmp_path, monkeypatch, capsys):
     assert main(["validate", path]) == EXIT_PARSE
     monkeypatch.delenv("ORBIMORSE_GROUP_CAP")
     assert main(["validate", path]) == EXIT_OK
+
+
+def test_group_cap_bounds_no_simplicial_group(tmp_path, monkeypatch, capsys):
+    # disc_rot_4's rotation generates Z_4, which is never closed; the rows
+    # are the corpus's expected ones
+    monkeypatch.setenv("ORBIMORSE_GROUP_CAP", "2")
+    assert main(["homology", corpus_file(tmp_path, "disc_rot_4")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "rounds: 0", "betti: 1,0,0", "betti_invariant: 1,0,0",
+        "betti_rel: 0,0,1", "betti_invariant_rel: 0,0,1"]
+
+
+def test_a_thousand_vertex_polygon_stays_small(tmp_path, capsys):
+    # Z_1200 on a 1200-gon labelled in rotation order: two subdivision
+    # rounds, and no table of the group's 1,200 elements
+    rim = ["v%04d" % i for i in range(1200)]
+    path = simplicial_file(tmp_path, "polygon_1200", {
+        "vertices": rim, "maximal": [[rim[i - 1], v] for i, v in enumerate(rim)],
+        "generators": [[(i + 1) % 1200 for i in range(1200)]]})
+    tracemalloc.start()
+    try:
+        code = main(["homology", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "rounds: 2", "betti: 1,1", "betti_invariant: 1,1"]
+    assert peak < 4e6
 
 
 def test_derive_writes_canonical_intrinsic(tmp_path, capsys):

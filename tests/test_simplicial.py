@@ -27,7 +27,6 @@ from orbimorse import (
 )
 from orbimorse import simplicial
 from orbimorse.chaincx import betti
-from orbimorse.simplicial import _close_downward
 
 import label_oracle as oracle
 from conftest import corpus_tool, grid_torus
@@ -554,5 +553,12 @@ def test_closure_matches_bitmask_reference(simplices, data):
     if simplices and data.draw(st.integers(0, 3)) == 0:
         ordered.append(simplices[-1] + simplices[-1][:1])
     for given_ in (ordered, data.draw(st.permutations(ordered))):
-        assert outcome(_close_downward, given_) \
+        assert outcome(label_closure, given_) \
             == outcome(bitmask_closure, given_)
+
+
+def label_closure(maximal):
+    """Every simplex of the complex the label constructor closes: ranked
+    (rank_simplices), then closed one dimension at a time (closure)."""
+    K = SimplicialComplex({v for s in maximal for v in s}, maximal)
+    return set(K.all_simplices())

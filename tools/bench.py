@@ -24,7 +24,9 @@ BENCH_tri.json  homology on torus(n) under negation, n in 8, 16, 24, 32, 40
                 in order past 1,000 vertices), and
                 bipyramid(p) under the rotation of order p, p in 32, 64,
                 128: no subdivision, quotient S^2; polygon(1, k) under the
-                rotation of order k, k in 30, 60, 120, 240, 480: two
+                rotation of order k, k in 30, 60, 120, 240, 480, and past
+                1,000 vertices, k in 1,200, 3,000 and 12,000, labelled
+                v00000, v00001, ... so they sort in order (_polygon): two
                 subdivision rounds, quotient S^1; wheel(k), a disc under the
                 rotation of order k, relative to its rim, k in 20, 40, 80:
                 no subdivision, quotient a disc, relative Betti numbers
@@ -32,8 +34,8 @@ BENCH_tri.json  homology on torus(n) under negation, n in 8, 16, 24, 32, 40
                 rotation of order p whose quotient is the lens space
                 L(p, 1), p in 8, 16, 32, 64: two subdivision rounds (the
                 second lists the orbit chains), Betti numbers 1,0,0,1.
-                Every bipyramid, polygon and wheel has fewer than 1,000
-                vertices: instances.py labels them v000, v001, ..., so
+                Every other bipyramid, polygon and wheel has fewer than
+                1,000 vertices: instances.py labels them v000, v001, ..., so
                 beyond that the sorted vertex list no longer follows the
                 rotation; lens labels a00 ... b63 sort in order too.
                 Then the library calls on subdivided G-complexes:
@@ -97,6 +99,14 @@ def _violations(expect):
     return check
 
 
+def _polygon(k):
+    """instances.polygon(1, k) with five-digit labels, which sort in
+    rotation order up to 100,000 vertices."""
+    rim = ["v%05d" % i for i in range(k)]
+    return {"vertices": rim, "maximal": [[rim[i], rim[(i + 1) % k]] for i in range(k)],
+            "generators": [[(i + 1) % k for i in range(k)]]}
+
+
 def _quotient_rows(rounds, betti, rel=None):
     """The homology rows of a simplicial instance whose quotient and
     invariant part both have these Betti numbers."""
@@ -130,6 +140,8 @@ BENCHES = (
          lambda i, p: (p, _quotient_rows(0, "1,0,1")), (32, 64, 128)),
         ("polygon", "homology", lambda i, k: i.polygon(1, k),
          lambda i, k: (k, _quotient_rows(2, "1,1")), (30, 60, 120, 240, 480)),
+        ("polygon", "homology", lambda i, k: _polygon(k),
+         lambda i, k: (k, _quotient_rows(2, "1,1")), (1200, 3000, 12000)),
         ("wheel", "homology", lambda i, k: i.wheel(k),
          lambda i, k: (k, _quotient_rows(0, "1,0,0", "0,0,1")), (20, 40, 80)),
         ("lens", "homology", lambda i, p: _load("build_corpus").lens_simplicial(p, 1),
