@@ -16,8 +16,11 @@ The instances are every corpus file; every gq-sphere, gq-diagnose and
 tri-quotient instance of seeds 1-3, built by perfbench/instances.py; the
 ring sphere under Z_800 with the flow c0 re-aimed and under D_800 with c0's
 sign flipped; ring spheres with several defects (multi_defects); an
-intrinsic system with a flow that skips an index (index_jump); and the
-documents tests/test_fuzz.py draws.  Every instance gets each command
+intrinsic system with a flow that skips an index (index_jump); the edge
+under its flip, with and without a relative part, and the Z_8 ring sphere
+with one point's index or value moved off its orbit (paths); Morse
+documents with malformed entries (malformed); and the documents
+tests/test_fuzz.py draws.  Every instance gets each command
 below; one that does not apply to the instance's kind exits 4 with a
 message, which is digested too.  Each run is one in-process
 ``orbimorse`` call in a temporary directory, on relative file names, so no
@@ -114,6 +117,11 @@ def instances():
     yield "planted/index_jump", json.dumps(
         {"kind": "intrinsic", "metadata": {"name": "index_jump"},
          "system": index_jump()})
+    for name, doc in paths(bench):
+        yield f"planted/{name}", json.dumps(doc)
+    heart = json.loads((corpus / "heart.json").read_text(encoding="utf-8"))
+    for name, doc in malformed(heart):
+        yield f"malformed/{name}", json.dumps(doc)
     for i, text in enumerate(fuzz_documents()):
         yield f"fuzz/{i:03d}", text
 
@@ -152,6 +160,116 @@ def index_jump():
                        {"label": "s", "index": 0, "iso_order": 1}],
             "flows": [{"label": "f", "src": "n", "dst": "s", "iso_order": 1,
                        "sign": 1}]}
+
+
+def paths(bench):
+    """(name, document) of instances reaching paths no other instance here
+    does: the edge {a, b} under the swap, which needs a subdivision round,
+    with and without the relative part {a}; and the Z_8 ring sphere with
+    r0's index set to 0, and with its value set to 7/2."""
+    edge = {"vertices": ["a", "b"], "maximal": [["a", "b"]],
+            "generators": [[1, 0]]}
+    relative = dict(edge, subcomplex={"vertices": ["a"], "maximal": [["a"]]})
+    yield from ((name, {"kind": "simplicial", "metadata": {"name": name},
+                        "system": system})
+                for name, system in (("flipped_edge", edge),
+                                     ("flipped_edge_rel", relative)))
+    for name, field, value in (("zp8_r0_index", "index", 0),
+                               ("zp8_r0_value", "value", "7/2")):
+        system = bench.zp_sphere(8)
+        next(p for p in system["crit_points"] if p["label"] == "r0")[field] = value
+        yield name, {"kind": "global_quotient", "metadata": {"name": name},
+                     "system": system}
+
+
+#: Each Morse entry list: its kind, its key, an entry that is not an
+#: object, and for each field a value of a wrong type.
+ENTRY_LISTS = (
+    ("global_quotient", "crit_points", [],
+     {"label": 7, "index": True, "value": 1.5}),
+    ("global_quotient", "flows", "p",
+     {"label": 1, "src": None, "dst": 0, "sign": 1.0}),
+    ("intrinsic", "points", None,
+     {"label": [], "index": "1", "iso_order": None, "orientable": "false"}),
+    ("intrinsic", "flows", 2,
+     {"label": 3, "src": 1, "dst": [], "iso_order": "1", "sign": "x"}),
+)
+
+
+def segment():
+    """An intrinsic circle: the flows f and g from a to b, both points of
+    isotropy 2."""
+    return {"ambient_dim": 1,
+            "points": [{"label": "a", "index": 1, "iso_order": 2},
+                       {"label": "b", "index": 0, "iso_order": 2,
+                        "orientable": True}],
+            "flows": [{"label": "f", "src": "a", "dst": "b", "iso_order": 1,
+                       "sign": 1},
+                      {"label": "g", "src": "a", "dst": "b", "iso_order": 2,
+                       "sign": -1}]}
+
+
+GONE = object()     # an edit's value that deletes the field
+
+
+def malformed(heart):
+    """(name, document) of Morse documents with bad entries, each edited
+    from the corpus heart or segment(): for each field of each entry list,
+    the field left out and of a wrong type; an entry that is not an object;
+    values with an exponent, a decimal point, no number, a zero denominator
+    and null, which reads as no value, and a null orientable flag, which is
+    refused; and documents bad in two places, whose message names the
+    first bad field of the first bad entry.  An edit (key, i, field, value)
+    sets the field of entry i of the list key, or the whole entry where
+    field is None."""
+    base = {"global_quotient": heart["system"], "intrinsic": segment()}
+
+    def doc(kind, *edits):
+        system = json.loads(json.dumps(base[kind]))
+        for key, i, field, value in edits:
+            if field is None:
+                system[key][i] = value
+            elif value is GONE:
+                del system[key][i][field]
+            else:
+                system[key][i][field] = value
+        return {"kind": kind, "metadata": {"name": "malformed"},
+                "system": system}
+
+    for kind, key, other, wrong in ENTRY_LISTS:
+        for field, value in wrong.items():
+            yield f"{kind}_{key}_{field}_missing", doc(kind, (key, 1, field, GONE))
+            yield f"{kind}_{key}_{field}_type", doc(kind, (key, 1, field, value))
+        yield f"{kind}_{key}_not_an_object", doc(kind, (key, 1, None, other))
+    for i, value in enumerate(("1e5", "0.5", "x", "3/0", None)):
+        yield f"value_{i}", doc("global_quotient",
+                                ("crit_points", 2, "value", value))
+    yield "orientable_null", doc("intrinsic", ("points", 0, "orientable", None))
+    for i, edits in enumerate((
+            [("crit_points", 1, "label", 7), ("crit_points", 2, "index", "x")],
+            [("crit_points", 1, "index", True),
+             ("crit_points", 3, "label", None)],
+            [("crit_points", 0, "value", "1e5"),
+             ("crit_points", 1, "label", 3)],
+            [("flows", 0, "sign", "x"), ("crit_points", 3, "value", "x")],
+            [("flows", 1, "label", 1), ("flows", 2, "src", 2)],
+            [("flows", 0, "src", None), ("flows", 1, "label", None)],
+            [("flows", 2, "dst", 0), ("flows", 3, "sign", "-")],
+            [("flows", 1, "sign", 1.0), ("flows", 2, "dst", [])],
+            [("crit_points", 2, "index", GONE), ("flows", 0, "label", GONE)],
+            [("flows", 1, "src", GONE), ("flows", 3, "label", GONE)],
+            [("crit_points", 3, "label", "q"), ("flows", 0, "label", "g2")],
+            [("flows", 0, "dst", "ghost"), ("flows", 2, "label", "g1")],
+            [("flows", 1, "dst", "ghost"), ("flows", 2, "src", "nowhere")],
+            [("flows", 1, "sign", 2), ("flows", 2, "src", "ghost")],
+            [("flows", 1, "sign", 2), ("flows", 1, "dst", "ghost")])):
+        yield f"global_quotient_two_{i:02d}", doc("global_quotient", *edits)
+    for i, edits in enumerate((
+            [("points", 1, "orientable", "no"), ("points", 1, "index", "x")],
+            [("points", 0, "iso_order", "2"), ("flows", 0, "label", 1)],
+            [("flows", 0, "sign", "x"), ("flows", 0, "iso_order", "y")],
+            [("flows", 0, "dst", "ghost"), ("flows", 0, "sign", 2)])):
+        yield f"intrinsic_two_{i:02d}", doc("intrinsic", *edits)
 
 
 def run(argv) -> tuple:
