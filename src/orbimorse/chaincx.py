@@ -15,10 +15,12 @@ s of its denominators and gets s in row -1-j.  Rows below 0 are never
 pivots; they record how much of each column a reduced column holds.  A
 column whose rows from 0 up all cancel is a kernel vector, with column i's
 coefficient in row -1-i.
-verify_complex squares a complex once and keeps the verdict on it; betti
-then reduces top down with clearing (Chen & Kerber, Persistent homology
-computation with a twist, 2011): a column of d_k that is the lowest row of
-a reduced column of d_(k+1) reduces to zero, as d^2 = 0, and is skipped.
+A complex lists the nonzero entries of its square once and keeps them
+(GradedComplex.squared): verify_complex reads the first and
+intrinsic.verify_d_squared all.  betti then reduces top down with clearing
+(Chen & Kerber, Persistent homology computation with a twist, 2011): a
+column of d_k that is the lowest row of a reduced column of d_(k+1) reduces
+to zero, as d^2 = 0, and is skipped.
 flow_complex (Morse systems) and orbit_sum_complex (orbit tables of arrays)
 read points, flows and cells as numbers, and labels only for the bases.
 """
@@ -206,14 +208,14 @@ class GradedComplex:
         return RationalMatrix.zeros(self.dim(k - 1), self.dim(k))
 
     @cached_property
-    def verdict(self) -> tuple:
-        """verify_complex's result, computed on first use."""
-        for k in range(2, self.max_degree + 1):
-            if cells := _square_cells(self, k):
-                i, j, v = min(cells)
-                labels = self.basis_labels
-                return False, (k, labels[k - 2][i], labels[k][j], Fraction(v))
-        return True, None
+    def squared(self) -> tuple:
+        """Nonzero entries (degree, row_label, col_label, value) of the
+        boundary squared, row by row, where degree is the top degree of the
+        composition; listed on first use and kept."""
+        labels = self.basis_labels
+        return tuple((k, labels[k - 2][i], labels[k][j], Fraction(v))
+                     for k in range(2, self.max_degree + 1)
+                     for i, j, v in sorted(_square_cells(self, k)))
 
 
 def flow_complex(n, labels, index, src, dst, coeffs, kept=None) -> GradedComplex:
@@ -246,18 +248,10 @@ def _square_cells(c: GradedComplex, k: int) -> list:
             if any(acc.values()) for i, v in acc.items() if v]
 
 
-def square_entries(c: GradedComplex):
-    """Nonzero entries (degree, row_label, col_label, value) of the boundary
-    squared, row by row, where degree is the top degree of the composition."""
-    for k in range(2, c.max_degree + 1):
-        for i, j, v in sorted(_square_cells(c, k)):
-            yield k, c.basis_labels[k - 2][i], c.basis_labels[k][j], Fraction(v)
-
-
 def verify_complex(c: GradedComplex):
-    """(True, None) when boundary squared is zero, else (False, its first
-    entry from square_entries); the complex keeps it, so it is squared once."""
-    return c.verdict
+    """(True, None) when boundary squared is zero, else (False, the first
+    entry of c.squared)."""
+    return (False, c.squared[0]) if c.squared else (True, None)
 
 
 def orbit_sum_complex(orbits, orbit, sign, faces, names) -> GradedComplex:

@@ -20,9 +20,10 @@ build, validate and take the homology of each kind:
 Rational values are strings like "3/2" (or plain integers), no exponent
 and no decimal point.
 A command holds only what its next step reads: load_instance reads each
-payload with its kind's reader (a Morse system's appends each entry to the
-point and flow columns the system keeps, endpoints as point numbers; a
-simplicial one ranks each simplex into a tuple of vertex ranks) and
+payload with its kind's reader (a Morse system's reads each entry list a
+column at a time, as one field table says, into the columns the system
+keeps, endpoints as point numbers, and derive writes from the same tables;
+a simplicial one ranks each simplex into a tuple of vertex ranks) and
 returns the kind, the name and what was read, so the document is dropped
 before anything is built; the builders make the objects from that.
 Serialization is canonical: sorted keys, two-space indent, trailing
@@ -47,9 +48,10 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from itertools import chain
+from operator import itemgetter, methodcaller
 from typing import Callable, NamedTuple
 
-from .chaincx import betti, verify_complex
+from .chaincx import betti
 from .errors import (
     MalformedPermutation,
     MalformedSystem,
@@ -116,10 +118,18 @@ def _as_list(v, ctx, *args):
         raise ParseError(f"{_where(ctx, args)}: expected a list")
     return v
 
+def _as_bool(v, ctx, *args):
+    if not isinstance(v, bool):
+        raise ParseError(f"{_where(ctx, args)} must be true or false, got {v!r}")
+    return v
+
 def _as_fraction(v, ctx, *args):
-    """An integer or a string such as "3/2" or "-7"; an exponent is refused,
-    since Fraction("1e10000000") alone takes seconds, and so is a decimal
-    point, since a long decimal gives a denominator too long to print."""
+    """None, for no value, an integer or a string such as "3/2" or "-7"; an
+    exponent is refused, since Fraction("1e10000000") alone takes seconds,
+    and so is a decimal point, since a long decimal gives a denominator too
+    long to print."""
+    if v is None:
+        return v
     if isinstance(v, (int, str)) and not isinstance(v, bool):
         try:
             if isinstance(v, str) and ("e" in v.lower() or "." in v):
@@ -159,17 +169,6 @@ class InstanceFile(NamedTuple):
     metadata: dict
     body: dict
 
-    @property
-    def name(self) -> str:
-        return self.metadata.get("name", "?")
-
-class Instance(NamedTuple):
-    """What a command keeps of an instance file: its kind, its name and each
-    payload as the kind's reader reads it."""
-    kind: str
-    name: str
-    payloads: list
-
 #: The one kind each of these commands takes.
 ACCEPTS = {"compare": "comparison", "derive": "global_quotient"}
 
@@ -190,15 +189,12 @@ def instance_from_dict(doc, ctx="instance") -> InstanceFile:
         body[key] = payload
     return InstanceFile(kind=kind, metadata=metadata, body=body)
 
-def read_payloads(inst: InstanceFile) -> list:
-    """Each payload of the instance as its kind's reader reads it."""
-    return [read(inst.body[key]) for key, read in KINDS[inst.kind].payload.items()]
-
-def load_instance(path, command=None) -> Instance:
-    """The instance file at path read by its readers, after a command named in
-    ACCEPTS has refused any other kind.  The document is dropped when this
-    returns, so no command holds it while it builds; the file is closed, and
-    its text dropped, as soon as each is read."""
+def load_instance(path, command=None) -> tuple:
+    """(kind, name, payloads) of the instance file at path, each payload
+    read by its kind's reader, after a command named in ACCEPTS has refused
+    any other kind.  The document is dropped when this returns, so no
+    command holds it while it builds; the file is closed, and its text
+    dropped, as soon as each is read."""
     fh = open(path, "r", encoding="utf-8")
     try:
         with fh:
@@ -212,76 +208,82 @@ def load_instance(path, command=None) -> Instance:
     want = ACCEPTS.get(command, inst.kind)
     if inst.kind != want:
         raise ParseError(f"{command} expects a {want} instance")
-    return Instance(inst.kind, inst.name, read_payloads(inst))
+    return inst.kind, inst.metadata.get("name", "?"), [
+        read(inst.body[key]) for key, read in KINDS[inst.kind].payload.items()]
 
 def instance_to_text(inst: InstanceFile) -> str:
     doc = {"kind": inst.kind, "metadata": inst.metadata}
     doc.update(inst.body)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-def save_instance(inst: InstanceFile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_text(inst))
-
 
 # -- readers: payload dict -> columns or rows; builders: those -> objects -----
 
-def _point(c) -> tuple:
-    """A critical point entry read field by field: (label, index, value), or
-    the parse error of its first bad field."""
-    label = _as_str(_req(c, "label", "critical point"), "critical point label")
-    index = _as_int(_req(c, "index", "point %r", label), "point %r: index", label)
-    value = None
-    if c.get("value") is not None:
-        value = _as_fraction(c["value"], "point %r: value", label)
-    return label, index, value
+# The entry lists of the Morse payloads: the list's key, the nouns its
+# messages use for a label and for an entry, and its fields in the order
+# they are checked, each (key, reader) or (key, reader, default) where it
+# may be left out.  The first field is the label.
+CRIT_POINTS = ("crit_points", "critical point", "point", (
+    ("label", _as_str), ("index", _as_int), ("value", _as_fraction, None)))
+GLOBAL_FLOWS = ("flows", "flow", "flow", (
+    ("label", _as_str), ("src", _as_str), ("dst", _as_str), ("sign", _as_int)))
+POINTS = ("points", "point", "point", (
+    ("label", _as_str), ("orientable", _as_bool, True), ("index", _as_int),
+    ("iso_order", _as_int)))
+FLOWS = ("flows", "flow", "flow", (
+    ("label", _as_str), ("src", _as_str), ("dst", _as_str),
+    ("iso_order", _as_int), ("sign", _as_int)))
 
-def _flow(f) -> tuple:
-    """A flow entry read field by field: (label, src, dst, sign), or the
-    parse error of its first bad field."""
-    label = _as_str(_req(f, "label", "flow"), "flow label")
-    src = _as_str(_req(f, "src", "flow %r", label), "flow %r: src", label)
-    dst = _as_str(_req(f, "dst", "flow %r", label), "flow %r: dst", label)
-    sign = _as_int(_req(f, "sign", "flow %r", label), "flow %r: sign", label)
-    return label, src, dst, sign
+#: The value types each reader passes as they are; a column holding any
+#: other type is read value by value, which converts it or raises.
+_TYPES = {_as_str: {str}, _as_int: {int}, _as_bool: {bool},
+          _as_fraction: {type(None)}}
+
+def _entries(payload, ctx, table) -> list:
+    """The columns of table's entry list in payload, one per field, each
+    read whole.  Where one fails, the entries are walked one at a time,
+    fields in order, and the parse error of the first bad field of the first
+    bad entry is raised."""
+    key, noun, what, fields = table
+    entries = _as_list(_req(payload, key, ctx), f"{ctx}: {key}")
+    try:
+        columns = []
+        for name, read, *default in fields:
+            column = list(map(methodcaller("get", name, *default) if default
+                              else itemgetter(name), entries))
+            if not {*map(type, column)} <= _TYPES[read]:
+                column = [read(v, name) for v in column]
+            columns.append(column)
+        return columns
+    except (LookupError, TypeError, AttributeError, ParseError):
+        pass   # an entry is not an object, or a field is missing or bad
+    (key, read), *rest = fields
+    for e in entries:
+        label = read(_req(e, key, noun), f"{noun} {key}")
+        for name, check, *default in rest:
+            check(e.get(name, *default) if default else
+                  _req(e, name, "%s %r", what, label), "%s %r: %s", what, label, name)
+
+def _numbered(labels, flows) -> list:
+    """The flow columns with src and dst as point numbers; an endpoint no
+    point has stays its label, for the system to name."""
+    number = dict(zip(labels, range(len(labels)))).get
+    src, dst = flows[1:3]
+    flows[1:3] = list(map(number, src, src)), list(map(number, dst, dst))
+    return flows
 
 def read_global(payload) -> dict:
     """The keyword arguments of EquivariantMorseSystem.from_generator_data
-    in a global_quotient payload.  Each entry is appended to the point
-    columns (labels, index, value) or the flow columns (flow_labels, src,
-    dst, sign), an endpoint as its point number, or as its label where no
-    point has it, for the system to name; _point and _flow name the first
-    bad field of an entry."""
+    in a global_quotient payload: the point columns (labels, index, value)
+    of CRIT_POINTS and the flow columns (flow_labels, src, dst, sign) of
+    GLOBAL_FLOWS, endpoints as point numbers."""
     ctx = "global_quotient system"
     ambient = _as_int(_req(payload, "ambient_dim", ctx), f"{ctx}: ambient_dim")
     degree = _as_int(_req(payload, "degree", ctx), f"{ctx}: degree")
     gens = [tuple(_as_list(g, "%s: generator", ctx)) for g in
             _as_list(_req(payload, "generators", ctx), f"{ctx}: generators")]
-
-    labels, index, value = points = [], [], []
-    for c in _as_list(_req(payload, "crit_points", ctx), f"{ctx}: crit_points"):
-        if (type(c) is dict and type(label := c.get("label")) is str
-                and type(k := c.get("index")) is int):
-            if (v := c.get("value")) is not None:
-                v = _as_fraction(v, "point %r: value", label)
-        else:
-            label, k, v = _point(c)
-        labels.append(label)
-        index.append(k)
-        value.append(v)
-
-    number = dict(zip(labels, range(len(labels)))).get
-    flow_labels, src, dst, sign = flows = [], [], [], []
-    for f in _as_list(_req(payload, "flows", ctx), f"{ctx}: flows"):
-        if not (type(f) is dict and type(label := f.get("label")) is str
-                and type(a := f.get("src")) is str
-                and type(b := f.get("dst")) is str
-                and type(e := f.get("sign")) is int):
-            label, a, b, e = _flow(f)
-        flow_labels.append(label)
-        src.append(number(a, a))
-        dst.append(number(b, b))
-        sign.append(e)
+    points = _entries(payload, ctx, CRIT_POINTS)
+    flows = _numbered(points[0], _entries(payload, ctx, GLOBAL_FLOWS))
 
     def per_generator(key):
         arr = _as_list(_req(payload, key, ctx), f"{ctx}: {key}")
@@ -301,51 +303,31 @@ def build_global(args) -> EquivariantMorseSystem:
 
 def read_intrinsic(payload) -> dict:
     """The keyword arguments of OrbifoldMorseSystem in an intrinsic payload:
-    the point and flow columns, endpoints resolved as read_global does."""
+    the point columns of POINTS and the flow columns of FLOWS, endpoints as
+    point numbers."""
     ctx = "intrinsic system"
     ambient = _as_int(_req(payload, "ambient_dim", ctx), f"{ctx}: ambient_dim")
-    labels, index, iso_order, orientable = points = [], [], [], []
-    for p in _as_list(_req(payload, "points", ctx), f"{ctx}: points"):
-        label = _as_str(_req(p, "label", "point"), "point label")
-        ok = p.get("orientable", True)
-        if not isinstance(ok, bool):
-            raise ParseError(
-                f"point {label!r}: orientable must be true or false, got {ok!r}")
-        labels.append(label)
-        index.append(_as_int(_req(p, "index", "point %r", label),
-                             "point %r: index", label))
-        iso_order.append(_as_int(_req(p, "iso_order", "point %r", label),
-                                 "point %r: iso_order", label))
-        orientable.append(ok)
-    number = dict(zip(labels, range(len(labels)))).get
-    flow_labels, src, dst, flow_iso, sign = flows = [], [], [], [], []
-    for f in _as_list(_req(payload, "flows", ctx), f"{ctx}: flows"):
-        label = _as_str(_req(f, "label", "flow"), "flow label")
-        a = _as_str(_req(f, "src", "flow %r", label), "flow %r: src", label)
-        b = _as_str(_req(f, "dst", "flow %r", label), "flow %r: dst", label)
-        flow_labels.append(label)
-        src.append(number(a, a))
-        dst.append(number(b, b))
-        flow_iso.append(_as_int(_req(f, "iso_order", "flow %r", label),
-                                "flow %r: iso_order", label))
-        sign.append(_as_int(_req(f, "sign", "flow %r", label),
-                            "flow %r: sign", label))
-    return dict(ambient_dim=ambient, points=points, flows=flows)
+    labels, orientable, index, iso_order = _entries(payload, ctx, POINTS)
+    return dict(ambient_dim=ambient, points=(labels, index, iso_order, orientable),
+                flows=_numbered(labels, _entries(payload, ctx, FLOWS)))
 
 def build_intrinsic(args) -> OrbifoldMorseSystem:
     with _parsing("intrinsic system"):
         return OrbifoldMorseSystem(**args)
 
+def _dicts(table, *columns) -> list:
+    """The entries of table's list from its columns, keyed by its fields."""
+    keys = [field[0] for field in table[3]]
+    return [dict(zip(keys, entry)) for entry in zip(*columns)]
+
 def intrinsic_payload(s: OrbifoldMorseSystem) -> dict:
+    """The intrinsic payload of s, its entries keyed as POINTS and FLOWS
+    read them."""
     labels = s.labels
     return {"ambient_dim": s.ambient_dim,
-            "points": [{"label": p, "index": k, "iso_order": n, "orientable": ok}
-                       for p, k, n, ok in zip(labels, s.index, s.iso_order,
-                                              s.orientable)],
-            "flows": [{"label": f, "src": labels[a], "dst": labels[b],
-                       "iso_order": n, "sign": e}
-                      for f, a, b, n, e in zip(s.flow_labels, s.src, s.dst,
-                                               s.flow_iso, s.sign)]}
+            "points": _dicts(POINTS, labels, s.orientable, s.index, s.iso_order),
+            "flows": _dicts(FLOWS, s.flow_labels, [labels[a] for a in s.src],
+                            [labels[b] for b in s.dst], s.flow_iso, s.sign)}
 
 def _vertex_lists(payload, ctx, known=()):
     """Vertices and maximal simplices, labels all integers or all strings.
@@ -482,13 +464,10 @@ def _validate_intrinsic(rep, s) -> int:
     return EXIT_OK if d.ok else EXIT_INVALID
 
 def _homology_intrinsic(rep, conv, s) -> int:
-    """Each convention's kept complex is squared once, for its verdict here
-    and for betti; the first witness is verify_d_squared's first."""
-    for c in ("plus", "minus"):
-        ok, witness = verify_complex(_boundary(s, c))
-        if not ok:
-            _, bot, top, val = witness
-            return _invalid(rep, "witness", _witness(c, top, bot, val))
+    """Each kept complex is squared once, for verify_d_squared and betti."""
+    d = verify_d_squared(s)
+    if not d.ok:
+        return _invalid(rep, "witness", _witness(*d.witnesses[0]))
     rep.add("convention", conv)
     rep.add("betti", betti(_boundary(s, conv)))
     return EXIT_OK
@@ -593,7 +572,8 @@ def cmd_derive(args) -> int:
         metadata={"name": f"{name}_derived",
                   "description": f"invariant system of {name}"},
         body={"system": intrinsic_payload(derived)})
-    save_instance(out, args.out)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(instance_to_text(out))
     rep = Report(("written", args.out), ("points", len(derived.labels)),
                  ("flows", len(derived.flow_labels)))
     for o in discarded_orbits(s):
@@ -605,7 +585,7 @@ def run_expectations(inst: InstanceFile) -> list[str]:
     """Check the instance's expected results against the rows validate and
     homology (plus convention) report for it; returns failure strings."""
     kind = KINDS[inst.kind]
-    objs = kind.build(*read_payloads(inst))
+    objs = kind.build(*(read(inst.body[key]) for key, read in kind.payload.items()))
     rep = Report()
     kind.validate(rep, *objs)
     kind.homology(rep, "plus", *objs)

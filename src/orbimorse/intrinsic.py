@@ -11,14 +11,14 @@ conventions are supported:
 
 Multiplication by the isotropy orders (psi, tests/paper_identities.py)
 intertwines the two, so they always share Betti numbers.  A system builds
-each convention's complex once and keeps it, with its d^2 verdict.
+each convention's complex once and keeps it, with the entries of its square.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chaincx import GradedComplex, flow_complex, square_entries
+from .chaincx import GradedComplex, flow_complex
 from .errors import (
     DivisibilityViolation,
     IndexOutOfRange,
@@ -113,8 +113,8 @@ class DSquaredReport(NamedTuple):
 
 
 def verify_d_squared(s: OrbifoldMorseSystem) -> DSquaredReport:
-    """Square the boundary under both conventions; collect nonzero entries."""
+    """The nonzero entries of both conventions' squares, plus first."""
     witnesses = tuple((convention, top, bottom, v)
                       for convention in ("plus", "minus")
-                      for _, bottom, top, v in square_entries(_boundary(s, convention)))
+                      for _, bottom, top, v in _boundary(s, convention).squared)
     return DSquaredReport(ok=not witnesses, witnesses=witnesses)
