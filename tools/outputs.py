@@ -17,8 +17,9 @@ tri-quotient instance of seeds 1-3, built by perfbench/instances.py; the
 ring sphere under Z_800 with the flow c0 re-aimed and under D_800 with c0's
 sign flipped; ring spheres with several defects (multi_defects); an
 intrinsic system with a flow that skips an index (index_jump); the edge
-under its flip, with and without a relative part, and the Z_8 ring sphere
-with one point's index or value moved off its orbit (paths); Morse
+under its flip, with and without a relative part, three simplicial actions
+whose quotients take each path of simplicial.regularize, and the Z_8 ring
+sphere with one point's index or value moved off its orbit (paths); Morse
 documents with malformed entries (malformed); and the documents
 tests/test_fuzz.py draws.  Every instance gets each command
 below; one that does not apply to the instance's kind exits 4 with a
@@ -165,15 +166,37 @@ def index_jump():
 def paths(bench):
     """(name, document) of instances reaching paths no other instance here
     does: the edge {a, b} under the swap, which needs a subdivision round,
-    with and without the relative part {a}; and the Z_8 ring sphere with
+    with and without the relative part {a}; the triangle's boundary under
+    its rotation, regular but with an edge inside a vertex orbit, relative
+    to the edge {v0, v1}, which the rotation moves out; the hexagon under
+    its rotation of order 3, relative to the vertex orbit of v000; the join
+    of a 5-simplex with a square whose opposite corners are swapped, where
+    two edge orbits share their vertex orbits; and the Z_8 ring sphere with
     r0's index set to 0, and with its value set to 7/2."""
     edge = {"vertices": ["a", "b"], "maximal": [["a", "b"]],
             "generators": [[1, 0]]}
     relative = dict(edge, subcomplex={"vertices": ["a"], "maximal": [["a"]]})
+    triangle = {"vertices": ["v0", "v1", "v2"],
+                "maximal": [["v0", "v1"], ["v1", "v2"], ["v0", "v2"]],
+                "generators": [[1, 2, 0]],
+                "subcomplex": {"vertices": ["v0", "v1"],
+                               "maximal": [["v0", "v1"]]}}
+    orbit = ["v000", "v002", "v004"]
+    hexagon = dict(bench.polygon(2, 3), subcomplex={
+        "vertices": orbit, "maximal": [[v] for v in orbit]})
+    base = ["a%d" % i for i in range(6)]
+    square = {"x": "x'", "y": "y'", "x'": "x", "y'": "y"}
+    vertices = sorted(base + list(square))
+    join = {"vertices": vertices,
+            "maximal": [base + [u, v] for u in ("x", "x'") for v in ("y", "y'")],
+            "generators": [[vertices.index(square.get(v, v)) for v in vertices]]}
     yield from ((name, {"kind": "simplicial", "metadata": {"name": name},
                         "system": system})
                 for name, system in (("flipped_edge", edge),
-                                     ("flipped_edge_rel", relative)))
+                                     ("flipped_edge_rel", relative),
+                                     ("rotated_triangle_rel", triangle),
+                                     ("hexagon_rot2_rel", hexagon),
+                                     ("join_square", join)))
     for name, field, value in (("zp8_r0_index", "index", 0),
                                ("zp8_r0_value", "value", "7/2")):
         system = bench.zp_sphere(8)
