@@ -57,11 +57,9 @@ from .quotient import (
 from .simplicial import (
     CompareReport,
     GSimplicialComplex,
-    QuotientComplex,
     SimplicialComplex,
     barycentric_subdivide,
     compare,
-    homology,
     invariant_homology,
     is_regular,
     quotient,

@@ -78,7 +78,6 @@ from .simplicial import (
     SimplicialComplex,
     closure,
     compare,
-    homology,
     invariant_homology,
     is_regular,
     quotient,
@@ -482,12 +481,12 @@ def _validate_simplicial(rep, gk, sub) -> int:
     return EXIT_OK
 
 def _homology_simplicial(rep, conv, gk, sub) -> int:
-    rounds, q = regularize(gk, sub)
+    rounds, quotient_complex, relative = regularize(gk, sub)
     rep.add("rounds", rounds)
-    rep.add("betti", homology(q.complex))
+    rep.add("betti", betti(quotient_complex))
     rep.add("betti_invariant", invariant_homology(gk))
     if sub is not None:
-        rep.add("betti_rel", homology(q.complex, q.part))
+        rep.add("betti_rel", betti(relative))
         rep.add("betti_invariant_rel", invariant_homology(gk, sub))
     return EXIT_OK
 

@@ -10,18 +10,17 @@ where a message or a reader asks.  The orbit table walks each orbit's
 members once, through the generators: by Schreier's lemma the stabilizer
 of a member is generated by what the walk's edges do to it, so the edges
 alone tell whether it moves or reverses the member's vertices, and the
-group is never closed.  Regularity (an element fixing a simplex setwise
-fixes it vertex-wise) is not enough for a simplicial quotient, so
-quotient() also rejects shared vertex sets and collapses.  Where it fails,
-regularize() does not subdivide the G-complex twice: once no edge has both
-ends in one vertex orbit (after at most one round, as a subdivision's
-vertices are labelled by dimension), the orbits form a regular cell complex,
-and the chains of its face poset are the quotient of the next subdivision
-(Bredon, Introduction to Compact Transformation Groups, 1972, ch. III 1).
-That quotient numbers its vertices by dimension, not by label; only its
-Betti numbers are read.  Invariant homology is that of the orbit sums
-(chaincx.orbit_sum_complex), where an orbit its stabilizer flips cancels
-like a non-orientable critical point.
+group is never closed.  When no edge has both ends in one vertex orbit
+(the complex is multiplicity-free), ordering each simplex's vertices by
+vertex orbit is G-invariant, and |K|/G is a Delta-complex with one cell per
+orbit, whose boundaries the orbit table holds (_delta_complex); a
+subdivision is multiplicity-free, as its vertices are labelled by
+dimension, so regularize() subdivides at most once.  quotient() keeps the
+stricter test of a simplicial quotient: regular (an element fixing a
+simplex setwise fixes it vertex-wise), no simplex collapsing onto fewer
+vertex orbits, no two orbits on one vertex-orbit set.  Invariant homology
+is that of the orbit sums (chaincx.orbit_sum_complex), where an orbit its
+stabilizer flips cancels like a non-orientable critical point.
 """
 
 from __future__ import annotations
@@ -114,10 +113,10 @@ def closure(n, levels) -> list:
     return [[(v,) for v in range(n)]] + cells[::-1]
 
 
-def _labels(parent, cells, pick=tuple) -> tuple:
-    """pick of each cell's vertex labels, from a parent's (or its partial)."""
+def _labels(parent, cells) -> tuple:
+    """Each cell's vertex labels, from a parent's (or its partial)."""
     points = parent() if callable(parent) else parent
-    return tuple(pick([points[r] for r in c]) for c in cells)
+    return tuple(tuple([points[r] for r in c]) for c in cells)
 
 
 class SimplicialComplex:
@@ -310,53 +309,67 @@ def _invariant_part(gk, sub) -> frozenset:
     return part
 
 
-class QuotientComplex(NamedTuple):
-    """Quotient complex, and its relative part as cells (None without)."""
-    complex: SimplicialComplex
-    part: Optional[frozenset] = None
-
-    @property
-    def sub(self) -> Optional[SimplicialComplex]:
-        label = self.complex.label
-        return None if self.part is None else SimplicialComplex(
-            {v for c in self.part for v in label(c)}, map(label, self.part))
-
-
-def quotient(gk: GSimplicialComplex, sub=None) -> QuotientComplex:
-    """Quotient by the action; simplices are orbits, faces via representatives.
-    Raises NotRegular when a setwise-fixed simplex moves vertex-wise (before
-    NotASubcomplex for a relative part), or after it when a simplex collapses
-    or two orbits land on one quotient vertex set."""
-    if not is_regular(gk):
-        raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
-    K, label = gk.complex, gk.complex.label
+def _refusal(gk: GSimplicialComplex) -> Optional[tuple]:
+    """Why a regular gk has no simplicial quotient, or None.  Each orbit's
+    representative s (its least member) goes down to the least vertices of
+    its vertices' orbits: (s, down, None) for the first that collapses onto
+    fewer vertices, (s, down, r) for the first whose down an earlier
+    representative r has."""
+    K, seen = gk.complex, {}
     rep = [gk.orbits[o][1][0] for o in gk.orbit[0]]  # least vertex of each orbit
-    seen, reason = {}, None
     for k, members, _ in gk.orbits:
         s = K.cells[k][members[0]]
         down = tuple(sorted({rep[v] for v in s}))
         if len(down) != len(s):
-            reason = (f"simplex {label(s)!r} collapses onto {label(down)!r} "
-                      "in the quotient")
-            break
+            return s, down, None
         if down in seen:
-            reason = (f"orbits of {label(seen[down])!r} and {label(s)!r} share "
-                      f"the quotient vertex set {label(down)!r}")
-            break
+            return s, down, seen[down]
         seen[down] = s
-    part = _invariant_part(gk, sub)
-    if reason is not None:
-        # raised, not kept: an exception in a local of this frame would tie
-        # the frame, and the complex, into a cycle through its traceback
-        raise NotRegular(reason)
-    reps = sorted(set(rep))
-    new, cells = dict(zip(reps, range(len(reps)))), [[] for _ in K.cells]
-    for down in seen:
-        cells[len(down) - 1].append(tuple([new[r] for r in down]))
-    names = partial(_labels, K._names, [(r,) for r in reps], itemgetter(0))
-    qc = SimplicialComplex(names, [sorted(level) for level in cells], ranked=True)
-    return QuotientComplex(qc, None if sub is None else frozenset(
-        tuple(sorted({new[rep[v]] for v in c})) for c in part))
+    return None
+
+
+def _delta_complex(gk: GSimplicialComplex, part=frozenset()) -> GradedComplex:
+    """The chain complex of |K|/G for a multiplicity-free gk, relative to the
+    invariant cells part.  Ordering each simplex's vertices by vertex orbit
+    is G-invariant, so |K|/G is a Delta-complex with one cell per orbit
+    (Hatcher, Algebraic Topology, 2002, 2.1): the boundary of an orbit is
+    the sum over j of (-1)**j times the orbit of its representative's face
+    without its j-th vertex in that order.  Bases are orbit numbers."""
+    K, orbits, vertex_orbit = gk.complex, gk.orbits, gk.orbit[0]
+    basis = [[] for _ in K.cells]
+    for o, (k, members, _) in enumerate(orbits):
+        if not part or K.cells[k][members[0]] not in part:
+            basis[k].append(o)
+    row, matrices = {o: i for level in basis for i, o in enumerate(level)}, []
+    for k in range(1, len(basis)):
+        faces, down, columns = K.faces[k], gk.orbit[k - 1], []
+        for o in basis[k]:
+            j = orbits[o][1][0]
+            at, key = faces[j * (k + 1):(j + 1) * (k + 1)], [
+                vertex_orbit[v] for v in K.cells[k][j]]
+            columns.append({row[f]: sign for f, sign in zip(
+                [down[at[i]] for i in sorted(range(k + 1), key=key.__getitem__)],
+                _SIGNS) if f in row})
+        matrices.append(RationalMatrix.of_columns(len(basis[k - 1]), columns))
+    return GradedComplex.build(basis, matrices)
+
+
+def quotient(gk: GSimplicialComplex, sub=None) -> tuple:
+    """(C, C_rel): the chain complexes of the simplicial quotient K/G and of
+    the pair (K/G, sub/G), None without sub.  Raises NotRegular when a
+    setwise-fixed simplex moves vertex-wise (before NotASubcomplex for a
+    relative part), or after it when a simplex collapses or two orbits land
+    on one quotient vertex set (see _refusal)."""
+    if not is_regular(gk):
+        raise NotRegular("a setwise-fixed simplex is moved vertex-wise")
+    part, label = _invariant_part(gk, sub), gk.complex.label
+    if (refused := _refusal(gk)) is not None:
+        s, down, earlier = refused
+        raise NotRegular(
+            f"simplex {label(s)!r} collapses onto {label(down)!r} in the quotient"
+            if earlier is None else f"orbits of {label(earlier)!r} and "
+            f"{label(s)!r} share the quotient vertex set {label(down)!r}")
+    return _delta_complex(gk), None if sub is None else _delta_complex(gk, part)
 
 
 def _multiplicity_free(gk: GSimplicialComplex) -> bool:
@@ -367,62 +380,25 @@ def _multiplicity_free(gk: GSimplicialComplex) -> bool:
                for edges in gk.complex.cells[1:2] for u, v in edges)
 
 
-def _orbit_chains(gk: GSimplicialComplex, part=None) -> QuotientComplex:
-    """The quotient of gk's subdivision, gk multiplicity-free, as the order
-    complex of its orbit poset: orbit b lies above orbit a when a face of b's
-    representative (its least member) is in a.  (s0 < ... < sk) -> ([s0] <
-    ... < [sk]) maps the subdivision's orbits one-to-one onto these chains.
-    An orbit is labelled as its representative's vertex in the subdivision,
-    and numbered as in the orbit table, by dimension: so every orbit above a
-    chain's last extends it, and each level comes sorted.  The chains are
-    counted first, the ones ending at b 1 plus those ending below it, against
-    CELL_CAP."""
-    K, reps = gk.complex, [gk.complex.cells[k][m[0]] for k, m, _ in gk.orbits]
-    below, chains = [set() for _ in reps], [1] * len(reps)
-    for b, (k, members, _) in enumerate(gk.orbits):
-        for f in K.faces[k][members[0] * (k + 1):(members[0] + 1) * (k + 1)]:
-            a = gk.orbit[k - 1][f]
-            below[b].add(a)
-            below[b] |= below[a]
-        chains[b] += sum(map(chains.__getitem__, below[b]))
-    _cap(zip(reps, chains), K.label)
-    above = [[] for _ in reps]
-    for b, under in enumerate(below):
-        for a in under:
-            above[a].append(b)  # b ascending: each list comes sorted
-    cells = [[(b,) for b in range(len(reps))]]
-    for _ in range(K.dim):
-        cells.append([c + (b,) for c in cells[-1] for b in above[c[-1]]])
-    oc = SimplicialComplex(partial(_labels, K._names, reps), cells, ranked=True)
-    if part is None:
-        return QuotientComplex(oc)
-    inside = {b for b, r in enumerate(reps) if r in part}
-    return QuotientComplex(oc, frozenset(c for level in cells for c in level
-                                         if inside.issuperset(c)))
-
-
-def regularize(gk: GSimplicialComplex, sub=None):
-    """(rounds, q): q the quotient of gk (and sub, as cells: chains of cells)
-    subdivided that many times.  0 rounds when quotient() goes through; else
-    1 when gk is multiplicity-free, q its orbit chains; else gk is subdivided
-    once (multiplicity-free, as its vertices are labelled by dimension), and
-    1 round if its quotient goes through, 2 with its orbit chains if not."""
-    part = None if sub is None else gk.complex.part(sub)
-    try:
-        return 0, quotient(gk, part)
-    except NotRegular:  # not kept: see quotient
-        pass
-    if _multiplicity_free(gk):
-        return 1, _orbit_chains(gk, part)
-    gk = gk.subdivided()
-    if part is not None:
-        part = frozenset(c for cells in gk.complex.cells for c in cells
-                         if all(gk.complex._lex[v] in part for v in c))
-    try:
-        return 1, quotient(gk, part)
-    except NotRegular:
-        pass
-    return 2, _orbit_chains(gk, part)
+def regularize(gk: GSimplicialComplex, sub=None) -> tuple:
+    """(rounds, C, C_rel): the chain complexes of |K|/G and of the pair
+    (|K|/G, |sub|/G), None without sub, as quotient() reads them off the
+    orbit table of gk, or of its subdivision when gk is not
+    multiplicity-free (the subdivision is: its vertices are labelled by
+    dimension).  rounds counts the subdivisions a simplicial quotient
+    takes: that one, and one more when two orbits share their vertex
+    orbits.  A relative part that is not invariant is named in gk's labels
+    when gk is regular, as quotient() names it, else in the subdivision's."""
+    part, rounds = None if sub is None else gk.complex.part(sub), 0
+    if not _multiplicity_free(gk):
+        if part is not None and is_regular(gk):
+            _invariant_part(gk, part)
+        gk, rounds = gk.subdivided(), 1
+        if part is not None:
+            part = frozenset(c for cells in gk.complex.cells for c in cells
+                             if all(gk.complex._lex[v] in part for v in c))
+    rel = None if part is None else _delta_complex(gk, _invariant_part(gk, part))
+    return rounds + (_refusal(gk) is not None), _delta_complex(gk), rel
 
 
 def invariant_homology(gk: GSimplicialComplex, sub=None) -> tuple[int, ...]:
@@ -459,7 +435,8 @@ def compare(system, gk: GSimplicialComplex) -> CompareReport:
     orientable orbits weighted by their isotropy orders.
     """
     morse = complex_betti(boundary_plus(derive_intrinsic(system)))
-    rounds, q = regularize(gk)
-    morse_p, simp_p = zip(*zip_longest(morse, homology(q.complex), fillvalue=0))
+    rounds, quotient_complex, _ = regularize(gk)
+    morse_p, simp_p = zip(*zip_longest(morse, complex_betti(quotient_complex),
+                                       fillvalue=0))
     return CompareReport(morse_betti=morse_p, quotient_betti=simp_p,
                          rounds=rounds, equal=morse_p == simp_p)

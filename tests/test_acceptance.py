@@ -16,7 +16,6 @@ from orbimorse import (
     classify,
     derive_intrinsic,
     generate_group,
-    homology,
     invariant_homology,
     regularize,
     validate_system,
@@ -194,25 +193,24 @@ def test_criterion_05_burnside_identity():
 
 def test_criterion_06_invariant_equals_quotient_homology():
     for name, (gk, sub) in triangulations():
-        rounds, q = regularize(gk, sub)
-        assert invariant_homology(gk) == homology(q.complex), name
+        _, q, q_rel = regularize(gk, sub)
+        assert invariant_homology(gk) == betti(q), name
         if sub is not None:
-            assert invariant_homology(gk, sub) == homology(q.complex, q.sub), \
-                name
+            assert invariant_homology(gk, sub) == betti(q_rel), name
 
 
 def test_criterion_07_disc_quotients():
     for k in (2, 3, 4):
         inst = load_corpus(f"disc_rot_{k}")
         gk, sub = build_simplicial(inst.body["system"])
-        _, q = regularize(gk, sub)
-        assert homology(q.complex, q.sub) == (0, 0, 1), k
+        _, _, q_rel = regularize(gk, sub)
+        assert betti(q_rel) == (0, 0, 1), k
         assert invariant_homology(gk, sub) == (0, 0, 1), k
     for name in ("disc_reflect", "disc_reflect_d1"):
         inst = load_corpus(name)
         gk, sub = build_simplicial(inst.body["system"])
-        _, q = regularize(gk, sub)
-        assert not any(homology(q.complex, q.sub)), name
+        _, _, q_rel = regularize(gk, sub)
+        assert not any(betti(q_rel)), name
         assert not any(invariant_homology(gk, sub)), name
 
 

@@ -19,7 +19,6 @@ from orbimorse import (
     barycentric_subdivide,
     compare,
     generate_group,
-    homology,
     invariant_homology,
     is_regular,
     quotient,
@@ -27,6 +26,7 @@ from orbimorse import (
 )
 from orbimorse import simplicial
 from orbimorse.chaincx import betti
+from orbimorse.simplicial import homology
 
 import label_oracle as oracle
 from conftest import corpus_tool, grid_torus
@@ -37,6 +37,11 @@ def gcomplex(vertices, maximal, gens):
     """Action given as index permutations of the sorted vertex list."""
     return GSimplicialComplex(SimplicialComplex(vertices, maximal),
                               [(g, g) for g in gens])
+
+
+def cells(c):
+    """A chain complex's cells per dimension."""
+    return tuple(map(len, c.basis_labels))
 
 
 def tetra_boundary():
@@ -106,10 +111,10 @@ def test_flipped_edge_needs_one_subdivision():
         quotient(gk)
     sd = gk.subdivided()
     assert is_regular(sd)
-    rounds, q = regularize(gk)
+    rounds, q, _ = regularize(gk)
     assert rounds == 1
-    assert q.complex.counts() == (2, 1)
-    assert homology(q.complex) == (1, 0)
+    assert cells(q) == (2, 1)
+    assert betti(q) == (1, 0)
 
 
 def test_octahedron_quotient_needs_one_subdivision():
@@ -118,9 +123,9 @@ def test_octahedron_quotient_needs_one_subdivision():
     assert is_regular(gk)
     with pytest.raises(NotRegular, match="share"):
         quotient(gk)
-    rounds, q = regularize(gk)
+    rounds, q, _ = regularize(gk)
     assert rounds == 1
-    assert homology(q.complex) == (1, 0, 1)
+    assert betti(q) == (1, 0, 1)
     assert invariant_homology(gk) == (1, 0, 1)
 
 
@@ -129,9 +134,9 @@ def test_cycle_rotation_needs_two_subdivisions():
                   [[1, 2, 3, 0]])
     with pytest.raises(NotRegular, match="collapses"):
         quotient(gk)
-    rounds, q = regularize(gk)
+    rounds, q, _ = regularize(gk)
     assert rounds == 2
-    assert homology(q.complex) == (1, 1)
+    assert betti(q) == (1, 1)
     assert invariant_homology(gk) == (1, 1)
 
 
@@ -139,10 +144,10 @@ def test_cycle_reflection_quotients_to_a_path():
     gk = gcomplex("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
                   [[0, 3, 2, 1]])
     assert is_regular(gk)
-    rounds, q = regularize(gk)
+    rounds, q, _ = regularize(gk)
     assert rounds == 0
-    assert q.complex.counts() == (3, 2)
-    assert homology(q.complex) == (1, 0)
+    assert cells(q) == (3, 2)
+    assert betti(q) == (1, 0)
     assert invariant_homology(gk) == (1, 0)
 
 
@@ -151,10 +156,11 @@ def test_relative_quotient_of_a_folded_path():
     ends = SimplicialComplex("ac", [("a",), ("c",)])
     assert homology(gk.complex, ends) == (0, 1)
     assert invariant_homology(gk, ends) == (0, 0)
-    rounds, q = regularize(gk, ends)
+    rounds, q, q_rel = regularize(gk, ends)
     assert rounds == 0
-    assert q.sub is not None and q.sub.vertices == ("a",)
-    assert homology(q.complex, q.sub) == (0, 0)
+    # the orbit of the ends is left out: the vertex b and the edge remain
+    assert (cells(q), cells(q_rel)) == ((2, 1), (1, 1))
+    assert betti(q_rel) == (0, 0)
 
 
 def test_non_invariant_relative_part_rejected():
@@ -243,18 +249,21 @@ def symmetric_complexes(draw):
 @given(symmetric_complexes())
 def test_invariant_homology_equals_quotient_homology(case):
     gk, sub = case
-    _, q = regularize(gk, sub)
-    assert invariant_homology(gk) == homology(q.complex)
+    _, q, q_rel = regularize(gk, sub)
+    assert invariant_homology(gk) == betti(q)
     if sub is not None:
-        assert invariant_homology(gk, sub) == homology(q.complex, q.sub)
+        assert invariant_homology(gk, sub) == betti(q_rel)
 
 
 def pipeline(mod, case):
     """What the commands read off a symmetric_actions() case through the
     module mod: regularity, quotient and invariant Betti numbers, absolute
-    and relative, rounds and the quotient's cells per dimension, and every
-    error as its class and text.  The oracle's regularize subdivides the
-    cover up to twice; the package lists orbit chains instead."""
+    and relative, rounds, and every error as its class and text.  The
+    oracle's regularize builds the simplicial quotient of the cover
+    subdivided up to twice; the package reads a Delta-complex of orbits off
+    the cover or its one subdivision.  Cells per dimension are compared
+    where both are the simplicial quotient: from quotient(), and from
+    regularize at 0 rounds."""
     vertices, maximal, perms, sub = case
     K = mod.SimplicialComplex(vertices, maximal)
     if sub is not None:
@@ -263,22 +272,24 @@ def pipeline(mod, case):
     if not isinstance(gk, mod.GSimplicialComplex):
         return gk
 
-    def quotient_betti(q, rel):
-        return mod.homology(q.complex), rel is not None and mod.homology(q.complex, rel)
+    def read(q):
+        """Betti numbers of a quotient and its pair, and its cells."""
+        if isinstance(q, oracle.QuotientComplex):  # as the package's complexes
+            q = q.complex.chain_complex(), q.sub and q.complex.chain_complex(q.sub)
+        return betti(q[0]), q[1] is not None and betti(q[1]), cells(q[0])
 
     def regularized(sub):
-        rounds, q = mod.regularize(gk, sub)
-        # the commands read the relative part as cells, the oracle by labels
-        return rounds, q.complex.counts(), quotient_betti(q, getattr(q, "part", q.sub))
+        rounds, *q = mod.regularize(gk, sub)
+        absolute, relative, counts = read(q if len(q) == 2 else q[0])
+        return rounds, absolute, relative, rounds == 0 and counts
 
     sd_sub = sub and mod.barycentric_subdivide(sub)
     return [mod.is_regular(gk),
-            outcome(lambda: quotient_betti(q := mod.quotient(gk, sub), q.sub)),
+            outcome(lambda: read(mod.quotient(gk, sub))),
             outcome(regularized, None), outcome(regularized, sub),
             outcome(mod.invariant_homology, gk),
             outcome(mod.invariant_homology, gk, sub),
-            outcome(lambda: quotient_betti(
-                q := mod.quotient(gk.subdivided(), sd_sub), q.sub))]
+            outcome(lambda: read(mod.quotient(gk.subdivided(), sd_sub)))]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -300,14 +311,13 @@ def lens_spaces(draw):
 
 
 def lens_quotient(mod, case):
-    """Rounds and the quotient mod.regularize makes of a lens space, with
-    the circle as its relative part."""
+    """What mod.regularize makes of a lens space, with the circle as its
+    relative part: rounds, then the quotient."""
     vertices, maximal, perms, circle = case
     gk = mod.GSimplicialComplex(mod.SimplicialComplex(vertices, maximal),
                                 [(g, g) for g in perms])
-    rounds, q = mod.regularize(gk, mod.SimplicialComplex(
+    return mod.regularize(gk, mod.SimplicialComplex(
         {v for s in circle for v in s}, circle))
-    return rounds, q
 
 
 # each example costs the oracle's two label-keyed rounds: 0.3 s at p = 3,
@@ -316,13 +326,24 @@ def lens_quotient(mod, case):
 @given(lens_spaces())
 def test_lens_spaces_regularize_like_the_two_round_oracle(case):
     # Betti numbers against those every L(p, q) has, absolute and relative
-    # to the circle; rounds and cells per dimension against the oracle
-    rounds, q = lens_quotient(simplicial, case)
-    assert homology(q.complex) == (1, 0, 0, 1)
-    assert homology(q.complex, q.part) == (0, 0, 1, 1)
-    rounds_oracle, q_oracle = lens_quotient(oracle, case)
-    assert (rounds, q.complex.counts()) == (2, q_oracle.complex.counts())
-    assert rounds_oracle == 2
+    # to the circle; rounds against the oracle; cells per dimension are the
+    # orbits of the join's subdivision: the join of two p-gons has 2p
+    # vertices, p^2 + 2p edges, 2p^2 triangles and p^2 tetrahedra, and the
+    # rotation is free, so (24, 144, 240, 120) at p = 5
+    rounds, q, q_rel = lens_quotient(simplicial, case)
+    assert betti(q) == (1, 0, 0, 1)
+    assert betti(q_rel) == (0, 0, 1, 1)
+    p = len(case[0]) // 2
+    assert cells(q) == (4 + 4 * p, 4 + 28 * p, 48 * p, 24 * p)
+    rounds_oracle, _ = lens_quotient(oracle, case)
+    assert rounds == rounds_oracle == 2
+
+
+def test_lens_labels_sort_in_rotation_order():
+    # two-digit labels stopped sorting in rotation order past p = 100
+    for p in (101, 128):
+        vertices = corpus_tool().lens_simplicial(p, 1)["vertices"]
+        assert sorted(vertices) == vertices
 
 
 # -- the full G x N scans the orbit scan replaced, kept as oracles ---------------
@@ -440,16 +461,32 @@ def outcome(fn, *args):
         return type(e), str(e)
 
 
+def named(c, name):
+    """A chain complex as {cell: {face: coefficient}}, name(k, basis label)
+    naming each k-cell."""
+    out = {name(0, b): {} for b in c.basis_labels[0]}
+    for k in range(1, c.max_degree + 1):
+        faces = c.basis_labels[k - 1]
+        for b, column in zip(c.basis_labels[k], c.boundary[k - 1].columns):
+            out[name(k, b)] = {name(k - 1, faces[i]): v for i, v in column.items()}
+    return out
+
+
 def scanned_quotient(gk, sub):
-    q = quotient(gk, sub)
-    return q.complex, q.sub
+    """quotient()'s complexes, named as full_quotient names their cells:
+    an orbit by the least vertices of its representative's vertex orbits."""
+    K = gk.complex
+    least = [K.vertices[gk.orbits[o][1][0]] for o in gk.orbit[0]]
+    names = [tuple(sorted(least[v] for v in K.cells[k][members[0]]))
+             for k, members, _ in gk.orbits]
+    return tuple(c and named(c, lambda k, o: names[o]) for c in quotient(gk, sub))
 
 
-def same_quotient(got, want):
-    if not isinstance(want[0], SimplicialComplex):
-        return got == want
-    cells = lambda K: None if K is None else list(K.all_simplices())
-    return (cells(got[0]) == cells(want[0]) and cells(got[1]) == cells(want[1]))
+def full_quotient_complexes(gk, act, sub):
+    qc, qsub = full_quotient(gk, act, sub)
+    name = lambda k, j: qc.label(qc.cells[k][j])
+    return (named(qc.chain_complex(), name),
+            qsub and named(qc.chain_complex(qsub), name))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -497,8 +534,8 @@ def matches_full_scans(gk, act, sub):
     assert all(set(members) == {full_image(image, members[0])
                                 for image in act.values()} for members in rows)
     assert is_regular(gk) == full_is_regular(gk, act)
-    assert same_quotient(outcome(scanned_quotient, gk, sub),
-                         outcome(full_quotient, gk, act, sub))
+    assert outcome(scanned_quotient, gk, sub) \
+        == outcome(full_quotient_complexes, gk, act, sub)
     assert invariant_homology(gk) == full_invariant_homology(gk, act)
     if sub is not None:
         assert outcome(invariant_homology, gk, sub) \

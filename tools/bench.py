@@ -26,14 +26,17 @@ BENCH_tri.json  homology on torus(n) under negation, n in 8, 16, 24, 32, 40
                 128: no subdivision, quotient S^2; polygon(1, k) under the
                 rotation of order k, k in 30, 60, 120, 240, 480, and past
                 1,000 vertices, k in 1,200, 3,000 and 12,000, labelled
-                v00000, v00001, ... so they sort in order (_polygon): two
-                subdivision rounds, quotient S^1; wheel(k), a disc under the
+                v00000, v00001, ... so they sort in order (_polygon):
+                rounds 2, quotient S^1; wheel(k), a disc under the
                 rotation of order k, relative to its rim, k in 20, 40, 80:
                 no subdivision, quotient a disc, relative Betti numbers
                 0,0,1; lens(p), the join of two p-gons under the free
                 rotation of order p whose quotient is the lens space
-                L(p, 1), p in 8, 16, 32, 64: two subdivision rounds (the
-                second lists the orbit chains), Betti numbers 1,0,0,1.
+                L(p, 1), p in 8, 16, 32, 64: rounds 2, Betti numbers
+                1,0,0,1.  rounds 2 is one subdivision, whose orbits are the
+                cells of the quotient, and one more that a simplicial
+                quotient would take, as two of them share their vertex
+                orbits.
                 Every other bipyramid, polygon and wheel has fewer than
                 1,000 vertices: instances.py labels them v000, v001, ..., so
                 beyond that the sorted vertex list no longer follows the
@@ -71,7 +74,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from orbimorse import (GSimplicialComplex, SimplicialComplex, cli,  # noqa: E402
-                       homology, invariant_homology)
+                       invariant_homology)
+from orbimorse.simplicial import homology  # noqa: E402
 
 #: Timed runs per row; a row records their median, fastest and slowest.
 RUNS = 5

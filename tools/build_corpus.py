@@ -164,8 +164,11 @@ def tetrahedron_simplicial():
 
 def lens_simplicial(p, q):
     """The join of two p-gons, S^3, under (a_i, b_j) -> (a_i+1, b_j+q): a
-    free action whose quotient is the lens space L(p, q)."""
-    a, b = ["a%02d" % i for i in range(p)], ["b%02d" % j for j in range(p)]
+    free action whose quotient is the lens space L(p, q).  Indices have as
+    many digits as p - 1, at least two, so the sorted labels follow the
+    rotation."""
+    width = max(2, len(str(p - 1)))
+    a, b = (["%s%0*d" % (x, width, i) for i in range(p)] for x in "ab")
     return {"vertices": a + b,
             "maximal": [[a[i], a[(i + 1) % p], b[j], b[(j + 1) % p]]
                         for i in range(p) for j in range(p)],
